@@ -15,16 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
 from .errors import (CapExceeded, CharacteristicTooSmall,
                      EndTooLargeForLocalityTest, NonGenericLambda)
 from .localring import (OMatrix, ORing, gl_enumerate, gl_order,
-                        kernel_elements, kernel_size_exponent, smith_normal_form,
-                        solve_linear)
-from .quiver import Quiver, euler_form, is_connected, restrict_arrows
+                        kernel_elements, kernel_size_exponent, solve_linear)
+from .quiver import Quiver, is_connected, restrict_arrows
 
 
 @dataclass(frozen=True)
@@ -169,7 +168,7 @@ def _end_elements(Q: Quiver, ring: ORing, r, x):
 
 def _classify_orbit(Q, ring, r, rep, orbit_size, gl_size, caps):
     """End size, indecomposability and splitting degree for one orbit."""
-    q, alpha = ring.q, ring.alpha
+    q = ring.q
     e = end_exponent(Q, ring, r, rep)
     end_size = q ** e
     aut_size = gl_size // orbit_size
@@ -183,22 +182,23 @@ def _classify_orbit(Q, ring, r, rep, orbit_size, gl_size, caps):
         if all(m * m == m for m in xi):
             idempotents += 1
     indecomposable = idempotents == 2
-    top_degree = None
-    absolutely = False
-    if indecomposable:
-        # |Aut| = |End| (1 - q^-d), d the degree of the residue field
-        radical = end_size - aut_size
-        d = 0
-        m = end_size
-        while m > radical:
-            m //= q
-            d += 1
-        if m != radical:
-            raise AssertionError("Aut/End ratio is not of local-ring shape")
-        top_degree = d
-        absolutely = d == 1
+    top_degree = _top_degree(end_size, aut_size, q) if indecomposable else None
     return OrbitRecord(rep, orbit_size, e, aut_size, indecomposable,
-                       top_degree, absolutely)
+                       top_degree, top_degree == 1)
+
+
+def _top_degree(end_size: int, aut_size: int, q: int) -> int:
+    """Degree d of the residue field of a local End, from
+    |Aut| = |End| (1 - q^-d)."""
+    radical = end_size - aut_size
+    d = 0
+    m = end_size
+    while m > radical:
+        m //= q
+        d += 1
+    if m != radical:
+        raise AssertionError("Aut/End ratio is not of local-ring shape")
+    return d
 
 
 def _log2(n: int) -> float:
@@ -371,23 +371,10 @@ def _rank_one_orbits(Q: Quiver, alpha: int, q: int, caps: Caps) -> list:
             pattern_cache[pattern] = _rank_one_pattern_data(Q, ring, pattern)
         indecomposable, e = pattern_cache[pattern]
         aut_size = gl_size // orbit_size
-        top_degree = None
-        absolutely = False
-        if indecomposable:
-            end_size = q ** e
-            radical = end_size - aut_size
-            d = 0
-            m = end_size
-            while m > radical:
-                m //= q
-                d += 1
-            if m != radical:
-                raise AssertionError("Aut/End ratio is not of local-ring shape")
-            top_degree = d
-            absolutely = d == 1
+        top_degree = _top_degree(q ** e, aut_size, q) if indecomposable else None
         x = tuple(OMatrix(ring, [[elems[d]]]) for d in digits)
         records.append(OrbitRecord(x, orbit_size, e, aut_size, indecomposable,
-                                   top_degree, absolutely))
+                                   top_degree, top_degree == 1))
     return records
 
 
@@ -489,9 +476,7 @@ def _fiber_zero_shard(payload):
     Q = Quiver.from_json(quiver_json)
     ring = ORing(q, alpha)
     total = 0
-    for idx, x in enumerate(iter_rep_points(Q, ring, r)):
-        if idx % nshards != shard:
-            continue
+    for x in islice(iter_rep_points(Q, ring, r), shard, None, nshards):
         total += q ** kernel_size_exponent(moment_matrix(Q, ring, r, x))
     return total
 
@@ -506,6 +491,8 @@ def moment_fiber_count(Q: Quiver, alpha: int, r, q: int, lam=None,
     shards the zero-fiber point sum across processes; the reduction is
     integer addition, so the result does not depend on the schedule.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     r = tuple(int(x) for x in r)
     check_space_cap(Q, alpha, r, q, caps)
     ring = ORing(q, alpha)
@@ -540,10 +527,7 @@ def moment_fiber_count(Q: Quiver, alpha: int, r, q: int, lam=None,
             payloads = [(Q.to_json(), alpha, r, q, shard, jobs) for shard in range(jobs)]
             with ctx.Pool(jobs) as pool:
                 return sum(pool.map(_fiber_zero_shard, payloads))
-        for x in iter_rep_points(Q, ring, r):
-            ke = kernel_size_exponent(moment_matrix(Q, ring, r, x))
-            total += q ** ke
-        return total
+        return _fiber_zero_shard((Q.to_json(), alpha, r, q, 0, 1))
 
     # deformed fiber: solve mu(x, .) = t^(alpha-1) lambda per x
     target = []

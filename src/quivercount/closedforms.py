@@ -20,10 +20,6 @@ from .qpolynomial import QPolynomial, RationalFunction
 _q = QPolynomial.q
 
 
-def _rf(num, den=1) -> RationalFunction:
-    return RationalFunction(num) / RationalFunction(den if isinstance(den, QPolynomial) else QPolynomial.const(den))
-
-
 def gloop_A2(g: int, alpha: int) -> RationalFunction:
     """Absolutely indecomposable count in rank 2 for the g-loop quiver."""
     if g < 1 or alpha < 1:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import CapExceeded
-from .localring import OMatrix, ORing, smith_invariants, solve_linear
+from .localring import OMatrix, ORing, smith_invariants
 
 MAX_TOTAL_RANK = 4
 MAX_ALPHA = 3

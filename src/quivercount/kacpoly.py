@@ -16,11 +16,11 @@ import hashlib
 from fractions import Fraction
 from itertools import product
 
-from .closedforms import _tpoly_mul, _tpoly_scale
+from .closedforms import _tpoly_add, _tpoly_mul, _tpoly_scale
 from .errors import CapExceeded, Not2Connected, NotConnected
 from .qpolynomial import QPolynomial, RationalFunction
-from .quiver import (Quiver, betti, euler_form, is_2_connected, is_connected,
-                     restrict_arrows, restrict_vertices, set_partitions,
+from .quiver import (Quiver, _betti_by_subset, euler_form, is_2_connected,
+                     is_connected, restrict_vertices, set_partitions,
                      spanning_trees, tree_path)
 from .series import TruncatedSeries, plethystic_exp, plethystic_log
 
@@ -28,34 +28,6 @@ _q = QPolynomial.q
 
 
 # -- toric Kac polynomials ----------------------------------------------------
-
-def _betti_by_subset(Q: Quiver):
-    """Betti number of Q restricted to each arrow subset (bitmask-indexed)."""
-    E = Q.num_arrows
-    n = Q.num_vertices
-    out = [0] * (1 << E)
-    comps = [0] * (1 << E)
-    for mask in range(1 << E):
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        edges = 0
-        for a in range(E):
-            if mask >> a & 1:
-                edges += 1
-                rs, rt = find(Q.arrows[a][0]), find(Q.arrows[a][1])
-                if rs != rt:
-                    parent[rs] = rt
-        c = len({find(v) for v in range(n)})
-        comps[mask] = c
-        out[mask] = c - n + edges
-    return out, comps
-
 
 def toric_kac_wyss(Q: Quiver, alpha: int) -> QPolynomial:
     """Count of rank-all-one absolutely indecomposable classes over O_alpha,
@@ -125,7 +97,6 @@ def toric_kac_trees(Q: Quiver, alpha: int) -> QPolynomial:
 # -- rank 2 and 3 recurrences for the g-loop quiver ---------------------------
 
 def _rank2_matrix(g: int):
-    one = RationalFunction.one()
     half = Fraction(1, 2)
     qm = RationalFunction.q
     z = RationalFunction.zero()
@@ -151,7 +122,6 @@ def _rank2_initial(g: int):
 
 def _rank3_matrix(g: int):
     qm = RationalFunction.q
-    one = RationalFunction.one()
     z = RationalFunction.zero()
     q = qm(1)
     rows = [
@@ -288,6 +258,17 @@ def rank1_fiber_count(Q: Quiver, alpha: int) -> RationalFunction:
 
 # -- limits and Hilbert series ---------------------------------------------------
 
+def _proper_supersets(mask: int, E: int):
+    """Every subset of the E arrows that strictly contains mask."""
+    free = [a for a in range(E) if not mask >> a & 1]
+    for extra_bits in range(1, 1 << len(free)):
+        sup = mask
+        for idx, a in enumerate(free):
+            if extra_bits >> idx & 1:
+                sup |= 1 << a
+        yield sup
+
+
 def _subset_chain_dp(Q: Quiver):
     """h(S) over subsets S of arrows: sum over strictly increasing chains
     from S to the full set of prod 1/(q^(b - b_j) - 1) over proper terms."""
@@ -302,15 +283,8 @@ def _subset_chain_dp(Q: Quiver):
         by_size.setdefault(bin(mask).count("1"), []).append(mask)
     for size in range(E - 1, -1, -1):
         for mask in by_size.get(size, []):
-            acc = RationalFunction.zero()
-            # supersets of mask
-            free = [a for a in range(E) if not mask >> a & 1]
-            for extra_bits in range(1, 1 << len(free)):
-                sup = mask
-                for idx, a in enumerate(free):
-                    if extra_bits >> idx & 1:
-                        sup |= 1 << a
-                acc = acc + h[sup]
+            acc = sum((h[sup] for sup in _proper_supersets(mask, E)),
+                      RationalFunction.zero())
             weight = RationalFunction.one() / RationalFunction(_q(b - b_of[mask]) - 1)
             h[mask] = weight * acc
     return h, b
@@ -353,15 +327,8 @@ def order_complex_hilbert(Q: Quiver) -> RationalFunction:
     G = {}
     masks = sorted(range(1, full), key=lambda m: -bin(m).count("1"))
     for mask in masks:
-        acc = RationalFunction.one()
-        free = [a for a in range(E) if not mask >> a & 1]
-        for extra_bits in range(1, 1 << len(free)):
-            sup = mask
-            for idx, a in enumerate(free):
-                if extra_bits >> idx & 1:
-                    sup |= 1 << a
-            if sup != full:
-                acc = acc + G[sup]
+        acc = sum((G[sup] for sup in _proper_supersets(mask, E) if sup != full),
+                  RationalFunction.one())
         G[mask] = z[mask] * acc
     return sum(G.values(), RationalFunction.one())
 
@@ -381,17 +348,10 @@ def poincare_symbolic(z_num, z_den, ambient_dim: int, n_max: int):
     sub_den = [c * RationalFunction.q(m * k) for k, c in enumerate(z_den)]
     # numerator: den(q^m T') - q^m T' num(q^m T'); denominator: (1 - q^m T') den(q^m T')
     shifted = [RationalFunction.zero()] + _tpoly_scale(sub_num, RationalFunction.q(m))
-    num_poly = _tpoly_add_local(sub_den, _tpoly_scale(shifted, -one))
+    num_poly = _tpoly_add(sub_den, _tpoly_scale(shifted, -one))
     den_poly = _tpoly_mul([one, -RationalFunction.q(m)], sub_den)
     coeffs = _tpoly_series_divide(num_poly, den_poly, n_max)
     return coeffs[1:]
-
-
-def _tpoly_add_local(a, b):
-    n = max(len(a), len(b))
-    zero = RationalFunction.zero()
-    return [(a[i] if i < len(a) else zero) + (b[i] if i < len(b) else zero)
-            for i in range(n)]
 
 
 def _tpoly_series_divide(num, den, order: int):

@@ -11,7 +11,10 @@ nonzero, and the valuation of 0 is alpha by convention.
 The Smith normal form over O_alpha diagonalizes any matrix as
 U M V = diag(t^g1, ..., t^gr, 0, ...) with U, V invertible and the g's
 weakly increasing; zero diagonal entries are encoded as g = alpha so the
-kernel-size formula stays uniform.
+kernel-size formula stays uniform.  One elimination loop computes it:
+smith_invariants runs it on a copy of M, and smith_normal_form runs it on
+M with I_n appended to its right and I_m stacked below, so that the row
+operations carry U and the column operations carry V.
 """
 
 from __future__ import annotations
@@ -366,87 +369,17 @@ class OMatrix:
         return V * U
 
 
-def smith_normal_form(M: OMatrix):
-    """Return (gammas, U, V) with U M V = diag(t^g) and U, V invertible.
+def _eliminate(ring: ORing, A, n: int, m: int):
+    """Diagonalize the leading n x m block of the row list A in place.
 
-    Pivots take the entry of smallest valuation, ties broken row-major,
-    which makes the factorization deterministic.  gammas has length
-    min(rows, cols); zero invariants appear as alpha.
+    Pivots take the entry of smallest valuation in the remaining block,
+    ties broken row-major, which makes the elimination deterministic; each
+    pivot row is scaled so the pivot becomes exactly t^gamma.  Row
+    operations act on whole rows and column operations on every row, so
+    columns right of the block and rows below it ride along.  Returns the
+    gammas, of length min(n, m), with zero invariants as alpha.
     """
-    ring = M.ring
     alpha = ring.alpha
-    A = [list(row) for row in M.entries]
-    n, m = M.rows, M.cols
-    U = [list(row) for row in OMatrix.identity(ring, n).entries]
-    V = [list(row) for row in OMatrix.identity(ring, m).entries]
-    gammas = []
-    k = 0
-    limit = min(n, m)
-    while k < limit:
-        best = None
-        best_val = alpha
-        for i in range(k, n):
-            Ai = A[i]
-            for j in range(k, m):
-                v = ring.val(Ai[j])
-                if v < best_val:
-                    best, best_val = (i, j), v
-                    if v == 0:
-                        break
-            if best_val == 0:
-                break
-        if best is None:
-            break
-        i0, j0 = best
-        if i0 != k:
-            A[k], A[i0] = A[i0], A[k]
-            U[k], U[i0] = U[i0], U[k]
-        if j0 != k:
-            for row in A:
-                row[k], row[j0] = row[j0], row[k]
-            for row in V:
-                row[k], row[j0] = row[j0], row[k]
-        # scale the pivot row so the pivot becomes exactly t^gamma
-        g = best_val
-        unit = A[k][k][g:] + (0,) * g
-        unit_inv = ring.inv(unit)
-        A[k] = [ring.mul(unit_inv, x) for x in A[k]]
-        U[k] = [ring.mul(unit_inv, x) for x in U[k]]
-        # clear the rest of column k (row operations, tracked in U)
-        for i in range(n):
-            if i == k:
-                continue
-            x = A[i][k]
-            if ring.val(x) >= alpha:
-                continue
-            c = ring.divide_exact(x, A[k][k])
-            A[i] = [ring.sub(a, ring.mul(c, b)) for a, b in zip(A[i], A[k])]
-            U[i] = [ring.sub(a, ring.mul(c, b)) for a, b in zip(U[i], U[k])]
-        # clear the rest of row k (column operations, tracked in V)
-        for j in range(m):
-            if j == k:
-                continue
-            x = A[k][j]
-            if ring.val(x) >= alpha:
-                continue
-            c = ring.divide_exact(x, A[k][k])
-            for row in A:
-                row[j] = ring.sub(row[j], ring.mul(c, row[k]))
-            for row in V:
-                row[j] = ring.sub(row[j], ring.mul(c, row[k]))
-        gammas.append(g)
-        k += 1
-    while len(gammas) < limit:
-        gammas.append(alpha)
-    return gammas, OMatrix(ring, U), OMatrix(ring, V)
-
-
-def smith_invariants(M: OMatrix):
-    """The gammas alone, skipping the U/V bookkeeping (hot-loop variant)."""
-    ring = M.ring
-    alpha = ring.alpha
-    A = [list(row) for row in M.entries]
-    n, m = M.rows, M.cols
     gammas = []
     limit = min(n, m)
     k = 0
@@ -475,16 +408,14 @@ def smith_invariants(M: OMatrix):
         pivot = A[k][k]
         unit_inv = ring.inv(pivot[g:] + (0,) * g)
         A[k] = [ring.mul(unit_inv, x) for x in A[k]]
+        # rows and columns before k are already clear in column and row k
+        Ak = A[k]
         for i in range(k + 1, n):
             x = A[i][k]
             if ring.val(x) >= alpha:
                 continue
-            c = ring.divide_exact(x, A[k][k])
-            Ai = A[i]
-            Ak = A[k]
-            A[i] = [ring.sub(a, ring.mul(c, b)) for a, b in zip(Ai, Ak)]
-        # row k cleanup only affects columns beyond k
-        Ak = A[k]
+            c = ring.divide_exact(x, Ak[k])
+            A[i] = [ring.sub(a, ring.mul(c, b)) for a, b in zip(A[i], Ak)]
         for j in range(k + 1, m):
             x = Ak[j]
             if ring.val(x) >= alpha:
@@ -497,6 +428,28 @@ def smith_invariants(M: OMatrix):
     while len(gammas) < limit:
         gammas.append(alpha)
     return gammas
+
+
+def smith_normal_form(M: OMatrix):
+    """Return (gammas, U, V) with U M V = diag(t^g) and U, V invertible.
+
+    The elimination runs on [M | I_n] with I_m stacked below: row
+    operations build U in the right-hand columns and column operations
+    build V in the bottom rows.  gammas has length min(rows, cols); zero
+    invariants appear as alpha.
+    """
+    ring = M.ring
+    n, m = M.rows, M.cols
+    A = [list(row) + [ring.one if j == i else ring.zero for j in range(n)]
+         for i, row in enumerate(M.entries)]
+    A += [[ring.one if j == i else ring.zero for j in range(m)] for i in range(m)]
+    gammas = _eliminate(ring, A, n, m)
+    return gammas, OMatrix(ring, [row[m:] for row in A[:n]]), OMatrix(ring, A[n:])
+
+
+def smith_invariants(M: OMatrix):
+    """The gammas alone, skipping the U/V bookkeeping (hot-loop variant)."""
+    return _eliminate(M.ring, [list(row) for row in M.entries], M.rows, M.cols)
 
 
 def kernel_size_exponent(M: OMatrix) -> int:

@@ -9,7 +9,7 @@ arrows are allowed everywhere.
 from __future__ import annotations
 
 import json
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, permutations
 from math import gcd
 
 from .errors import (ContractLoop, DimensionMismatch, InvalidType,
@@ -158,9 +158,12 @@ def connected_components(Q: Quiver) -> int:
     return len(component_sets(Q))
 
 
-def component_sets(Q: Quiver):
-    """Vertex sets of the connected components (underlying graph)."""
-    n = Q.num_vertices
+def _union_find(n: int, pairs):
+    """Join the endpoints of each pair among vertices 0..n-1.
+
+    Returns (root of each vertex, number of merges): the graph has
+    n - merges components, and its cycle rank is len(pairs) - merges.
+    """
     parent = list(range(n))
 
     def find(x):
@@ -169,13 +172,21 @@ def component_sets(Q: Quiver):
             x = parent[x]
         return x
 
-    for s, t in Q.arrows:
+    merges = 0
+    for s, t in pairs:
         rs, rt = find(s), find(t)
         if rs != rt:
             parent[rs] = rt
+            merges += 1
+    return [find(v) for v in range(n)], merges
+
+
+def component_sets(Q: Quiver):
+    """Vertex sets of the connected components (underlying graph)."""
+    roots, _ = _union_find(Q.num_vertices, Q.arrows)
     groups = {}
-    for v in range(n):
-        groups.setdefault(find(v), []).append(v)
+    for v, root in enumerate(roots):
+        groups.setdefault(root, []).append(v)
     return [frozenset(g) for g in sorted(groups.values())]
 
 
@@ -186,6 +197,19 @@ def is_connected(Q: Quiver) -> bool:
 def betti(Q: Quiver) -> int:
     """Cycle rank C - V + E of the underlying graph."""
     return connected_components(Q) - Q.num_vertices + Q.num_arrows
+
+
+def _betti_by_subset(Q: Quiver):
+    """Betti numbers and component counts of Q restricted to each arrow
+    subset, both bitmask-indexed."""
+    n = Q.num_vertices
+    betti_of, comps = [], []
+    for mask in range(1 << Q.num_arrows):
+        edges = [arrow for a, arrow in enumerate(Q.arrows) if mask >> a & 1]
+        _, merges = _union_find(n, edges)
+        comps.append(n - merges)
+        betti_of.append(len(edges) - merges)
+    return betti_of, comps
 
 
 def is_2_connected(Q: Quiver) -> bool:
@@ -270,23 +294,8 @@ def spanning_trees(Q: Quiver):
         return [()]
     trees = []
     for subset in combinations(non_loops, n - 1):
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        acyclic = True
-        for a in subset:
-            s, t = Q.arrows[a]
-            rs, rt = find(s), find(t)
-            if rs == rt:
-                acyclic = False
-                break
-            parent[rs] = rt
-        if acyclic:
+        # n - 1 edges form a tree exactly when every one merges two parts
+        if _union_find(n, [Q.arrows[a] for a in subset])[1] == n - 1:
             trees.append(subset)
     return trees
 
@@ -491,14 +500,12 @@ def connected_quiver_corpus(max_vertices: int = 4, max_edges: int = 6):
     Every quantity this package verifies on the corpus is orientation
     independent, so arrows run from the lower vertex index to the higher.
     """
-    from itertools import permutations
-
     corpus = []
     seen = set()
     for n in range(1, max_vertices + 1):
         slots = [(i, j) for i in range(n) for j in range(i, n)]
         for e in range(n - 1, max_edges + 1):
-            for combo in combinations_with_replacement_tuples(len(slots), e):
+            for combo in combinations_with_replacement(range(len(slots)), e):
                 edges = tuple(slots[k] for k in combo)
                 Q = Quiver([str(v + 1) for v in range(n)], edges)
                 if not is_connected(Q):
@@ -515,9 +522,3 @@ def connected_quiver_corpus(max_vertices: int = 4, max_edges: int = 6):
                 corpus.append(Quiver([str(v + 1) for v in range(n)],
                                      sorted(canon)))
     return corpus
-
-
-def combinations_with_replacement_tuples(n_slots: int, k: int):
-    """Index tuples 0 <= i_1 <= ... <= i_k < n_slots."""
-    from itertools import combinations_with_replacement
-    return combinations_with_replacement(range(n_slots), k)

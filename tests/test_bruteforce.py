@@ -186,6 +186,11 @@ class TestMomentFibers:
         b = moment_fiber_count(loop_quiver(2), 1, (2,), 2, None, jobs=2)
         assert a == b == 11776
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_must_be_positive(self, jobs):
+        with pytest.raises(ValueError):
+            moment_fiber_count(loop_quiver(2), 1, (2,), 2, None, jobs=jobs)
+
     def test_generic_guards(self):
         with pytest.raises(NonGenericLambda):
             moment_fiber_count(a2_quiver(), 1, (1, 1), 3, (1, 1))

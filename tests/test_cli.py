@@ -29,6 +29,17 @@ def a2_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def gloop2_file(tmp_path):
+    path = tmp_path / "gloop2.json"
+    path.write_text(json.dumps({
+        "vertices": ["v"],
+        "arrows": [{"src": 0, "dst": 0}, {"src": 0, "dst": 0}],
+        "multiplicities": [1],
+    }))
+    return str(path)
+
+
 def run_cli(args):
     proc = subprocess.run([sys.executable, "-m", "quivercount.cli"] + args,
                           capture_output=True, text=True)
@@ -115,6 +126,14 @@ class TestDeterminism:
             runs.append(out)
         assert runs[0] == runs[1]
 
+    def test_jobs_do_not_change_sharded_output(self, gloop2_file):
+        # rank 2 is not all ones, so --jobs 2 starts the worker pool
+        for jobs in ("1", "2"):
+            code, out, _ = run_cli(["--jobs", jobs, "fiber-count", "--quiver",
+                                    gloop2_file, "--alpha", "1", "--rank", "2",
+                                    "--q", "2"])
+            assert code == 0 and out.strip() == "11776"
+
     def test_repeat_runs_identical(self, c3_file):
         outs = {run_cli(["kac", "--quiver", c3_file, "--alpha", "2"])[1]
                 for _ in range(2)}
@@ -143,6 +162,13 @@ class TestErrorPaths:
         code, _, err = run_cli(["--max-space-log2", "2", "jet-series",
                                 "--quiver", c3_file, "--q", "2", "--n-max", "2"])
         assert code == 3 and "cap" in err.lower()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one(self, gloop2_file, jobs):
+        code, out, err = run_cli(["--jobs", jobs, "fiber-count", "--quiver",
+                                  gloop2_file, "--alpha", "1", "--rank", "2",
+                                  "--q", "2"])
+        assert code == 2 and out == "" and "--jobs" in err
 
     def test_usage_error(self):
         code, _, _ = run_cli(["kac"])

@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quivercount.errors import EnumerationCapExceeded
 from quivercount.localring import (Fq, OMatrix, ORing, gl_enumerate, gl_order,
@@ -99,6 +101,62 @@ class TestSmithNormalForm:
         got = sum(g for g in gammas if g < R.alpha)
         if expected < R.alpha:
             assert got == expected
+
+
+# small (q, alpha) so that kernels can be counted by enumeration
+SMALL_RINGS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (5, 1)]
+
+
+@st.composite
+def small_matrices(draw):
+    """A matrix of shape up to 3 x 3 (zero rows or columns included)."""
+    R = ORing(*draw(st.sampled_from(SMALL_RINGS)))
+    n, m = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    entry = st.tuples(*[st.integers(0, R.q - 1)] * R.alpha)
+    rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m),
+                         min_size=n, max_size=n))
+    return OMatrix(R, rows, shape=(n, m))
+
+
+def _random_invertible(R, n, rng):
+    els = list(R.elements())
+    while True:
+        G = OMatrix(R, [[rng.choice(els) for _ in range(n)] for _ in range(n)],
+                    shape=(n, n))
+        if G.is_invertible():
+            return G
+
+
+class TestSmithProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(small_matrices())
+    def test_kernel_size_matches_enumeration(self, M):
+        R = M.ring
+        zero = (R.zero,) * M.rows
+        count = sum(1 for z in product(R.elements(), repeat=M.cols)
+                    if M.apply(z) == zero)
+        assert count == R.q ** kernel_size_exponent(M)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_matrices(), st.randoms(use_true_random=False))
+    def test_invariants_under_gl_action(self, M, rng):
+        G = _random_invertible(M.ring, M.rows, rng)
+        H = _random_invertible(M.ring, M.cols, rng)
+        assert smith_invariants(G * M * H) == smith_invariants(M)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_matrices())
+    def test_factorization(self, M):
+        R = M.ring
+        gammas, U, V = smith_normal_form(M)
+        assert U.is_invertible() and V.is_invertible()
+        assert (U.rows, V.rows) == (M.rows, M.cols)
+        D = U * M * V
+        for i in range(M.rows):
+            for j in range(M.cols):
+                want = R.t_power(gammas[i]) if i == j else R.zero
+                assert D.entries[i][j] == want
+        assert gammas == sorted(gammas) == smith_invariants(M)
 
 
 class TestKernelSize:

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -126,6 +127,37 @@ class TestSpanningTrees:
 
     def test_loops_never_in_trees(self):
         assert spanning_trees(jordan_quiver()) == [()]
+
+    def test_matrix_tree_theorem(self):
+        # Kirchhoff: the tree count is any cofactor of the graph Laplacian
+        for Q in connected_quiver_corpus(4, 6):
+            n = Q.num_vertices
+            lap = [[Fraction(0)] * n for _ in range(n)]
+            for s, t in Q.arrows:
+                if s != t:
+                    lap[s][s] += 1
+                    lap[t][t] += 1
+                    lap[s][t] -= 1
+                    lap[t][s] -= 1
+            assert len(spanning_trees(Q)) == _determinant([row[1:] for row in lap[1:]])
+
+
+def _determinant(rows):
+    """Exact determinant by Gaussian elimination over Q."""
+    m = [list(row) for row in rows]
+    det = Fraction(1)
+    for k in range(len(m)):
+        piv = next((i for i in range(k, len(m)) if m[i][k] != 0), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            c = m[i][k] / m[k][k]
+            m[i] = [a - c * b for a, b in zip(m[i], m[k])]
+    return det
 
 
 class TestEnumeration:
