@@ -18,7 +18,7 @@ from .hall import (HallFunction, all_orbit_labels, bracket, hall_coproduct,
                    hall_product, primitive_space_dim, structure_constants)
 from .kacpoly import (gloop_kac_rank2, gloop_kac_rank3, gloop_rank2_recurrence,
                       gloop_rank3_recurrence, kronecker_kac_via_zeta, limit_A,
-                      limit_B, m_to_a, a_to_m, order_complex_hilbert,
+                      limit_B, limits, m_to_a, a_to_m, order_complex_hilbert,
                       poincare_from_zeta, poincare_symbolic, rank1_fiber_count,
                       toric_kac_trees, toric_kac_wyss)
 from .localring import (Fq, OMatrix, ORing, gl_enumerate, gl_order,

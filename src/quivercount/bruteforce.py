@@ -15,14 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product
+from itertools import product
 
 import numpy as np
 
-from .errors import (CapExceeded, CharacteristicTooSmall,
+from .errors import (CapExceeded, CharacteristicTooSmall, DimensionMismatch,
                      EndTooLargeForLocalityTest, NonGenericLambda)
-from .localring import (OMatrix, ORing, gl_enumerate, gl_order,
-                        kernel_elements, kernel_size_exponent, solve_linear)
+from .localring import (Fq, OMatrix, ORing, gl_enumerate, gl_order,
+                        kernel_elements, kernel_size_exponent,
+                        smith_invariants_batch)
 from .quiver import Quiver, is_connected, restrict_arrows
 
 
@@ -378,24 +379,97 @@ def _rank_one_orbits(Q: Quiver, alpha: int, q: int, caps: Caps) -> list:
     return records
 
 
+# -- batched point walks -------------------------------------------------------
+
+# coefficient entries (matrices x rows x cols x alpha) per batched Smith
+# call: bounds each array of a chunk to 2^15 entries, at most 256 KiB
+_CHUNK_ENTRIES = 1 << 15
+
+
+def _chunk_size(entries_per_item: int) -> int:
+    return max(1, _CHUNK_ENTRIES // max(1, entries_per_item))
+
+
+def _point_chunks(q: int, width: int, size: int, shard: int = 0, nshards: int = 1):
+    """Base-q digit arrays (most significant first) of the integers
+    0..q^width - 1, in chunks of `size`; shard s of n gets chunks s, s+n, ...
+
+    The digits of a point index are its field coordinates, so the index
+    order is the lexicographic order of iter_rep_points.
+    """
+    total = q ** width
+    powers = q ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    for start in range(shard * size, total, nshards * size):
+        idx = np.arange(start, min(start + size, total), dtype=np.int64)
+        yield (idx[:, None] // powers) % q
+
+
+def _combine(field, basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[:, k] basis[k] over O_alpha, for each batch item.
+
+    basis holds K integer matrices (K, rows, cols) and coeffs the O_alpha
+    coefficients (batch, K, alpha); the result has shape (batch, rows,
+    cols, alpha).  Integers act through F_p, so the combination is taken
+    separately on each base-p digit of the field codes.
+    """
+    p = field.p
+    basis = (basis % p).astype(np.int16)
+    out = 0
+    for j in range(field.k):
+        digit = (coeffs // p ** j % p).astype(np.int16)
+        out = out + p ** j * (np.tensordot(digit, basis, axes=(1, 0)) % p)
+    return np.moveaxis(out, 1, -1)
+
+
+def _kernel_exponents(field, mats: np.ndarray) -> np.ndarray:
+    """e with |Ker M| = q^e for each matrix of a (batch, n, m, alpha) stack."""
+    _, n, m, alpha = mats.shape
+    gammas = smith_invariants_batch(field, mats)
+    return alpha * (m - min(n, m)) + gammas.sum(axis=1)
+
+
+def _sum_q_powers(q: int, exponents) -> int:
+    """Exact sum of q^e over an array of nonnegative integers: numpy counts
+    each exponent, and the powers are summed as Python integers."""
+    counts = np.bincount(np.ravel(exponents))
+    return sum(c * q ** e for e, c in enumerate(counts.tolist()) if c)
+
+
 # -- Burnside count ------------------------------------------------------------
 
-def _conjugation_kernel_exponent(ring: ORing, g_t: OMatrix, g_s: OMatrix,
-                                 rows: int, cols: int) -> int:
-    """Kernel exponent of x -> g_t x - x g_s on rows x cols matrices;
-    this kernel is the fixed-point set of x -> g_t x g_s^{-1}."""
+def _conjugation_basis(rows: int, cols: int) -> np.ndarray:
+    """Integer matrices of x -> g_t x - x g_s on rows x cols matrices, one
+    per entry of g_t and then of g_s (row-major); the kernel of this map is
+    the fixed-point set of x -> g_t x g_s^{-1}."""
     total = rows * cols
-    sys_rows = []
+    basis = np.zeros((rows * rows + cols * cols, total, total), dtype=np.int64)
     for u in range(rows):
         for v in range(cols):
-            row = [ring.zero] * total
             for w in range(rows):
-                row[w * cols + v] = ring.add(row[w * cols + v], g_t.entries[u][w])
+                basis[u * rows + w, u * cols + v, w * cols + v] += 1
             for w in range(cols):
-                row[u * cols + w] = ring.sub(row[u * cols + w], g_s.entries[w][v])
-            sys_rows.append(row)
-    system = OMatrix(ring, sys_rows, shape=(total, total))
-    return kernel_size_exponent(system)
+                basis[rows * rows + w * cols + v, u * cols + v, u * cols + w] -= 1
+    return basis
+
+
+def _conjugation_exponents(field, g_t, g_s, loop: bool) -> np.ndarray:
+    """Fixed-point exponents of x -> g_t x g_s^{-1} for every pair of
+    elements of the stacks g_t and g_s (shape (G, r, r, alpha)): an array
+    of shape (G_t, G_s), or (G,) over the diagonal pairs of a loop."""
+    n_t, rows, _, alpha = g_t.shape
+    n_s, cols = g_s.shape[:2]
+    basis = _conjugation_basis(rows, cols)
+    flat_t = g_t.reshape(n_t, rows * rows, alpha)
+    flat_s = g_s.reshape(n_s, cols * cols, alpha)
+    n_pairs = n_t if loop else n_t * n_s
+    out = np.empty(n_pairs, dtype=np.int64)
+    step = _chunk_size(rows * cols * rows * cols * alpha)
+    for start in range(0, n_pairs, step):
+        idx = np.arange(start, min(start + step, n_pairs))
+        i, j = (idx, idx) if loop else np.divmod(idx, n_s)
+        coeffs = np.concatenate([flat_t[i], flat_s[j]], axis=1)
+        out[start:start + len(idx)] = _kernel_exponents(field, _combine(field, basis, coeffs))
+    return out if loop else out.reshape(n_t, n_s)
 
 
 def count_iso_classes(Q: Quiver, alpha: int, r, q: int,
@@ -405,26 +479,25 @@ def count_iso_classes(Q: Quiver, alpha: int, r, q: int,
     r = tuple(int(x) for x in r)
     check_space_cap(Q, alpha, r, q, caps)
     ring = ORing(q, alpha)
-    per_vertex = []
     order = group_order(Q, alpha, r, q)
     if order > caps.max_group:
         raise CapExceeded(f"|GL| = {order} exceeds cap {caps.max_group}")
+    stacks = []
     for ri in r:
-        per_vertex.append(list(gl_enumerate(q, alpha, ri, cap=caps.max_group)))
-    total = 0
-    cache = {}
-    for combo in product(*per_vertex):
-        fix_exp = 0
-        for a, (s, t) in enumerate(Q.arrows):
-            key = (t, id(combo[t]), s, id(combo[s]))
-            e = cache.get(key)
-            if e is None:
-                e = _conjugation_kernel_exponent(ring, combo[t], combo[s],
-                                                 r[t], r[s])
-                cache[key] = e
-            fix_exp += e
-        total += q ** fix_exp
-    count, rem = divmod(total, order)
+        mats = [g.entries for g in gl_enumerate(q, alpha, ri, cap=caps.max_group)]
+        stacks.append(np.array(mats, dtype=np.int16).reshape(len(mats), ri, ri, alpha))
+    # fixed-point exponent of every group element, one axis per vertex;
+    # parallel arrows share their exponents
+    n = Q.num_vertices
+    fix_exp = np.zeros([len(st) for st in stacks], dtype=np.int64)
+    per_arrow = {}
+    for s, t in Q.arrows:
+        if (s, t) not in per_arrow:
+            e = _conjugation_exponents(ring.field, stacks[t], stacks[s], s == t)
+            per_arrow[s, t] = np.expand_dims(e.T if t > s else e,
+                                             tuple(i for i in range(n) if i not in (s, t)))
+        fix_exp += per_arrow[s, t]
+    count, rem = divmod(_sum_q_powers(q, fix_exp), order)
     if rem:
         raise AssertionError("orbit-count average is not an integer")
     return count
@@ -469,15 +542,39 @@ def moment_matrix(Q: Quiver, ring: ORing, r, x) -> OMatrix:
     return OMatrix(ring, rows, shape=(total_gl, total_y))
 
 
-def _fiber_zero_shard(payload):
-    """Partial zero-fiber sum over one residue class of the point index;
-    top-level so worker processes can receive it."""
-    quiver_json, alpha, r, q, shard, nshards = payload
+def _fiber_shard(payload):
+    """Partial fiber sum over one shard of the point chunks; top-level so
+    worker processes can receive it.
+
+    The moment matrix A of every point x comes from moment_theta_basis.  On
+    the zero fiber x contributes |Ker A| = q^ke(A).  On a deformed fiber
+    with target b, b lies in the image of A iff ke([A | b]) = ke(A) + alpha
+    (the scalars s with s b in im A form an ideal of O_alpha, and
+    |Ker [A | b]| is its size times |Ker A|), and then x contributes q^ke(A).
+    """
+    quiver_json, alpha, r, q, lam, shard, nshards = payload
     Q = Quiver.from_json(quiver_json)
-    ring = ORing(q, alpha)
+    field = Fq(q)
+    basis = np.array(moment_theta_basis(Q, r), dtype=np.int64)
+    n_coords, rows, cols = basis.shape
+    target = None
+    if any(lam):
+        target = np.zeros((rows, 1, alpha), dtype=np.int16)
+        offset = 0
+        for i, ri in enumerate(r):
+            for u in range(ri):
+                target[offset + u * ri + u, 0, alpha - 1] = field.from_int(lam[i])
+            offset += ri * ri
     total = 0
-    for x in islice(iter_rep_points(Q, ring, r), shard, None, nshards):
-        total += q ** kernel_size_exponent(moment_matrix(Q, ring, r, x))
+    size = _chunk_size(rows * (cols + 1) * alpha)
+    for digits in _point_chunks(q, n_coords * alpha, size, shard, nshards):
+        mats = _combine(field, basis, digits.reshape(-1, n_coords, alpha))
+        ke = _kernel_exponents(field, mats)
+        if target is not None:
+            column = np.broadcast_to(target, (len(mats), rows, 1, alpha))
+            augmented = _kernel_exponents(field, np.concatenate([mats, column], axis=2))
+            ke = ke[augmented == ke + alpha]
+        total += _sum_q_powers(q, ke)
     return total
 
 
@@ -488,16 +585,20 @@ def moment_fiber_count(Q: Quiver, alpha: int, r, q: int, lam=None,
     lambda = None or all zero counts the zero fiber; a nonzero lambda must
     pair to zero with r, to nonzero with every intermediate rank vector,
     and needs characteristic larger than sum |lambda_i| r_i.  jobs > 1
-    shards the zero-fiber point sum across processes; the reduction is
-    integer addition, so the result does not depend on the schedule.
+    shards the point walk (zero or deformed fiber) across processes; the
+    reduction is integer addition, so the result does not depend on the
+    schedule.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    n = Q.num_vertices
     r = tuple(int(x) for x in r)
+    lam = tuple(int(v) for v in (lam if lam is not None else (0,) * n))
+    if len(r) != n or len(lam) != n:
+        raise DimensionMismatch(
+            f"rank vector and lambda need {n} entries, got {len(r)} and {len(lam)}")
     check_space_cap(Q, alpha, r, q, caps)
     ring = ORing(q, alpha)
-    n = Q.num_vertices
-    lam = tuple(int(v) for v in (lam if lam is not None else (0,) * n))
     if any(lam):
         _check_generic(Q, r, q, lam)
     if rep_space_dim(Q, r) == 0:
@@ -507,41 +608,26 @@ def moment_fiber_count(Q: Quiver, alpha: int, r, q: int, lam=None,
         target_zero = all(lam[i] % p == 0 for i in range(n) if r[i] > 0)
         return 1 if target_zero else 0
 
-    if not any(lam):
+    if not any(lam) and all(ri == 1 for ri in r):
+        # stratify by valuation pattern: fiber size only depends on it
+        counts_per_val = [(q - 1) * q ** (alpha - 1 - v) if v < alpha else 1
+                          for v in range(alpha + 1)]
         total = 0
-        if all(ri == 1 for ri in r):
-            # stratify by valuation pattern: fiber size only depends on it
-            counts_per_val = [(q - 1) * q ** (alpha - 1 - v) if v < alpha else 1
-                              for v in range(alpha + 1)]
-            for pattern in product(range(alpha + 1), repeat=Q.num_arrows):
-                x = tuple(OMatrix(ring, [[ring.t_power(v)]]) for v in pattern)
-                ke = kernel_size_exponent(moment_matrix(Q, ring, r, x))
-                mult = 1
-                for v in pattern:
-                    mult *= counts_per_val[v]
-                total += mult * q ** ke
-            return total
-        if jobs > 1:
-            import multiprocessing
-            ctx = multiprocessing.get_context("fork")
-            payloads = [(Q.to_json(), alpha, r, q, shard, jobs) for shard in range(jobs)]
-            with ctx.Pool(jobs) as pool:
-                return sum(pool.map(_fiber_zero_shard, payloads))
-        return _fiber_zero_shard((Q.to_json(), alpha, r, q, 0, 1))
-
-    # deformed fiber: solve mu(x, .) = t^(alpha-1) lambda per x
-    target = []
-    for i in range(n):
-        c = ring.scalar_mul(ring.field.from_int(lam[i]), ring.t_power(alpha - 1))
-        for u in range(r[i]):
-            for v in range(r[i]):
-                target.append(c if u == v else ring.zero)
-    total = 0
-    for x in iter_rep_points(Q, ring, r):
-        solvable, ke, _ = solve_linear(moment_matrix(Q, ring, r, x), tuple(target))
-        if solvable:
-            total += q ** ke
-    return total
+        for pattern in product(range(alpha + 1), repeat=Q.num_arrows):
+            x = tuple(OMatrix(ring, [[ring.t_power(v)]]) for v in pattern)
+            ke = kernel_size_exponent(moment_matrix(Q, ring, r, x))
+            mult = 1
+            for v in pattern:
+                mult *= counts_per_val[v]
+            total += mult * q ** ke
+        return total
+    if jobs > 1:
+        import multiprocessing
+        ctx = multiprocessing.get_context("fork")
+        payloads = [(Q.to_json(), alpha, r, q, lam, shard, jobs) for shard in range(jobs)]
+        with ctx.Pool(jobs) as pool:
+            return sum(pool.map(_fiber_shard, payloads))
+    return _fiber_shard((Q.to_json(), alpha, r, q, lam, 0, 1))
 
 
 def _char(q: int) -> int:
@@ -583,22 +669,17 @@ def ask_counts(theta_basis, q: int, n_max: int,
     rows = len(theta_basis[0])
     cols = len(theta_basis[0][0]) if rows else 0
     r_a = len(theta_basis)
+    basis = np.array(theta_basis, dtype=np.int64).reshape(r_a, rows, cols)
+    field = Fq(q)
     out = []
     for n in range(1, n_max + 1):
         import math
         if r_a * n * math.log2(q) > caps.max_space_log2:
             raise CapExceeded(f"coefficient space exceeds cap at level {n}")
-        ring = ORing(q, n)
-        basis = [OMatrix.from_ints(ring, b) for b in theta_basis]
         total = 0
-        for coeffs in product(ring.elements(), repeat=r_a):
-            acc = OMatrix.zero(ring, rows, cols)
-            for c, b in zip(coeffs, basis):
-                if ring.val(c) < n:
-                    scaled = OMatrix(ring, [[ring.mul(c, e) for e in row]
-                                            for row in b.entries], shape=(rows, cols))
-                    acc = acc + scaled
-            total += q ** kernel_size_exponent(acc)
+        for digits in _point_chunks(q, r_a * n, _chunk_size(rows * cols * n)):
+            mats = _combine(field, basis, digits.reshape(-1, r_a, n))
+            total += _sum_q_powers(q, _kernel_exponents(field, mats))
         out.append(Fraction(total, q ** (n * r_a)))
     return out
 

@@ -139,8 +139,7 @@ def cmd_limits(args) -> int:
     Q = _load_quiver(args.quiver)
     if not is_2_connected(Q) or Q.num_arrows == 0:
         raise SystemExit("limits exist only for 2-connected quivers")
-    A = kacpoly.limit_A(Q)
-    B = kacpoly.limit_B(Q)
+    A, B = kacpoly.limits(Q)
     text = f"A: {A.to_string()}\nB: {B.to_string()}"
     _emit(args, text, {"A": _rf_payload(A), "B": _rf_payload(B)})
     return 0

@@ -5,6 +5,10 @@ class QuivercountError(Exception):
     """Base class for all package-specific errors."""
 
 
+class UnsupportedParameter(QuivercountError, ValueError):
+    """A field size or truncation order outside the supported range."""
+
+
 class PoleAtEvaluationPoint(QuivercountError):
     pass
 

@@ -305,7 +305,13 @@ def limit_A(Q: Quiver) -> RationalFunction:
 def limit_B(Q: Quiver) -> RationalFunction:
     """Normalized limit of the rank-all-one zero-fiber count:
     (1 - q^-1)^(V - 1) times limit_A."""
-    return limit_A(Q) * (RationalFunction.one() - RationalFunction.q(-1)) ** (Q.num_vertices - 1)
+    return limits(Q)[1]
+
+
+def limits(Q: Quiver):
+    """(limit_A, limit_B) from one chain sum."""
+    A = limit_A(Q)
+    return A, A * (RationalFunction.one() - RationalFunction.q(-1)) ** (Q.num_vertices - 1)
 
 
 def order_complex_hilbert(Q: Quiver) -> RationalFunction:

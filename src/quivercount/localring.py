@@ -15,13 +15,26 @@ kernel-size formula stays uniform.  One elimination loop computes it:
 smith_invariants runs it on a copy of M, and smith_normal_form runs it on
 M with I_n appended to its right and I_m stacked below, so that the row
 operations carry U and the column operations carry V.
+
+smith_invariants_batch runs the same pivot rule on a stack of matrices at
+once.  The stack is a numpy integer array of shape (batch, n, m, alpha):
+entry [b, i, j, s] is the field code of the t^s coefficient of M_b[i, j].
+Field operations are gathers from the flat F_q tables (at most 49^2
+entries), so every supported (q, alpha) works without O_alpha-sized tables.
+The batched loop computes invariants only, with row operations alone: the
+pivot has minimal valuation in the remaining block, so once the rows below
+it are cleared, clearing its row by column operations would change that row
+only.  The remaining block, every later pivot and the gammas are therefore
+the same with or without the column operations.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .errors import EnumerationCapExceeded
+import numpy as np
+
+from .errors import EnumerationCapExceeded, UnsupportedParameter
 
 # fixed irreducible quadratics x^2 + c1 x + c0 over F_p, stored as (c1, c0):
 # x^2+x+1 over F_2, x^2+1 over F_3 and F_7, x^2+2 over F_5
@@ -40,7 +53,7 @@ def _factor_prime_power(q: int):
                 k += 1
             if m == 1 and k in (1, 2):
                 return p, k
-    raise ValueError(f"unsupported field size {q}: need p^k, p in {_SMALL_PRIMES}, k <= 2")
+    raise UnsupportedParameter(f"unsupported field size {q}: need p^k, p in {_SMALL_PRIMES}, k <= 2")
 
 
 class Fq:
@@ -96,6 +109,11 @@ class Fq:
                     inv[a] = b
                     break
         self.inv_table = inv
+        # the same tables as flat arrays for the batched kernel: a + b is
+        # add_flat[a * q + b], which numpy gathers faster than add[a, b];
+        # int16 holds every code and every flat index (below 49^2)
+        self.arrays = tuple(np.array(t, dtype=np.int16).ravel()
+                            for t in (add, mul, self.neg_table, inv))
 
     def add(self, a, b):
         return self.add_table[a][b]
@@ -151,7 +169,7 @@ class ORing:
         if hasattr(self, "alpha"):
             return
         if alpha < 1:
-            raise ValueError("alpha must be >= 1")
+            raise UnsupportedParameter(f"alpha must be >= 1, got {alpha}")
         self.field = Fq(q)
         self.q = q
         self.alpha = alpha
@@ -450,6 +468,75 @@ def smith_normal_form(M: OMatrix):
 def smith_invariants(M: OMatrix):
     """The gammas alone, skipping the U/V bookkeeping (hot-loop variant)."""
     return _eliminate(M.ring, [list(row) for row in M.entries], M.rows, M.cols)
+
+
+def _mul_batch(q, add, mul, a, b):
+    """Truncated products of two broadcastable stacks of coefficient vectors."""
+    alpha = a.shape[-1]
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int16)
+    for i in range(alpha):
+        ai = a[..., i] * q
+        for j in range(alpha - i):
+            out[..., i + j] = add[out[..., i + j] * q + mul[ai + b[..., j]]]
+    return out
+
+
+def _shift_down(v, g):
+    """v / t^g for a stack of elements, with g one shift per batch item and
+    the freed top coefficients zero (the scalar divide_exact convention)."""
+    alpha = v.shape[-1]
+    padded = np.concatenate([v, np.zeros_like(v)], axis=-1)
+    idx = np.arange(alpha) + g.reshape(g.shape + (1,) * (v.ndim - 1))
+    return np.take_along_axis(padded, np.broadcast_to(idx, v.shape), axis=-1)
+
+
+def smith_invariants_batch(field: Fq, A) -> np.ndarray:
+    """Smith invariants of a stack of matrices over O_alpha, alpha = A.shape[-1].
+
+    A has shape (batch, n, m, alpha) and holds field-element codes; the
+    result has shape (batch, min(n, m)) and equals smith_invariants on each
+    matrix.  The pivot rule is _eliminate's; column operations are skipped
+    because they only change the pivot row (see the module docstring).
+    """
+    q = field.q
+    add, mul, neg, inv = field.arrays
+    A = np.array(A, dtype=np.int16)
+    batch, n, m, alpha = A.shape
+    limit = min(n, m)
+    gammas = np.full((batch, limit), alpha, dtype=np.intp)
+    items = np.arange(batch)
+    for k in range(limit):
+        blk = A[:, k:, k:]
+        h, w = n - k, m - k
+        val = np.full((batch, h * w), alpha, dtype=np.intp)
+        for s in range(alpha - 1, -1, -1):
+            val[blk[..., s].reshape(batch, h * w) != 0] = s
+        pos = val.argmin(axis=1)  # first minimum in row-major order
+        g = val[items, pos]
+        if (g == alpha).all():
+            break
+        gammas[:, k] = g
+        i0, j0 = np.divmod(pos, w)
+        top = blk[:, 0].copy()
+        blk[:, 0] = blk[items, i0]
+        blk[items, i0] = top
+        left = blk[:, :, 0].copy()
+        blk[:, :, 0] = blk[items, :, j0]
+        blk[items, :, j0] = left
+        # pivot = t^g u; row i loses (x_i / t^g) u^-1 times the pivot row.
+        # Items whose block is zero have g = alpha, so their multipliers vanish.
+        unit = _shift_down(blk[:, 0, 0], g)
+        unit_inv = np.zeros_like(unit)
+        unit_inv[:, 0] = inv[unit[:, 0]]
+        for s in range(1, alpha):
+            acc = np.zeros(batch, dtype=np.int16)
+            for i in range(1, s + 1):
+                acc = add[acc * q + mul[unit[:, i] * q + unit_inv[:, s - i]]]
+            unit_inv[:, s] = neg[mul[unit_inv[:, 0] * q + acc]]
+        c = neg[_mul_batch(q, add, mul, _shift_down(blk[:, 1:, 0], g), unit_inv[:, None])]
+        rest = blk[:, 1:, 1:]
+        rest[...] = add[rest * q + _mul_batch(q, add, mul, c[:, :, None], blk[:, None, 0, 1:])]
+    return gammas
 
 
 def kernel_size_exponent(M: OMatrix) -> int:

@@ -238,8 +238,7 @@ def check_limits_hilbert(caps=None) -> CheckResult:
         if not (1 <= Q.num_arrows <= 5 and is_2_connected(Q)):
             continue
         b = betti(Q)
-        A = kacpoly.limit_A(Q)
-        B = kacpoly.limit_B(Q)
+        A, B = kacpoly.limits(Q)
         if B / (one - qinv) ** Q.num_vertices != A / (one - qinv):
             return _result("limits and Hilbert identity", t0, False, f"A-B relation on {Q!r}")
         hilb = kacpoly.order_complex_hilbert(Q)

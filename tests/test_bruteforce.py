@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+import scalar_reference as ref
 from quivercount.bruteforce import (Caps, ask_counts,
                                     count_absolutely_indecomposable,
                                     count_iso_classes, end_exponent,
@@ -11,7 +12,7 @@ from quivercount.bruteforce import (Caps, ask_counts,
                                     moment_matrix, moment_theta_basis,
                                     rep_space_dim, group_order)
 from quivercount.errors import (CapExceeded, CharacteristicTooSmall,
-                                NonGenericLambda)
+                                DimensionMismatch, NonGenericLambda)
 from quivercount.localring import ORing, gl_order
 from quivercount.quiver import (Quiver, a2_quiver, cyclic_quiver,
                                 jordan_quiver, kronecker_quiver, loop_quiver)
@@ -191,6 +192,12 @@ class TestMomentFibers:
         with pytest.raises(ValueError):
             moment_fiber_count(loop_quiver(2), 1, (2,), 2, None, jobs=jobs)
 
+    @pytest.mark.parametrize("r,lam", [((1, 1, 1), None), ((1,), None),
+                                       ((1, 1), (1, -1, 7)), ((1, 1), (1,))])
+    def test_vector_lengths_must_match_vertices(self, r, lam):
+        with pytest.raises(DimensionMismatch):
+            moment_fiber_count(a2_quiver(), 1, r, 5, lam)
+
     def test_generic_guards(self):
         with pytest.raises(NonGenericLambda):
             moment_fiber_count(a2_quiver(), 1, (1, 1), 3, (1, 1))
@@ -220,3 +227,75 @@ class TestAsk:
         assert theta == [[[-1], [1]]]
         # ask_1 = (q + (q-1)) / q
         assert ask_counts(theta, 3, 1) == [Fraction(3 + 2 * 1, 3)]
+
+
+# The point walks of the benchmark's brute-force workload, one entry per
+# instance: (family, n, rank, alpha, q) and, for deformed fibers, lambda.
+_QUIVERS = {"loop": loop_quiver, "kronecker": kronecker_quiver,
+            "a2": lambda n: a2_quiver(), "cyclic": cyclic_quiver}
+L2, K3, A2, C3 = ("loop", 2), ("kronecker", 3), ("a2", 1), ("cyclic", 3)
+ZERO_FIBERS = [
+    (L2, (2,), 1, 3), (K3, (1, 2), 1, 4), (K3, (1, 2), 2, 2), (L2, (2,), 1, 2),
+    (K3, (1, 2), 1, 2), (K3, (1, 2), 1, 3), (K3, (2, 1), 1, 2), (K3, (2, 1), 1, 3),
+    (A2, (1, 2), 1, 5), (A2, (1, 2), 1, 7), (A2, (2, 1), 1, 4), (A2, (1, 2), 2, 3),
+    (A2, (2, 1), 2, 3), (A2, (1, 2), 2, 5), (A2, (2, 1), 2, 4), (A2, (2, 1), 2, 2)]
+JETS = [(L2, (2,), 2, 1), (K3, (1, 2), 2, 1), (K3, (2, 1), 3, 1), (A2, (1, 2), 3, 2),
+        (A2, (2, 1), 5, 2), (A2, (1, 2), 4, 2), (A2, (2, 1), 2, 2)]
+DEFORMED = [(A2, (1, 1), (1, -1), a, q) for a in (1, 2) for q in (3, 5, 7)] + [
+    (C3, (1, 1, 1), (1, 1, -2), 1, 5), (C3, (1, 1, 1), (1, 1, -2), 1, 7),
+    (K3, (1, 1), (1, -1), 1, 3), (K3, (1, 1), (1, -1), 2, 3), (K3, (1, 1), (1, -1), 1, 5),
+    (A2, (1, 2), (2, -1), 1, 5), (A2, (1, 2), (2, -1), 1, 7), (A2, (2, 1), (-1, 2), 1, 5)]
+ASKS = [(L2, (2,), 2, 1), (K3, (1, 2), 2, 1), (K3, (1, 2), 3, 1), (A2, (1, 2), 5, 2),
+        (A2, (2, 1), 3, 2), (A2, (1, 2), 7, 2)]
+ISO_CLASSES = [(1, 1, 2), (1, 1, 3), (1, 1, 4), (1, 1, 5), (1, 1, 7), (1, 2, 2),
+               (2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 1, 5), (2, 2, 2)]
+
+
+def _ident(value):
+    return "".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def _quiver(family):
+    return _QUIVERS[family[0]](family[1])
+
+
+class TestBatchedWalksMatchScalar:
+    """The batched walks against the per-point scalar loops they replaced."""
+
+    @pytest.mark.parametrize("family,r,alpha,q", ZERO_FIBERS, ids=_ident)
+    def test_zero_fiber(self, family, r, alpha, q):
+        Q = _quiver(family)
+        assert moment_fiber_count(Q, alpha, r, q) == ref.zero_fiber(Q, alpha, r, q)
+
+    @pytest.mark.parametrize("family,r,q,n_max", JETS, ids=_ident)
+    def test_jets(self, family, r, q, n_max):
+        Q = _quiver(family)
+        want = [ref.zero_fiber(Q, n, r, q) for n in range(1, n_max + 1)]
+        assert jet_counts(Q, r, q, n_max) == want
+
+    @pytest.mark.parametrize("family,r,lam,alpha,q", DEFORMED, ids=_ident)
+    def test_deformed_fiber(self, family, r, lam, alpha, q):
+        Q = _quiver(family)
+        want = ref.deformed_fiber(Q, alpha, r, q, lam)
+        assert moment_fiber_count(Q, alpha, r, q, lam) == want
+        assert moment_fiber_count(Q, alpha, r, q, lam, jobs=2) == want
+
+    @pytest.mark.parametrize("family,r,q,n_max", ASKS, ids=_ident)
+    def test_ask(self, family, r, q, n_max):
+        theta = moment_theta_basis(_quiver(family), r)
+        assert ask_counts(theta, q, n_max) == ref.ask_counts(theta, q, n_max)
+
+    @pytest.mark.parametrize("g,alpha,q", ISO_CLASSES, ids=_ident)
+    def test_iso_classes(self, g, alpha, q):
+        Q = loop_quiver(g)
+        assert count_iso_classes(Q, alpha, (2,), q) == ref.iso_classes(Q, alpha, (2,), q)
+
+    @pytest.mark.parametrize("Q,alpha,r,q", [
+        (a2_quiver(), 2, (2, 1), 2), (a2_quiver(), 1, (1, 2), 3),
+        (kronecker_quiver(2), 1, (1, 1), 3), (a2_quiver(), 1, (0, 2), 2)])
+    def test_iso_classes_two_vertices(self, Q, alpha, r, q):
+        # arrows between distinct vertices pair every element of one
+        # group with every element of the other, in either arrow direction
+        assert count_iso_classes(Q, alpha, r, q) == ref.iso_classes(Q, alpha, r, q)
+        Qop = Quiver(Q.vertices, [(t, s) for s, t in Q.arrows])
+        assert count_iso_classes(Qop, alpha, r, q) == ref.iso_classes(Qop, alpha, r, q)

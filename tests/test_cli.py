@@ -134,6 +134,17 @@ class TestDeterminism:
                                     "--q", "2"])
             assert code == 0 and out.strip() == "11776"
 
+    def test_jobs_do_not_change_deformed_output(self, c3_file):
+        # 5^6 points in chunks of at most 2^15 / (3 * 4 * 2) = 1365, so each
+        # of the two workers walks several chunks; 600000 = |GL_r| A_r / (1 - 1/q)
+        # with |GL_r| = 20^3 and A_r = 60 (here <r,r> = 0)
+        from quivercount.bruteforce import _chunk_size
+        assert 5 ** 6 > 2 * _chunk_size(3 * 4 * 2)
+        for jobs in ("1", "2"):
+            code, out, _ = run_cli(["--jobs", jobs, "fiber-count", "--quiver", c3_file,
+                                    "--alpha", "2", "--q", "5", "--lam=1,1,-2"])
+            assert code == 0 and out.strip() == "600000"
+
     def test_repeat_runs_identical(self, c3_file):
         outs = {run_cli(["kac", "--quiver", c3_file, "--alpha", "2"])[1]
                 for _ in range(2)}
@@ -169,6 +180,18 @@ class TestErrorPaths:
                                   gloop2_file, "--alpha", "1", "--rank", "2",
                                   "--q", "2"])
         assert code == 2 and out == "" and "--jobs" in err
+
+    @pytest.mark.parametrize("args,message", [
+        (["--alpha", "1", "--q", "5", "--rank", "1,1,1"], "2 entries"),
+        (["--alpha", "1", "--q", "5", "--rank", "1"], "2 entries"),
+        (["--alpha", "1", "--q", "5", "--lam=1,-1,7"], "2 entries"),
+        (["--alpha", "0", "--q", "5"], "alpha"),
+        (["--alpha", "1", "--q", "6"], "field size"),
+    ])
+    def test_malformed_fiber_input(self, a2_file, args, message):
+        code, out, err = run_cli(["fiber-count", "--quiver", a2_file] + args)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and message in err
 
     def test_usage_error(self):
         code, _, _ = run_cli(["kac"])

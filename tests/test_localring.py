@@ -1,6 +1,7 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 from quivercount.errors import EnumerationCapExceeded
 from quivercount.localring import (Fq, OMatrix, ORing, gl_enumerate, gl_order,
                                    kernel_elements, kernel_size_exponent,
-                                   smith_invariants, smith_normal_form,
-                                   solve_linear)
+                                   smith_invariants, smith_invariants_batch,
+                                   smith_normal_form, solve_linear)
 
 
 class TestFq:
@@ -157,6 +158,55 @@ class TestSmithProperties:
                 want = R.t_power(gammas[i]) if i == j else R.zero
                 assert D.entries[i][j] == want
         assert gammas == sorted(gammas) == smith_invariants(M)
+
+
+# (q, alpha) for the batched kernel, the quadratic fields F_4 and F_9 included
+BATCH_RINGS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 3), (4, 1), (4, 2), (4, 3),
+               (5, 2), (7, 1), (9, 1), (9, 2), (9, 3)]
+
+
+@st.composite
+def matrix_stacks(draw):
+    """A stack of 1..8 matrices of one shape up to 5 x 5: uniformly random,
+    all zero, or products of n x k and k x m factors with k below min(n, m)."""
+    q, alpha = draw(st.sampled_from(BATCH_RINGS))
+    R = ORing(q, alpha)
+    n, m, batch = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["random", "zero", "low-rank"]))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def matrix(rows, cols):
+        return OMatrix(R, [[tuple(rng.randrange(q) for _ in range(alpha))
+                            for _ in range(cols)] for _ in range(rows)], shape=(rows, cols))
+
+    mats = []
+    for _ in range(batch):
+        if kind == "zero":
+            mats.append(OMatrix(R, [[R.zero] * m for _ in range(n)], shape=(n, m)))
+        elif kind == "low-rank" and min(n, m) > 1:
+            k = rng.randint(1, min(n, m) - 1)
+            mats.append(matrix(n, k) * matrix(k, m))
+        else:
+            mats.append(matrix(n, m))
+    return R, mats
+
+
+class TestSmithBatch:
+    @settings(max_examples=150, deadline=None)
+    @given(matrix_stacks())
+    def test_batch_matches_scalar(self, stack):
+        R, mats = stack
+        n, m = mats[0].rows, mats[0].cols
+        A = np.array([M.entries for M in mats], dtype=np.intp).reshape(len(mats), n, m, R.alpha)
+        gammas = smith_invariants_batch(R.field, A)
+        assert gammas.shape == (len(mats), min(n, m))
+        assert [list(row) for row in gammas.tolist()] == [smith_invariants(M) for M in mats]
+
+    def test_input_is_not_modified(self):
+        A = np.array([[[[1, 0], [0, 1]], [[0, 1], [1, 1]]]], dtype=np.intp)
+        before = A.copy()
+        assert smith_invariants_batch(Fq(2), A).tolist() == [[0, 0]]
+        assert np.array_equal(A, before)
 
 
 class TestKernelSize:
