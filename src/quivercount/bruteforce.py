@@ -668,6 +668,9 @@ def ask_counts(theta_basis, q: int, n_max: int,
         raise ValueError("empty family")
     rows = len(theta_basis[0])
     cols = len(theta_basis[0][0]) if rows else 0
+    if any(len(b) != rows or any(len(row) != cols for row in b) for b in theta_basis):
+        raise DimensionMismatch(
+            f"basis matrices must all be {rows} x {cols}, with rows of one length")
     r_a = len(theta_basis)
     basis = np.array(theta_basis, dtype=np.int64).reshape(r_a, rows, cols)
     field = Fq(q)

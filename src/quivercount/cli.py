@@ -17,7 +17,7 @@ import sys
 
 from . import bruteforce, closedforms, hall, kacpoly, verify
 from .bruteforce import Caps
-from .errors import CapExceeded, QuivercountError
+from .errors import CapExceeded, DimensionMismatch, QuivercountError
 from .qpolynomial import QPolynomial, RationalFunction
 from .quiver import Quiver, is_2_connected, is_connected
 
@@ -100,6 +100,9 @@ def cmd_fiber_count(args) -> int:
     Q = _load_quiver(args.quiver)
     rank = _parse_ints(args.rank) if args.rank else (1,) * Q.num_vertices
     if args.symbolic:
+        if len(rank) != Q.num_vertices:
+            raise DimensionMismatch(
+                f"rank vector needs {Q.num_vertices} entries, got {len(rank)}")
         if any(r != 1 for r in rank):
             raise SystemExit("symbolic fiber counts require rank all-one")
         f = kacpoly.rank1_fiber_count(Q, args.alpha)

@@ -33,34 +33,45 @@ def toric_kac_wyss(Q: Quiver, alpha: int) -> QPolynomial:
     """Count of rank-all-one absolutely indecomposable classes over O_alpha,
     as a sum over chains E_1 <= ... <= E_alpha of arrow subsets whose last
     term spans a connected subgraph: (q-1)^b(E_alpha) q^(sum b(E_k), k<alpha).
+
+    The chains are summed level by level on the subset lattice.  With
+    g_0(S) = [S empty] and g_{k+1}(S) = sum over T <= S of q^b(T) g_k(T),
+    g_k(S) counts the chains E_1 <= ... <= E_{k-1} <= S by their exponent,
+    and the count is the sum over connected spanning S of
+    (q-1)^b(S) g_alpha(S).  Each level is one subset-sum (zeta) transform
+    over the 2^E arrow masks, so the cost is O(alpha E 2^E) where the chains
+    number (alpha+1)^E.
     """
     if not is_connected(Q):
         raise NotConnected("count requires a connected quiver")
     E = Q.num_arrows
     b_of, comps = _betti_by_subset(Q)
-    full_needed = 1  # connectivity on all vertices
-    weights = {}
-    # a chain is encoded by the level at which each arrow enters (1..alpha, or
-    # never); E_k collects arrows with level <= k
-    for levels in product(range(1, alpha + 2), repeat=E):
-        top_mask = 0
+    # g_k(S) is packed into one integer, the count of q^s in bits
+    # [s w, (s+1) w); no coefficient of any sum below reaches the
+    # (alpha+1)^E chains in all, so the fields never carry into each other
+    w = ((max(alpha, 0) + 1) ** E).bit_length()
+    g = [0] * (1 << E)
+    g[0] = 1
+    for _ in range(alpha):
+        g = [x << w * b_of[mask] for mask, x in enumerate(g)]
         for a in range(E):
-            if levels[a] <= alpha:
-                top_mask |= 1 << a
-        if comps[top_mask] != full_needed:
-            continue
-        exp_sum = 0
-        for k in range(1, alpha):
-            mask_k = 0
-            for a in range(E):
-                if levels[a] <= k:
-                    mask_k |= 1 << a
-            exp_sum += b_of[mask_k]
-        key = (b_of[top_mask], exp_sum)
-        weights[key] = weights.get(key, 0) + 1
+            bit = 1 << a
+            for mask in range(1 << E):
+                if mask & bit:
+                    g[mask] += g[mask ^ bit]
+    by_betti = {}
+    for mask, packed in enumerate(g):
+        if comps[mask] == 1:
+            by_betti[b_of[mask]] = by_betti.get(b_of[mask], 0) + packed
+    field = (1 << w) - 1
     poly = QPolynomial.zero()
-    for (b_top, s), count in sorted(weights.items()):
-        poly = poly + count * (_q(1) - 1) ** b_top * _q(s)
+    for b_top, packed in sorted(by_betti.items()):
+        counts, s = {}, 0
+        while packed:
+            counts[s] = packed & field
+            packed >>= w
+            s += 1
+        poly = poly + (_q(1) - 1) ** b_top * QPolynomial(counts)
     return poly
 
 

@@ -1,26 +1,64 @@
 """Exact Laurent polynomials and rational functions in the counting variable q.
 
-A QPolynomial is a sparse dictionary {exponent: Fraction} with integer
+A QPolynomial is a sparse dictionary {exponent: coefficient} with integer
 exponents of either sign (Laurent terms are allowed, since several of the
 closed-form counts carry factors like q^(2g-3) - 1 that drop below degree
 zero for small g).  Zero coefficients are never stored, so two equal
 polynomials always carry identical dictionaries.
+
+Coefficients are exact rationals held in two types: a Python int when the
+value is integral and a Fraction only when it is not (``_coeff`` normalises
+every coefficient a polynomial is built from, and sums and products of ints
+stay ints).  An int compares and hashes equal to the Fraction of the same
+value, so an integral Fraction left by arithmetic on Fractions never tells
+two equal polynomials apart, and the counts, which are integral, run on
+integer arithmetic.  Every coefficient division goes through ``_div``,
+which returns a // b when b divides a and Fraction(a, b) otherwise: the
+operator / would turn two ints into a float.
 
 A RationalFunction is a reduced quotient num/den of two QPolynomials.  The
 canonical form is: num and den contain no Laurent terms (any power of q is
 moved wholly into num or den), gcd(num, den) = 1 over Q[q], both have
 coprime integer coefficients, and den has a positive leading coefficient.
 Equality of canonical forms then coincides with cross-multiplication.
+
+``_reduce`` reaches that form without fractions.  One lcm clears the
+denominators, each side drops its content, and the gcd of the primitive
+parts is taken in Z[q] by the heuristic gcd (Char, Geddes and Gonnet,
+GCDHEU, J. Symb. Comp. 1989; Geddes, Czapor and Labahn, Algorithms for
+Computer Algebra, ch. 7): both sides are evaluated at xi = 2^k >=
+2 min(|a|_inf, |b|_inf) + 2, the integer gcd of the two values is expanded
+into symmetric base-xi digits, and the primitive part of that polynomial
+is accepted only if it divides both sides exactly, which at this xi proves
+it is the gcd.  When a few values of xi all fail, the Euclidean gcd over Q
+(``poly_gcd``) gives the answer instead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm as int_lcm
 
 from .errors import PoleAtEvaluationPoint
 
 Rat = Fraction
+
+
+def _coeff(c):
+    """An exact coefficient: an int when the value is integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _div(a, b):
+    """Exact quotient of two coefficients, in the form ``_coeff`` gives."""
+    if type(a) is int and type(b) is int:
+        quo, rem = divmod(a, b)
+        if not rem:
+            return quo
+    return _coeff(Fraction(a, b))
 
 
 class QPolynomial:
@@ -32,7 +70,7 @@ class QPolynomial:
         d = {}
         if coeffs:
             for e, c in coeffs.items():
-                c = Fraction(c)
+                c = _coeff(c)
                 if c:
                     d[int(e)] = c
         self.coeffs = d
@@ -49,12 +87,12 @@ class QPolynomial:
 
     @staticmethod
     def const(c) -> "QPolynomial":
-        return QPolynomial({0: Fraction(c)})
+        return QPolynomial({0: c})
 
     @staticmethod
     def q(exp: int = 1, coeff=1) -> "QPolynomial":
         """The monomial coeff * q^exp."""
-        return QPolynomial({exp: Fraction(coeff)})
+        return QPolynomial({exp: coeff})
 
     @staticmethod
     def from_int_coeffs(coeffs) -> "QPolynomial":
@@ -73,8 +111,8 @@ class QPolynomial:
     def low_degree(self) -> int:
         return min(self.coeffs) if self.coeffs else 0
 
-    def leading_coeff(self) -> Fraction:
-        return self.coeffs[self.degree()] if self.coeffs else Fraction(0)
+    def leading_coeff(self):
+        return self.coeffs[self.degree()] if self.coeffs else 0
 
     def __eq__(self, other):
         if not isinstance(other, QPolynomial):
@@ -93,7 +131,7 @@ class QPolynomial:
         other = _as_poly(other)
         d = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            s = d.get(e, Fraction(0)) + c
+            s = d.get(e, 0) + c
             if s:
                 d[e] = s
             else:
@@ -121,7 +159,7 @@ class QPolynomial:
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
-                s = d.get(e, Fraction(0)) + c1 * c2
+                s = d.get(e, 0) + c1 * c2
                 if s:
                     d[e] = s
                 else:
@@ -177,11 +215,11 @@ class QPolynomial:
         lcB = other.leading_coeff()
         while rem and max(rem) >= dB:
             dA = max(rem)
-            c = rem[dA] / lcB
+            c = _div(rem[dA], lcB)
             quo[dA - dB] = c
             for e, b in other.coeffs.items():
                 e2 = e + dA - dB
-                s = rem.get(e2, Fraction(0)) - c * b
+                s = rem.get(e2, 0) - c * b
                 if s:
                     rem[e2] = s
                 else:
@@ -197,7 +235,7 @@ class QPolynomial:
         if not lc or lc == 1:
             return self
         out = QPolynomial()
-        out.coeffs = {e: c / lc for e, c in self.coeffs.items()}
+        out.coeffs = {e: _div(c, lc) for e, c in self.coeffs.items()}
         return out
 
     # -- printing -----------------------------------------------------
@@ -230,13 +268,13 @@ class QPolynomial:
         """Coefficients indexed from degree 0; requires an ordinary polynomial."""
         if self.coeffs and min(self.coeffs) < 0:
             raise ValueError("Laurent polynomial has no coefficient list")
-        out = [Fraction(0)] * (self.degree() + 1 if self.coeffs else 0)
+        out = [0] * (self.degree() + 1 if self.coeffs else 0)
         for e, c in self.coeffs.items():
             out[e] = c
         return out
 
 
-def _coeff_str(c: Fraction) -> str:
+def _coeff_str(c) -> str:
     return str(c) if c.denominator == 1 else f"({c})"
 
 
@@ -390,13 +428,13 @@ class RationalFunction:
         out = []
         state = dict(num_u)
         for k in range(order + 1):
-            ck = state.get(k, Fraction(0)) / d0
+            ck = _div(state.get(k, 0), d0)
             out.append(ck)
             for j, dj in den_u.items():
                 if j == 0:
                     continue
                 e = k + j
-                s = state.get(e, Fraction(0)) - ck * dj
+                s = state.get(e, 0) - ck * dj
                 if s:
                     state[e] = s
                 else:
@@ -415,13 +453,13 @@ class RationalFunction:
         state = dict(self.num.coeffs)
         out = []
         for k in range(order + 1):
-            ck = state.get(k, Fraction(0)) / d0
+            ck = _div(state.get(k, 0), d0)
             out.append(ck)
             for j, dj in self.den.coeffs.items():
                 if j == 0:
                     continue
                 e = k + j
-                s = state.get(e, Fraction(0)) - ck * dj
+                s = state.get(e, 0) - ck * dj
                 if s:
                     state[e] = s
                 else:
@@ -452,32 +490,122 @@ def _reduce(num: QPolynomial, den: QPolynomial):
     """Canonicalize a fraction of Laurent polynomials (see module docstring)."""
     if num.is_zero():
         return QPolynomial.zero(), QPolynomial.one()
-    # clear Laurent exponents: a global power of q moves to one side
-    k = num.low_degree() - den.low_degree()
-    num = num.shift(-num.low_degree())
-    den = den.shift(-den.low_degree())
-    g = poly_gcd(num, den)
-    if g.degree() > 0:
-        num, _ = num.divmod_ordinary(g)
-        den, _ = den.divmod_ordinary(g)
-    if k > 0:
-        num = num.shift(k)
-    elif k < 0:
-        den = den.shift(-k)
-    # unique positive scalar making both integral and jointly primitive
-    lcm = 1
-    for p in (num, den):
-        for c in p.coeffs.values():
-            lcm = lcm * c.denominator // int_gcd(lcm, c.denominator)
-    g = 0
-    for p in (num, den):
-        for c in p.coeffs.values():
-            g = int_gcd(g, abs((c * lcm).numerator))
-    scale = Fraction(lcm, g)
-    if den.leading_coeff() < 0:
-        scale = -scale
-    num_scaled = QPolynomial()
-    num_scaled.coeffs = {e: c * scale for e, c in num.coeffs.items()}
-    den_scaled = QPolynomial()
-    den_scaled.coeffs = {e: c * scale for e, c in den.coeffs.items()}
-    return num_scaled, den_scaled
+    nc, dc = num.coeffs, den.coeffs
+    scale = _common_denominator((*nc.values(), *dc.values()))
+    # a global power of q moves to one side
+    n_low, d_low = min(nc), min(dc)
+    a, b = _dense(nc, n_low, scale), _dense(dc, d_low, scale)
+    ca, cb = int_gcd(*a), int_gcd(*b)
+    if ca != 1:
+        a = [c // ca for c in a]
+    if cb != 1:
+        b = [c // cb for c in b]
+    if len(a) > 1 and len(b) > 1:
+        a, b = _heu_cofactors(a, b) or _euclid_cofactors(a, b)
+    # a and b are now primitive and coprime: their contents set the scalar
+    g = int_gcd(ca, cb)
+    ca, cb = ca // g, cb // g
+    if b[-1] < 0:
+        ca, cb = -ca, -cb
+    k = n_low - d_low
+    return (_sparse(a, ca, max(k, 0)), _sparse(b, cb, max(-k, 0)))
+
+
+def _common_denominator(coeffs) -> int:
+    out = 1
+    for c in coeffs:
+        if type(c) is not int:
+            out = int_lcm(out, c.denominator)
+    return out
+
+
+def _dense(coeffs, low: int, scale: int):
+    """Integer coefficient list of scale * p / q^low, from degree 0 up."""
+    out = [0] * (max(coeffs) - low + 1)
+    for e, c in coeffs.items():
+        out[e - low] = c * scale if type(c) is int else c.numerator * (scale // c.denominator)
+    return out
+
+
+def _sparse(dense, scale: int, shift: int) -> QPolynomial:
+    """scale * q^shift * p for an integer coefficient list p."""
+    out = QPolynomial()
+    out.coeffs = {e + shift: c * scale for e, c in enumerate(dense) if c}
+    return out
+
+
+# evaluation points the heuristic gcd tries before it falls back to Euclid
+_HEU_TRIES = 6
+
+
+def _heu_cofactors(a, b):
+    """(a / g, b / g) for the gcd g of two primitive integer coefficient
+    lists of positive degree, by the heuristic gcd; None when it fails."""
+    bound = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    k = (bound - 1).bit_length()  # xi = 2^k >= bound
+    for _ in range(_HEU_TRIES):
+        gamma = int_gcd(_eval_pow2(a, k), _eval_pow2(b, k))
+        h = _sym_digits(gamma, k)
+        if len(h) == 1:
+            return a, b
+        c = int_gcd(*h)
+        h = [x // c for x in h] if h[-1] > 0 else [-x // c for x in h]
+        qa = _exact_quotient(a, h)
+        if qa is not None:
+            qb = _exact_quotient(b, h)
+            if qb is not None:
+                return qa, qb
+        k *= 2
+    return None
+
+
+def _eval_pow2(p, k: int) -> int:
+    """p(2^k) for an integer coefficient list p."""
+    v = 0
+    for c in reversed(p):
+        v = (v << k) + c
+    return v
+
+
+def _sym_digits(n: int, k: int):
+    """Digits d_i in (-2^(k-1), 2^(k-1)] with n = sum d_i 2^(k i), n > 0."""
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    out = []
+    while n:
+        d = n & mask
+        if d > half:
+            d -= 1 << k
+        out.append(d)
+        n = (n - d) >> k
+    return out
+
+
+def _exact_quotient(a, h):
+    """a / h in Z[q] for integer coefficient lists, or None when h does not
+    divide a there."""
+    m = len(h) - 1
+    if len(a) <= m:
+        return None
+    rem = list(a)
+    lc = h[m]
+    quo = [0] * (len(a) - m)
+    for i in range(len(quo) - 1, -1, -1):
+        c, r = divmod(rem[i + m], lc)
+        if r:
+            return None
+        if c:
+            quo[i] = c
+            for j in range(m):
+                rem[i + j] -= c * h[j]
+    if any(rem[:m]):
+        return None
+    return quo
+
+
+def _euclid_cofactors(a, b):
+    """(a / g, b / g) through the Euclidean gcd over Q."""
+    g = poly_gcd(QPolynomial.from_int_coeffs(a), QPolynomial.from_int_coeffs(b))
+    h = _dense(g.coeffs, 0, _common_denominator(g.coeffs.values()))
+    c = int_gcd(*h)
+    h = [x // c for x in h]
+    return _exact_quotient(a, h), _exact_quotient(b, h)

@@ -1,0 +1,109 @@
+"""Symbolic-layer algorithms that faster ones replaced, kept as test oracles.
+
+``reduce_euclid`` is the canonical-form reduction of a quotient of Laurent
+polynomials as the package did it with Fraction coefficients and the
+Euclidean gcd over Q; it works on plain {exponent: coefficient} dicts so
+that it shares no code with ``quivercount.qpolynomial``.
+``toric_kac_levels`` is the chain-sum toric count that enumerates all
+(alpha+1)^E level vectors of a quiver with E arrows.
+"""
+
+from fractions import Fraction
+from itertools import product
+from math import gcd
+
+from quivercount.qpolynomial import QPolynomial
+from quivercount.quiver import _betti_by_subset
+
+
+def _clean(d):
+    return {e: c for e, c in d.items() if c}
+
+
+def _divmod(a, b):
+    rem = dict(a)
+    quo = {}
+    dB = max(b)
+    lcB = b[dB]
+    while rem and max(rem) >= dB:
+        dA = max(rem)
+        c = rem[dA] / lcB
+        quo[dA - dB] = c
+        for e, bc in b.items():
+            e2 = e + dA - dB
+            s = rem.get(e2, Fraction(0)) - c * bc
+            if s:
+                rem[e2] = s
+            else:
+                rem.pop(e2, None)
+    return quo, rem
+
+
+def _gcd_monic(a, b):
+    while b:
+        _, r = _divmod(a, b)
+        a, b = b, r
+    lc = a[max(a)]
+    return {e: c / lc for e, c in a.items()}
+
+
+def reduce_euclid(num, den):
+    """(num, den) in canonical form as Fraction dicts: no Laurent terms,
+    coprime over Q[q], jointly primitive integers, positive leading den."""
+    num = _clean({e: Fraction(c) for e, c in num.items()})
+    den = _clean({e: Fraction(c) for e, c in den.items()})
+    if not num:
+        return {}, {0: Fraction(1)}
+    k = min(num) - min(den)
+    num = {e - min(num): c for e, c in num.items()}
+    den = {e - min(den): c for e, c in den.items()}
+    g = _gcd_monic(num, den)
+    if max(g) > 0:
+        num, _ = _divmod(num, g)
+        den, _ = _divmod(den, g)
+    if k > 0:
+        num = {e + k: c for e, c in num.items()}
+    elif k < 0:
+        den = {e - k: c for e, c in den.items()}
+    lcm = 1
+    for p in (num, den):
+        for c in p.values():
+            lcm = lcm * c.denominator // gcd(lcm, c.denominator)
+    g = 0
+    for p in (num, den):
+        for c in p.values():
+            g = gcd(g, abs((c * lcm).numerator))
+    scale = Fraction(lcm, g)
+    if den[max(den)] < 0:
+        scale = -scale
+    return ({e: c * scale for e, c in num.items()},
+            {e: c * scale for e, c in den.items()})
+
+
+def toric_kac_levels(Q, alpha):
+    """The toric count as a sum over all level vectors: each arrow enters the
+    chain E_1 <= ... <= E_alpha at a level 1..alpha, or never."""
+    E = Q.num_arrows
+    b_of, comps = _betti_by_subset(Q)
+    weights = {}
+    for levels in product(range(1, alpha + 2), repeat=E):
+        top_mask = 0
+        for a in range(E):
+            if levels[a] <= alpha:
+                top_mask |= 1 << a
+        if comps[top_mask] != 1:
+            continue
+        exp_sum = 0
+        for k in range(1, alpha):
+            mask_k = 0
+            for a in range(E):
+                if levels[a] <= k:
+                    mask_k |= 1 << a
+            exp_sum += b_of[mask_k]
+        key = (b_of[top_mask], exp_sum)
+        weights[key] = weights.get(key, 0) + 1
+    q = QPolynomial.q
+    poly = QPolynomial.zero()
+    for (b_top, s), count in sorted(weights.items()):
+        poly = poly + count * (q(1) - 1) ** b_top * q(s)
+    return poly

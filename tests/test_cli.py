@@ -187,11 +187,25 @@ class TestErrorPaths:
         (["--alpha", "1", "--q", "5", "--lam=1,-1,7"], "2 entries"),
         (["--alpha", "0", "--q", "5"], "alpha"),
         (["--alpha", "1", "--q", "6"], "field size"),
+        (["--alpha", "1", "--symbolic", "--rank", "1,1,1"], "2 entries"),
+        (["--alpha", "1", "--symbolic", "--rank", "1"], "2 entries"),
     ])
     def test_malformed_fiber_input(self, a2_file, args, message):
         code, out, err = run_cli(["fiber-count", "--quiver", a2_file] + args)
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and message in err
+
+    @pytest.mark.parametrize("basis", [
+        [[[1, 0], [0]], [[1, 1], [0, 1]]],
+        [[[1, 0], [0, 1]], [[1, 1]]],
+        [[[1, 0], [0, 1]], [[1, 1, 0], [0, 1, 0]]],
+    ])
+    def test_ragged_theta(self, tmp_path, basis):
+        path = tmp_path / "theta.json"
+        path.write_text(json.dumps(basis))
+        code, out, err = run_cli(["ask", "--theta", str(path), "--q", "2", "--n-max", "1"])
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "2 x 2" in err
 
     def test_usage_error(self):
         code, _, _ = run_cli(["kac"])

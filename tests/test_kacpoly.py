@@ -19,9 +19,11 @@ from quivercount.kacpoly import (gloop_kac_rank2, gloop_kac_rank3,
                                  toric_kac_trees, toric_kac_wyss,
                                  zeta_fixed_q, _rank3_matrix)
 from quivercount.qpolynomial import QPolynomial, RationalFunction
-from quivercount.quiver import (Quiver, a2_quiver, cyclic_quiver,
-                                jordan_quiver, kronecker_quiver, loop_quiver)
+from quivercount.quiver import (Quiver, a2_quiver, connected_quiver_corpus,
+                                cyclic_quiver, jordan_quiver, kronecker_quiver,
+                                loop_quiver)
 from quivercount.series import TruncatedSeries
+from symbolic_reference import toric_kac_levels
 
 q = QPolynomial.q
 one = RationalFunction.one()
@@ -54,6 +56,21 @@ class TestToricKac:
         for Q in [cyclic_quiver(3), loop_quiver(2), kronecker_quiver(3)]:
             for alpha in (1, 2, 3):
                 assert toric_kac_wyss(Q, alpha).degree() == alpha * betti(Q)
+
+    def test_subset_sums_match_level_vectors(self):
+        corpus = connected_quiver_corpus(4, 6)
+        for Q in corpus:
+            for alpha in (1, 2, 3):
+                assert toric_kac_wyss(Q, alpha) == toric_kac_levels(Q, alpha)
+        for Q in corpus:
+            if Q.num_arrows <= 4:
+                for alpha in (4, 5, 6):
+                    assert toric_kac_wyss(Q, alpha) == toric_kac_levels(Q, alpha)
+
+    def test_degenerate_alpha(self):
+        # alpha = 0 leaves only the empty chain: one class on one vertex
+        assert toric_kac_wyss(loop_quiver(2), 0) == QPolynomial.one()
+        assert toric_kac_wyss(cyclic_quiver(3), 0).is_zero()
 
     def test_disconnected_rejected(self):
         Q = Quiver(["1", "2"], [])

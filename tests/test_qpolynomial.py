@@ -2,9 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from quivercount import qpolynomial
+from quivercount.closedforms import gloop_Z
 from quivercount.errors import PoleAtEvaluationPoint
+from quivercount.kacpoly import poincare_from_zeta, zeta_fixed_q
 from quivercount.qpolynomial import QPolynomial, RationalFunction
+from symbolic_reference import reduce_euclid
 
 q = QPolynomial.q
 
@@ -128,3 +133,138 @@ class TestRationalFunction:
         f = rf(q(2) + 4 * q(1) + 1, (q(1) - 1) ** 2)
         assert f.to_string() == "(q^2 + 4q + 1) / (q^2 - 2q + 1)"
         assert rf(q(1) + 2).to_string() == "q + 2"
+
+
+# -- the integer canonical form against the Euclidean reducer over Q ----------
+
+_rational = st.one_of(st.integers(-6, 6),
+                     st.fractions(min_value=-6, max_value=6, max_denominator=4))
+_laurent = st.dictionaries(st.integers(-3, 5), _rational, min_size=1, max_size=4)
+_shared = st.sampled_from([q(k) - 1 for k in range(1, 5)]
+                          + [q(1) + 1, q(2) + 1, q(1) + 2, 3 * q(2) - q(1) + 2]
+                          # values 1 or -1 at small points, where they hide
+                          # from a heuristic gcd whose xi is too small
+                          + [q(1) - 3, q(1) - 5, 2 * q(1) - 7]
+                          + [q(j) for j in range(-2, 4)])
+
+
+@st.composite
+def _quotients(draw):
+    """Laurent (num, den) with a nontrivial common factor."""
+    num = QPolynomial(draw(_laurent))
+    den = QPolynomial(draw(_laurent))
+    if den.is_zero():
+        den = QPolynomial.one()
+    for factor in draw(st.lists(_shared, max_size=3)):
+        num, den = num * factor, den * factor
+    return num, den
+
+
+class TestCanonicalForm:
+    @settings(max_examples=200, deadline=None)
+    @given(_quotients())
+    def test_matches_euclid_reducer(self, pair):
+        num, den = pair
+        f = rf(num, den)
+        ref_num, ref_den = reduce_euclid(num.coeffs, den.coeffs)
+        assert f.num.coeffs == ref_num and f.den.coeffs == ref_den
+        for c in (*f.num.coeffs.values(), *f.den.coeffs.values()):
+            assert type(c) is int
+
+    @settings(max_examples=100, deadline=None)
+    @given(_quotients(), _quotients(), st.lists(_shared, max_size=2), st.booleans())
+    def test_equality_is_cross_multiplication(self, p1, p2, factors, same):
+        f = rf(*p1)
+        if same:
+            # the same quotient, written with other common factors
+            num, den = p1
+            for factor in factors:
+                num, den = num * factor, den * factor
+            g = rf(num, den)
+        else:
+            g = rf(*p2)
+        assert (f.num * g.den == g.num * f.den) == (f == g)
+        if same:
+            assert f == g and hash(f) == hash(g)
+
+    def test_euclid_fallback(self, monkeypatch):
+        calls = []
+        euclid = qpolynomial._euclid_cofactors
+
+        def counted(a, b):
+            calls.append(1)
+            return euclid(a, b)
+
+        monkeypatch.setattr(qpolynomial, "_euclid_cofactors", counted)
+        pairs = [((q(3) - 1) * (q(1) + 2), (q(2) - 1) * (2 * q(1) - 3)),
+                 ((q(1) + 1) ** 3 * q(-2), 6 * (q(2) - 1) * (q(1) + 1)),
+                 (QPolynomial({0: Fraction(1, 2), 2: 3}) * (q(4) - 1),
+                  QPolynomial({1: Fraction(2, 3), 0: -1}) * (q(2) + 1))]
+        expected = [reduce_euclid(n.coeffs, d.coeffs) for n, d in pairs]
+        for (n, d), (ref_num, ref_den) in zip(pairs, expected):
+            f = rf(n, d)
+            assert (f.num.coeffs, f.den.coeffs) == (ref_num, ref_den)
+        assert not calls  # the heuristic gcd settles all of these
+        monkeypatch.setattr(qpolynomial, "_HEU_TRIES", 0)
+        for (n, d), (ref_num, ref_den) in zip(pairs, expected):
+            f = rf(n, d)
+            assert (f.num.coeffs, f.den.coeffs) == (ref_num, ref_den)
+        assert len(calls) == len(pairs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_quotients())
+    def test_matches_sympy_cancel(self, pair):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("q")
+
+        def expr(p):
+            return sum(sympy.Rational(c.numerator, c.denominator) * x ** e
+                       for e, c in p.coeffs.items())
+
+        num, den = pair
+        f = rf(num, den)
+        s_num, s_den = sympy.fraction(sympy.cancel(expr(num) / expr(den)))
+        assert sympy.expand(expr(f.num) * s_den - expr(f.den) * s_num) == 0
+        assert sympy.degree(expr(f.den), x) == sympy.degree(s_den, x)
+
+
+# -- exact results: an int or a Fraction, never a float ------------------------
+
+def _exact(values):
+    return all(type(v) in (int, Fraction) for v in values)
+
+
+class TestNoFloat:
+    def test_geometric_taylor_series(self):
+        coeffs = rf(QPolynomial.one(), 1 - 2 * q(1)).taylor_coefficients(3)
+        assert coeffs == [1, 2, 4, 8] and _exact(coeffs)
+
+    def test_series_expansions(self):
+        f = rf(q(1), 2 * q(1) - 1)
+        assert f.qinv_series(3) == [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8),
+                                    Fraction(1, 16)]
+        assert _exact(f.qinv_series(3))
+        assert _exact(rf(q(1), q(1) - 1).qinv_series(4))
+        g = rf(QPolynomial.one(), 3 - q(1))
+        assert g.taylor_coefficients(2) == [Fraction(1, 3), Fraction(1, 9), Fraction(1, 27)]
+        assert _exact(g.taylor_coefficients(2))
+
+    def test_division_and_monic(self):
+        for num, den in [(q(3) - 1, q(1) - 1), (q(2) + 1, 2 * q(1) + 1),
+                         (QPolynomial({0: Fraction(1, 3), 2: 5}), 3 * q(1) - 2)]:
+            quo, rem = num.divmod_ordinary(den)
+            assert quo * den + rem == num
+            assert _exact(quo.coeffs.values()) and _exact(rem.coeffs.values())
+        m = (2 * q(1) + 3).monic()
+        assert m == q(1) + Fraction(3, 2) and _exact(m.coeffs.values())
+
+    def test_evaluate(self):
+        for x in (2, Fraction(1, 3), -5):
+            assert _exact([(q(2) - 3 * q(-1)).evaluate(x),
+                           rf(q(2) + 1, 2 * q(1) + 7).evaluate(x)])
+
+    def test_zeta_expansion(self):
+        zn, zd = gloop_Z(2)
+        Z = zeta_fixed_q(zn, zd, 3)
+        assert _exact((*Z.num.coeffs.values(), *Z.den.coeffs.values()))
+        assert _exact(poincare_from_zeta(Z, 3, 16, 3))

@@ -2,14 +2,24 @@ import pytest
 
 from quivercount import verify
 
-# the brute-force criteria 6-8 of `quivercount verify`; their seconds are
+# criteria of `quivercount verify` that tier-1 runs; their seconds are
 # printed with `pytest -s`
 BRUTE_CHECKS = [verify.check_moment_fibers, verify.check_deformed_fibers,
                 verify.check_jet_series]
+SYMBOLIC_CHECKS = [verify.check_toric_tables, verify.check_gloop_rank2,
+                   verify.check_gloop_rank3, verify.check_kronecker_pipeline,
+                   verify.check_limits_hilbert]
 
 
 @pytest.mark.parametrize("check", BRUTE_CHECKS, ids=lambda fn: fn.__name__)
 def test_brute_criterion_passes(check):
+    result = check()
+    print(result.line())
+    assert result.passed, result.detail
+
+
+@pytest.mark.parametrize("check", SYMBOLIC_CHECKS, ids=lambda fn: fn.__name__)
+def test_symbolic_criterion_passes(check):
     result = check()
     print(result.line())
     assert result.passed, result.detail
