@@ -23,7 +23,7 @@ from .kacpoly import (gloop_kac_rank2, gloop_kac_rank3, gloop_rank2_recurrence,
                       toric_kac_trees, toric_kac_wyss)
 from .localring import (Fq, OMatrix, ORing, gl_enumerate, gl_order,
                         kernel_size_exponent, smith_invariants,
-                        smith_normal_form, solve_linear)
+                        smith_normal_form)
 from .qpolynomial import QPolynomial, RationalFunction
 from .quiver import (Quiver, SemisimpleType, a2_quiver, aux_quiver, betti,
                      chains_of_edge_subsets, connected_components,

@@ -1,10 +1,10 @@
 """Exhaustive enumeration oracles over O_alpha = F_q[t]/(t^alpha).
 
-Everything here counts by brute force: representation spaces are walked
-point by point (or, in rank all-one, labeled by vectorized orbit
-propagation), group orbits are computed by applying every group element,
-and all higher-level identities in the package are checked against these
-counts.  Correctness first; caps keep the instances at desk scale.
+Everything here counts by brute force: points are integer indices whose
+base-q digits are their coordinates, group orbits are the components of the
+permutations of a few generators, and all higher-level identities in the
+package are checked against these counts.  Correctness first; caps keep the
+instances at desk scale.
 
 A representation point is a tuple of OMatrix values, one per arrow, of
 shape r_target x r_source.  The group GL_{alpha,r} = prod_i GL_{r_i}(O_alpha)
@@ -15,25 +15,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
 from .errors import (CapExceeded, CharacteristicTooSmall, DimensionMismatch,
-                     EndTooLargeForLocalityTest, NonGenericLambda)
-from .localring import (Fq, OMatrix, ORing, gl_enumerate, gl_order,
-                        kernel_elements, kernel_size_exponent,
-                        smith_invariants_batch)
-from .quiver import Quiver, is_connected, restrict_arrows
+                     NonGenericLambda, UnsupportedParameter)
+from .localring import (Fq, OMatrix, ORing, _mul_batch, gl_enumerate, gl_order,
+                        kernel_size_exponent, smith_invariants_batch)
+from .quiver import Quiver, _union_find, is_connected, restrict_arrows
 
 
 @dataclass(frozen=True)
 class Caps:
     """Resource limits; defaults sized so the verification suite finishes
-    in minutes."""
+    in minutes.  max_space_log2 caps the points of every walk and census;
+    max_group caps the group that the Burnside count count_iso_classes
+    enumerates."""
     max_space_log2: int = 24
     max_group: int = 10 ** 5
-    max_end_log2: int = 16
 
 
 DEFAULT_CAPS = Caps()
@@ -72,50 +72,7 @@ def group_order(Q: Quiver, alpha: int, r, q: int) -> int:
     return order
 
 
-# -- generic helpers ---------------------------------------------------------
-
-def _matrix_pool(ring: ORing, rows: int, cols: int):
-    """All rows x cols matrices over the ring, in deterministic order."""
-    if rows == 0 or cols == 0:
-        return [OMatrix(ring, [], shape=(rows, cols))]
-    pool = []
-    cells = list(ring.elements())
-    for flat in product(cells, repeat=rows * cols):
-        pool.append(OMatrix(ring, [flat[i * cols:(i + 1) * cols] for i in range(rows)]))
-    return pool
-
-
-def iter_rep_points(Q: Quiver, ring: ORing, r):
-    """All points of R(Q, alpha; r) in lexicographic order."""
-    pools = []
-    shape_cache = {}
-    for s, t in Q.arrows:
-        shape = (r[t], r[s])
-        if shape not in shape_cache:
-            shape_cache[shape] = _matrix_pool(ring, *shape)
-        pools.append(shape_cache[shape])
-    return product(*pools)
-
-
-def enumerate_group(Q: Quiver, ring: ORing, r, caps: Caps):
-    """All elements of GL_{alpha,r} with precomputed inverses."""
-    order = group_order(Q, ring.alpha, r, ring.q)
-    if order > caps.max_group:
-        raise CapExceeded(f"|GL| = {order} exceeds cap {caps.max_group}")
-    per_vertex = []
-    for ri in r:
-        mats = list(gl_enumerate(ring.q, ring.alpha, ri, cap=caps.max_group))
-        per_vertex.append([(g, g.inverse()) for g in mats])
-    out = []
-    for combo in product(*per_vertex):
-        out.append(([g for g, _ in combo], [gi for _, gi in combo]))
-    return out
-
-
-def act(Q: Quiver, gs, gs_inv, x):
-    return tuple(gs[t] * x[a] * gs_inv[s]
-                 for a, (s, t) in enumerate(Q.arrows))
-
+# -- End and indecomposability ------------------------------------------------
 
 def end_system_matrix(Q: Quiver, ring: ORing, r, x) -> OMatrix:
     """Matrix of the intertwiner equations xi_t x_a = x_a xi_s.
@@ -147,64 +104,18 @@ def end_system_matrix(Q: Quiver, ring: ORing, r, x) -> OMatrix:
     return OMatrix(ring, rows, shape=(len(rows), total))
 
 
-def end_exponent(Q: Quiver, ring: ORing, r, x) -> int:
-    """|End(x)| = q^e."""
-    return kernel_size_exponent(end_system_matrix(Q, ring, r, x))
-
-
-def _end_elements(Q: Quiver, ring: ORing, r, x):
-    """All endomorphisms, as tuples of per-vertex matrices."""
-    system = end_system_matrix(Q, ring, r, x)
-    n = Q.num_vertices
-    for z in kernel_elements(system):
-        mats = []
-        pos = 0
-        for i in range(n):
-            d = r[i]
-            mats.append(OMatrix(ring, [z[pos + u * d: pos + (u + 1) * d]
-                                       for u in range(d)], shape=(d, d)))
-            pos += d * d
-        yield tuple(mats)
-
-
-def _classify_orbit(Q, ring, r, rep, orbit_size, gl_size, caps):
-    """End size, indecomposability and splitting degree for one orbit."""
-    q = ring.q
-    e = end_exponent(Q, ring, r, rep)
-    end_size = q ** e
-    aut_size = gl_size // orbit_size
-    if all(ri == 0 for ri in r):
-        return OrbitRecord(rep, orbit_size, e, aut_size, False, None, False)
-    if e * _log2(q) > caps.max_end_log2:
-        raise EndTooLargeForLocalityTest(
-            f"|End| = {q}^{e} too large for the idempotent census")
-    idempotents = 0
-    for xi in _end_elements(Q, ring, r, rep):
-        if all(m * m == m for m in xi):
-            idempotents += 1
-    indecomposable = idempotents == 2
-    top_degree = _top_degree(end_size, aut_size, q) if indecomposable else None
-    return OrbitRecord(rep, orbit_size, e, aut_size, indecomposable,
-                       top_degree, top_degree == 1)
-
-
-def _top_degree(end_size: int, aut_size: int, q: int) -> int:
-    """Degree d of the residue field of a local End, from
-    |Aut| = |End| (1 - q^-d)."""
+def _top_degree(end_size: int, aut_size: int, q: int):
+    """d >= 1 with |End| - |Aut| = q^-d |End|, or None.  d exists iff End is
+    local, and is then [End/J : F_q]: for End/J = prod_i M_{n_i}(F_{q^d_i})
+    the condition reads q^N - prod_{i, k <= n_i} (q^(d_i k) - 1) = q^(N-d)
+    with N = sum_i d_i n_i (n_i + 1)/2, and mod q that forces N = d, n = 1."""
     radical = end_size - aut_size
     d = 0
     m = end_size
-    while m > radical:
+    while m > radical > 0:
         m //= q
         d += 1
-    if m != radical:
-        raise AssertionError("Aut/End ratio is not of local-ring shape")
-    return d
-
-
-def _log2(n: int) -> float:
-    import math
-    return math.log2(n)
+    return d if m == radical else None
 
 
 # -- orbit enumeration --------------------------------------------------------
@@ -213,27 +124,40 @@ def enumerate_orbits(Q: Quiver, alpha: int, r, q: int,
                      caps: Caps = DEFAULT_CAPS) -> list:
     """Partition R(Q, alpha; r)(F_q) into GL-orbits and classify each one.
 
-    Representatives are the lexicographically smallest points of their
-    orbits.  Rank vectors with every entry 1 are dispatched to a
-    vectorized path; the result format is identical.
+    Records are sorted by representative, the lexicographically smallest
+    point of its orbit.  |End| comes from batched Smith forms of the end
+    systems of the representatives, |Aut| = |GL| / |orbit|, and End is
+    local iff |End| - |Aut| = q^(e-d) with d >= 1 (see _top_degree).
     """
     r = tuple(int(x) for x in r)
     check_space_cap(Q, alpha, r, q, caps)
-    if all(ri == 1 for ri in r) and Q.num_arrows > 0:
-        return _rank_one_orbits(Q, alpha, q, caps)
     ring = ORing(q, alpha)
-    group = enumerate_group(Q, ring, r, caps)
-    gl_size = len(group)
-    visited = set()
+    labels = _orbit_labels(Q, ring, r)
+    reps = np.flatnonzero(labels == np.arange(labels.size))
+    sizes = np.bincount(labels)[reps]
+    shapes = [(r[t], r[s]) for s, t in Q.arrows]
+    n_coords = sum(rows * cols for rows, cols in shapes)
+    width = n_coords * alpha
+    coords = (reps[:, None] // q ** np.arange(width - 1, -1, -1, dtype=np.int64) % q
+              ).reshape(len(reps), n_coords, alpha)
+    # one equation per coordinate, one unknown per entry of the xi_i
+    n_unknowns = sum(ri * ri for ri in r)
+    basis = np.array(_integer_basis(end_system_matrix, Q, r),
+                     dtype=np.int64).reshape(n_coords, n_coords, n_unknowns)
+    step = _chunk_size(n_coords * n_unknowns * alpha)
+    ends = np.concatenate([
+        _kernel_exponents(ring.field, _combine(ring.field, basis, coords[i:i + step]))
+        for i in range(0, len(reps), step)])
+    gl_size = group_order(Q, alpha, r, q)
     records = []
-    for x in iter_rep_points(Q, ring, r):
-        if x in visited:
-            continue
-        orbit = set()
-        for gs, gs_inv in group:
-            orbit.add(act(Q, gs, gs_inv, x))
-        visited |= orbit
-        records.append(_classify_orbit(Q, ring, r, x, len(orbit), gl_size, caps))
+    for point, orbit_size, e in zip(coords.tolist(), sizes.tolist(), ends.tolist()):
+        entries = iter(map(tuple, point))
+        x = tuple(OMatrix(ring, [[next(entries) for _ in range(cols)] for _ in range(rows)]
+                          if rows and cols else [], shape=(rows, cols))
+                  for rows, cols in shapes)
+        aut_size = gl_size // orbit_size
+        d = _top_degree(q ** e, aut_size, q)
+        records.append(OrbitRecord(x, orbit_size, e, aut_size, d is not None, d, d == 1))
     return records
 
 
@@ -241,17 +165,16 @@ def count_absolutely_indecomposable(Q: Quiver, alpha: int, r, q: int,
                                     caps: Caps = DEFAULT_CAPS) -> int:
     r = tuple(int(x) for x in r)
     if all(ri == 1 for ri in r) and Q.num_arrows > 0:
-        # orbit labels once, then a fully vectorized census: an orbit is
-        # absolutely indecomposable iff its support subquiver is connected
+        # orbit labels alone: in rank all-one an orbit is absolutely
+        # indecomposable iff its support subquiver is connected
         check_space_cap(Q, alpha, r, q, caps)
-        ring = ORing(q, alpha)
-        labels, elems, radix = _rank_one_labels(Q, ring, caps)
-        reps = np.unique(labels)
-        val_of = np.array([ring.val(e) for e in elems], dtype=np.int64)
+        labels = _orbit_labels(Q, ORing(q, alpha), r)
+        reps = np.flatnonzero(labels == np.arange(labels.size))
+        radix = q ** alpha
         support_mask = np.zeros(len(reps), dtype=np.int64)
         for a in range(Q.num_arrows):
-            digit = (reps // (radix ** a)) % radix
-            support_mask |= (val_of[digit] < alpha).astype(np.int64) << a
+            digit = (reps // (radix ** (Q.num_arrows - 1 - a))) % radix
+            support_mask |= (digit != 0).astype(np.int64) << a
         connected = np.zeros(1 << Q.num_arrows, dtype=bool)
         for mask in range(1 << Q.num_arrows):
             edges = [a for a in range(Q.num_arrows) if mask >> a & 1]
@@ -261,122 +184,103 @@ def count_absolutely_indecomposable(Q: Quiver, alpha: int, r, q: int,
                if rec.absolutely_indecomposable)
 
 
-# -- vectorized rank-one orbit machinery --------------------------------------
+# -- orbits as components of the generator graph --------------------------------
 
-def _unit_generators(ring: ORing):
-    """Generators of O_alpha^*: a lift of a generator of F_q^* and the
-    elements 1 + b t^j with b running over an F_p-basis of F_q."""
+def _generators(ring: ORing, r, scalar_free):
+    """Generators of GL_{alpha,r} up to scalars, as (vertex, row operation
+    of g, column operation of g^-1); (k, l, c) scales line k by c if k == l,
+    else adds c times line l to line k.  With b in an F_p-basis of F_q, the
+    transvections I + b t^j e_kl and, in the diagonal slots, a generator of
+    F_q^* and the units 1 + b t^j (j >= 1) generate, by elimination over a
+    local ring.  Scalars constant on a component act trivially, so slot 0
+    of the vertices in scalar_free gets no units."""
     field = ring.field
-    primitive = next(a for a in range(1, field.q)
-                     if field.element_order(a) == field.q - 1)
-    gens = [ring.from_coeffs([primitive])]
     basis = [1] if field.k == 1 else [1, field.p]
-    for j in range(1, ring.alpha):
-        for b in basis:
-            coeffs = [0] * ring.alpha
-            coeffs[0] = 1
-            coeffs[j] = b
-            gens.append(tuple(coeffs))
-    return gens
+    shifts = [ring.scalar_mul(b, ring.t_power(j)) for j in range(ring.alpha) for b in basis]
+    units = [ring.add(ring.one, c) for c in shifts[len(basis):]]
+    if field.q > 2:
+        units.append(ring.from_coeffs([next(a for a in range(2, field.q)
+                                            if field.element_order(a) == field.q - 1)]))
+    for i, ri in enumerate(r):
+        for k in range(1 if i in scalar_free else 0, ri):
+            for u in units:
+                yield i, (k, k, u), (k, k, ring.inv(u))
+        for k, l in permutations(range(ri), 2):
+            for c in shifts:
+                yield i, (k, l, c), (l, k, ring.neg(c))
 
 
-def _rank_one_labels(Q: Quiver, ring: ORing, caps: Caps):
-    """Orbit labels for the torus action on R(Q, alpha; all-one).
-
-    States are mixed-radix integers with one digit (an O_alpha element
-    index) per arrow.  Returns (labels array, element list, digit radix).
-    """
-    elems = list(ring.elements())
-    index_of = {e: k for k, e in enumerate(elems)}
-    radix = len(elems)
-    E = Q.num_arrows
-    n_states = radix ** E
-    if _log2(n_states) > caps.max_space_log2:
-        raise CapExceeded(
-            f"representation space has {n_states} points, cap 2^{caps.max_space_log2}")
-    weights = [radix ** a for a in range(E)]
-
-    perms = []
-    states = np.arange(n_states, dtype=np.int64)
-    digits = [(states // w) % radix for w in weights]
-    for v in range(Q.num_vertices):
-        for u in _unit_generators(ring):
-            u_inv = ring.inv(u)
-            left = np.array([index_of[ring.mul(u, e)] for e in elems], dtype=np.int64)
-            right = np.array([index_of[ring.mul(e, u_inv)] for e in elems], dtype=np.int64)
-            perm = np.zeros(n_states, dtype=np.int64)
-            trivial = True
-            for a, (s, t) in enumerate(Q.arrows):
-                d = digits[a]
-                if s == t:
-                    # u x u^-1 = x over a commutative ring
-                    perm += d * weights[a]
-                elif t == v:
-                    perm += left[d] * weights[a]
-                    trivial = False
-                elif s == v:
-                    perm += right[d] * weights[a]
-                    trivial = False
-                else:
-                    perm += d * weights[a]
-            if not trivial:
-                perms.append(perm)
-
-    labels = np.arange(n_states, dtype=np.int64)
+def _hook(labels: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """labels joined along the edges x -> perm[x], where labels[x] is the
+    least point of the component of x: each round hooks the larger root of
+    every crossing edge onto the smaller, then pointer jumping follows."""
     while True:
-        before = labels.copy()
-        for perm in perms:
-            np.minimum(labels, labels[perm], out=labels)
-            np.minimum.at(labels, perm, labels.copy())
-        if np.array_equal(labels, before):
-            break
-    return labels, elems, radix
+        other = labels[perm]
+        cross = labels != other
+        if not cross.any():
+            return labels
+        ends, other = labels[cross], other[cross]
+        labels[np.maximum(ends, other)] = np.minimum(ends, other)
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
 
 
-def _rank_one_pattern_data(Q: Quiver, ring: ORing, valuations):
-    """Per-valuation-pattern invariants shared by every orbit in a stratum."""
-    alpha = ring.alpha
-    support = [a for a, v in enumerate(valuations) if v < alpha]
-    indecomposable = is_connected(restrict_arrows(Q, support))
-    # End system: x_a (xi_s - xi_t) = 0, one O-row per arrow
-    rows = []
-    n = Q.num_vertices
-    for a, (s, t) in enumerate(Q.arrows):
-        if s == t:
-            continue
-        row = [ring.zero] * n
-        tp = ring.t_power(valuations[a])
-        row[s] = ring.add(row[s], tp)
-        row[t] = ring.sub(row[t], tp)
-        rows.append(row)
-    system = OMatrix(ring, rows, shape=(len(rows), n))
-    e = kernel_size_exponent(system)
-    return indecomposable, e
+def _orbit_labels(Q: Quiver, ring: ORing, r) -> np.ndarray:
+    """The least point index in the GL-orbit of every point of R(Q, alpha; r).
 
+    The base-q digits of a point index, most significant first, are its
+    coordinates (arrow by arrow, entries row-major, t^0 first), so index
+    order is lexicographic order.  Each generator maps the entries (base
+    q^alpha digits) of all points at once, through tables that _mul_batch
+    builds over O_alpha; its permutation is hooked into the labels and dropped.
+    """
+    q, alpha = ring.q, ring.alpha
+    add, mul = ring.field.arrays[:2]
+    size = q ** alpha
+    places = q ** np.arange(alpha - 1, -1, -1, dtype=np.int64)
+    digits = (np.arange(size)[:, None] // places % q).astype(np.int16)
+    plus = None
+    if any(ri > 1 for ri in r):
+        plus = (add[digits[:, None] * q + digits] @ places).ravel()
 
-def _rank_one_orbits(Q: Quiver, alpha: int, q: int, caps: Caps) -> list:
-    ring = ORing(q, alpha)
-    labels, elems, radix = _rank_one_labels(Q, ring, caps)
-    reps, counts = np.unique(labels, return_counts=True)
-    E = Q.num_arrows
-    weights = [radix ** a for a in range(E)]
-    val_of = np.array([ring.val(e) for e in elems], dtype=np.int64)
-    gl_size = (q ** (alpha - 1) * (q - 1)) ** Q.num_vertices
+    def line_op(lines, op):
+        k, l, c = op
+        times = _mul_batch(q, add, mul, digits, np.array(c, dtype=np.int16)) @ places
+        lines[k] = times[lines[l]] if k == l else plus[lines[k] * size + times[lines[l]]]
 
-    pattern_cache = {}
-    records = []
-    for rep, orbit_size in zip(reps.tolist(), counts.tolist()):
-        digits = [(rep // w) % radix for w in weights]
-        pattern = tuple(int(val_of[d]) for d in digits)
-        if pattern not in pattern_cache:
-            pattern_cache[pattern] = _rank_one_pattern_data(Q, ring, pattern)
-        indecomposable, e = pattern_cache[pattern]
-        aut_size = gl_size // orbit_size
-        top_degree = _top_degree(q ** e, aut_size, q) if indecomposable else None
-        x = tuple(OMatrix(ring, [[elems[d]]]) for d in digits)
-        records.append(OrbitRecord(x, orbit_size, e, aut_size, indecomposable,
-                                   top_degree, top_degree == 1))
-    return records
+    shapes = [(r[t], r[s]) for s, t in Q.arrows]
+    starts = np.cumsum([0] + [rows * cols for rows, cols in shapes]).tolist()
+    n_points = size ** starts[-1]
+    index = np.arange(n_points, dtype=np.int64)
+    codes = np.empty((starts[-1], n_points), dtype=np.int64)
+    rest = index.copy()
+    for j in reversed(range(starts[-1])):
+        high = rest // size
+        codes[j] = rest - high * size
+        rest = high
+    labels = index.copy()
+    roots, _ = _union_find(len(r), [(s, t) for s, t in Q.arrows if r[s] and r[t]])
+    scalar_free = {v for v, root in enumerate(roots) if v == root}
+    for vertex, row_op, col_op in _generators(ring, r, scalar_free):
+        perm = index
+        for a, (s, t) in enumerate(Q.arrows):
+            # g x g^-1 = x on a 1 x 1 loop
+            if vertex not in (s, t) or (s == t and r[s] == 1):
+                continue
+            old = codes[starts[a]:starts[a + 1]]
+            x = old.reshape(*shapes[a], n_points).copy()
+            if t == vertex:
+                line_op(x, row_op)
+            if s == vertex:
+                line_op(x.transpose(1, 0, 2), col_op)
+            for j, (new, was) in enumerate(zip(x.reshape(old.shape), old)):
+                perm = perm + (new - was) * size ** (starts[-1] - 1 - starts[a] - j)
+        if perm is not index:
+            labels = _hook(labels, perm)
+    return labels
 
 
 # -- batched point walks -------------------------------------------------------
@@ -394,8 +298,8 @@ def _point_chunks(q: int, width: int, size: int, shard: int = 0, nshards: int = 
     """Base-q digit arrays (most significant first) of the integers
     0..q^width - 1, in chunks of `size`; shard s of n gets chunks s, s+n, ...
 
-    The digits of a point index are its field coordinates, so the index
-    order is the lexicographic order of iter_rep_points.
+    The digits of a point index are its field coordinates, as in
+    _orbit_labels, so the index order is the lexicographic order of points.
     """
     total = q ** width
     powers = q ** np.arange(width - 1, -1, -1, dtype=np.int64)
@@ -650,9 +554,11 @@ def _check_generic(Q: Quiver, r, q: int, lam) -> None:
 
 
 def jet_counts(Q: Quiver, d, q: int, n_max: int,
-               caps: Caps = DEFAULT_CAPS) -> list:
+               caps: Caps = DEFAULT_CAPS, jobs: int = 1) -> list:
     """N_n = #mu^{-1}(0)(F_q[t]/(t^n)) for n = 1..n_max."""
-    return [moment_fiber_count(Q, n, d, q, None, caps) for n in range(1, n_max + 1)]
+    if n_max < 1:
+        raise UnsupportedParameter(f"n_max must be >= 1, got {n_max}")
+    return [moment_fiber_count(Q, n, d, q, None, caps, jobs) for n in range(1, n_max + 1)]
 
 
 # -- average size of kernels -----------------------------------------------------
@@ -664,6 +570,8 @@ def ask_counts(theta_basis, q: int, n_max: int,
     theta_basis is a list of integer matrices (same shape); ask_n averages
     |Ker| over all coefficient tuples with entries in O_n.
     """
+    if n_max < 1:
+        raise UnsupportedParameter(f"n_max must be >= 1, got {n_max}")
     if not theta_basis:
         raise ValueError("empty family")
     rows = len(theta_basis[0])
@@ -689,10 +597,16 @@ def ask_counts(theta_basis, q: int, n_max: int,
 
 def moment_theta_basis(Q: Quiver, d):
     """Integer basis matrices of x -> mu(x, .), one per coordinate of the
-    x-space (multiplicity one, i.e. over the base field).
+    x-space (multiplicity one, i.e. over the base field)."""
+    return _integer_basis(moment_matrix, Q, d)
 
-    Entries of these matrices lie in {0, 1, -1}; they are read off from
-    moment_matrix over F_5, where 1 and -1 stay distinguishable.
+
+def _integer_basis(build, Q: Quiver, d) -> list:
+    """Integer matrices B_k with build(Q, ring, d, x) = sum_k x_k B_k, one
+    per coordinate x_k of the x-space (arrow by arrow, entries row-major).
+
+    build must be linear in x with entries in {0, 1, -1} times coordinates;
+    they are read off over F_5, where 1 and -1 stay distinguishable.
     """
     ring = ORing(5, 1)
     basis = []
@@ -706,6 +620,6 @@ def moment_theta_basis(Q: Quiver, d):
                     ent = [[ring.one if (b == a and uu == u and vv == v) else ring.zero
                             for vv in range(cb)] for uu in range(rb)]
                     x.append(OMatrix(ring, ent, shape=(rb, cb)))
-                m = moment_matrix(Q, ring, d, tuple(x))
+                m = build(Q, ring, d, tuple(x))
                 basis.append([[decode[e] for e in row] for row in m.entries])
     return basis

@@ -12,6 +12,7 @@ Exit codes: 2 usage error, 3 resource cap exceeded, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -40,7 +41,7 @@ def _load_quiver(path: str) -> Quiver:
 
 
 def _caps(args) -> Caps:
-    return Caps(max_space_log2=args.max_space_log2, max_group=args.max_group)
+    return Caps(max_space_log2=args.max_space_log2)
 
 
 def _emit(args, text: str, payload) -> None:
@@ -121,9 +122,7 @@ def cmd_fiber_count(args) -> int:
 def cmd_jet_series(args) -> int:
     Q = _load_quiver(args.quiver)
     rank = _parse_ints(args.rank) if args.rank else (1,) * Q.num_vertices
-    counts = [bruteforce.moment_fiber_count(Q, n, rank, args.q, None, _caps(args),
-                                            jobs=args.jobs)
-              for n in range(1, args.n_max + 1)]
+    counts = bruteforce.jet_counts(Q, rank, args.q, args.n_max, _caps(args), args.jobs)
     text = " ".join(str(c) for c in counts)
     _emit(args, text, {"q": args.q, "rank": list(rank), "counts": counts})
     return 0
@@ -175,7 +174,10 @@ def cmd_verify(args) -> int:
     return 0 if ok else 4
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing does not
+    change it."""
     parser = argparse.ArgumentParser(
         prog="quivercount",
         description="Exact counts of quiver representations over truncated power series")
@@ -184,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker count for sum reductions")
     parser.add_argument("--max-space-log2", type=int, default=24)
-    parser.add_argument("--max-group", type=int, default=10 ** 5)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("kac", help="rank-all-one count over O_alpha")

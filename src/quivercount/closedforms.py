@@ -15,6 +15,7 @@ function of q.
 
 from __future__ import annotations
 
+from .errors import UnsupportedParameter
 from .qpolynomial import QPolynomial, RationalFunction
 
 _q = QPolynomial.q
@@ -112,9 +113,9 @@ def kronecker_A(r: int, alpha: int) -> RationalFunction:
     """Absolutely indecomposable count in rank (1,2) for the r-Kronecker
     quiver, alpha = 1..5."""
     if alpha not in _KRONECKER_BRACKETS:
-        raise ValueError("alpha must lie in 1..5")
+        raise UnsupportedParameter(f"alpha must lie in 1..5, got {alpha}")
     if r < 3:
-        raise ValueError("need r >= 3")
+        raise UnsupportedParameter(f"need r >= 3, got {r}")
     factor = RationalFunction((_q(r - 1) - 1) * (_q(r) - 1),
                               (_q(1) - 1) ** 2 * (_q(1) + 1))
     bracket = QPolynomial.zero()

@@ -53,10 +53,6 @@ class EnumerationCapExceeded(CapExceeded):
     pass
 
 
-class EndTooLargeForLocalityTest(CapExceeded):
-    pass
-
-
 class NonGenericLambda(QuivercountError):
     pass
 

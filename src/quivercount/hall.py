@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
-from .errors import CapExceeded
+from .errors import CapExceeded, UnsupportedParameter
 from .localring import OMatrix, ORing, smith_invariants
 
 MAX_TOTAL_RANK = 4
@@ -304,6 +304,8 @@ def bracket(f1: HallFunction, f2: HallFunction, q: int) -> HallFunction:
 def structure_constants(rank1, rank2, alpha: int, q: int):
     """Products of all orbit-indicator pairs, as a nested dictionary
     {(label1, label2): {label: value}}."""
+    if alpha < 1:
+        raise UnsupportedParameter(f"alpha must be >= 1, got {alpha}")
     out = {}
     for lab1 in all_orbit_labels(rank1, alpha):
         for lab2 in all_orbit_labels(rank2, alpha):

@@ -545,64 +545,9 @@ def kernel_size_exponent(M: OMatrix) -> int:
     A diagonal entry t^g contributes g; each of the cols - r zero columns
     contributes a full alpha.
     """
-    gammas = smith_invariants(M)
-    return kernel_exponent_from_gammas(gammas, M.cols, M.ring.alpha)
-
-
-def kernel_exponent_from_gammas(gammas, cols: int, alpha: int) -> int:
-    r = sum(1 for g in gammas if g < alpha)
-    return alpha * (cols - r) + sum(g for g in gammas if g < alpha)
-
-
-def kernel_elements(M: OMatrix):
-    """All vectors z with M z = 0 (exponentially many; small inputs only)."""
-    ring = M.ring
-    alpha = ring.alpha
-    gammas, _, V = smith_normal_form(M)
-    gammas = list(gammas) + [alpha] * (M.cols - len(gammas))
-    # kernel of diag(t^g) is prod t^(alpha-g) O; push through V
-    coords = []
-    for g in gammas:
-        if g >= alpha:
-            coords.append(list(ring.elements()))
-        elif g == 0:
-            coords.append([ring.zero])
-        else:
-            opts = []
-            for tail in product(ring.field.elements(), repeat=g):
-                opts.append(ring.from_coeffs([0] * (alpha - g) + list(tail)))
-            coords.append(opts)
-    for w in product(*coords):
-        yield V.apply(w)
-
-
-def solve_linear(A: OMatrix, b):
-    """Solve A x = b over O_alpha.
-
-    Returns (solvable, kernel_exponent, particular_solution_or_None).
-    """
-    ring = A.ring
-    alpha = ring.alpha
-    gammas, U, V = smith_normal_form(A)
-    gammas = list(gammas)
-    c = U.apply(tuple(b))
-    y = []
-    for i in range(A.rows):
-        g = gammas[i] if i < len(gammas) else alpha
-        ci = c[i]
-        if g >= alpha:
-            if ring.val(ci) < alpha:
-                return False, kernel_exponent_from_gammas(gammas, A.cols, alpha), None
-            if i < A.cols:
-                y.append(ring.zero)
-        else:
-            if ring.val(ci) < g:
-                return False, kernel_exponent_from_gammas(gammas, A.cols, alpha), None
-            y.append(ring.divide_exact(ci, ring.t_power(g)))
-    while len(y) < A.cols:
-        y.append(ring.zero)
-    x = V.apply(tuple(y[: A.cols]))
-    return True, kernel_exponent_from_gammas(gammas, A.cols, alpha), x
+    alpha = M.ring.alpha
+    gammas = [g for g in smith_invariants(M) if g < alpha]
+    return alpha * (M.cols - len(gammas)) + sum(gammas)
 
 
 def gl_order(q: int, alpha: int, r: int) -> int:

@@ -1,16 +1,137 @@
-"""Per-point scalar loops that the batched point walks replaced.
+"""Per-point scalar loops that the batched point walks and the orbit
+census replaced.
 
 Each function walks its points one at a time through the scalar Smith
-form, exactly as the package did before the batched kernel; the tests
-require the batched walks to give equal counts.
+form, and the orbit walk applies every group element to each point, as the
+package did before the batched kernel and the generator-graph census; the
+tests require the package to give equal counts.
 """
 
 from fractions import Fraction
 from itertools import product
 
-from quivercount.bruteforce import group_order, iter_rep_points, moment_matrix
+from quivercount.bruteforce import end_system_matrix, group_order, moment_matrix
 from quivercount.localring import (OMatrix, ORing, gl_enumerate,
-                                   kernel_size_exponent, solve_linear)
+                                   kernel_size_exponent, smith_normal_form)
+
+
+def matrix_pool(ring, rows, cols):
+    """All rows x cols matrices over the ring, in deterministic order."""
+    if rows == 0 or cols == 0:
+        return [OMatrix(ring, [], shape=(rows, cols))]
+    cells = list(ring.elements())
+    return [OMatrix(ring, [flat[i * cols:(i + 1) * cols] for i in range(rows)])
+            for flat in product(cells, repeat=rows * cols)]
+
+
+def iter_rep_points(Q, ring, r):
+    """All points of R(Q, alpha; r) in lexicographic order."""
+    pools = {}
+    for s, t in Q.arrows:
+        if (r[t], r[s]) not in pools:
+            pools[r[t], r[s]] = matrix_pool(ring, r[t], r[s])
+    return product(*(pools[r[t], r[s]] for s, t in Q.arrows))
+
+
+def enumerate_group(Q, ring, r):
+    """All elements of GL_{alpha,r}, as (per-vertex matrices, inverses)."""
+    per_vertex = [[(g, g.inverse()) for g in gl_enumerate(ring.q, ring.alpha, ri)]
+                  for ri in r]
+    return [([g for g, _ in combo], [gi for _, gi in combo])
+            for combo in product(*per_vertex)]
+
+
+def act(Q, gs, gs_inv, x):
+    return tuple(gs[t] * x[a] * gs_inv[s] for a, (s, t) in enumerate(Q.arrows))
+
+
+def orbits(Q, alpha, r, q):
+    """(representative, orbit size) of every orbit, in the order of the
+    representatives, each the first point of its orbit in iter_rep_points."""
+    ring = ORing(q, alpha)
+    group = enumerate_group(Q, ring, r)
+    visited = set()
+    out = []
+    for x in iter_rep_points(Q, ring, r):
+        if x in visited:
+            continue
+        orbit = {act(Q, gs, gs_inv, x) for gs, gs_inv in group}
+        visited |= orbit
+        out.append((x, len(orbit)))
+    return out
+
+
+def end_exponent(Q, ring, r, x):
+    """|End(x)| = q^e."""
+    return kernel_size_exponent(end_system_matrix(Q, ring, r, x))
+
+
+def kernel_elements(M):
+    """All vectors z with M z = 0 (exponentially many; small inputs only)."""
+    ring = M.ring
+    alpha = ring.alpha
+    gammas, _, V = smith_normal_form(M)
+    gammas = list(gammas) + [alpha] * (M.cols - len(gammas))
+    # kernel of diag(t^g) is prod t^(alpha-g) O; push through V
+    coords = []
+    for g in gammas:
+        if g >= alpha:
+            coords.append(list(ring.elements()))
+        elif g == 0:
+            coords.append([ring.zero])
+        else:
+            coords.append([ring.from_coeffs([0] * (alpha - g) + list(tail))
+                           for tail in product(ring.field.elements(), repeat=g)])
+    for w in product(*coords):
+        yield V.apply(w)
+
+
+def end_elements(Q, ring, r, x):
+    """All endomorphisms of x, as tuples of per-vertex matrices."""
+    for z in kernel_elements(end_system_matrix(Q, ring, r, x)):
+        mats = []
+        pos = 0
+        for d in r:
+            mats.append(OMatrix(ring, [z[pos + u * d: pos + (u + 1) * d] for u in range(d)],
+                                shape=(d, d)))
+            pos += d * d
+        yield tuple(mats)
+
+
+def is_indecomposable(Q, ring, r, x):
+    """The idempotent census: x is indecomposable iff End(x) has exactly
+    the two idempotents 0 and 1 (rank zero has only 0 = 1)."""
+    idempotents = sum(1 for xi in end_elements(Q, ring, r, x)
+                      if all(m * m == m for m in xi))
+    return idempotents == 2
+
+
+def solve_linear(A, b):
+    """Solve A x = b over O_alpha.
+
+    Returns (solvable, kernel_exponent, particular_solution_or_None).
+    """
+    ring = A.ring
+    alpha = ring.alpha
+    gammas, U, V = smith_normal_form(A)
+    ke = kernel_size_exponent(A)
+    c = U.apply(tuple(b))
+    y = []
+    for i in range(A.rows):
+        g = gammas[i] if i < len(gammas) else alpha
+        ci = c[i]
+        if g >= alpha:
+            if ring.val(ci) < alpha:
+                return False, ke, None
+            if i < A.cols:
+                y.append(ring.zero)
+        else:
+            if ring.val(ci) < g:
+                return False, ke, None
+            y.append(ring.divide_exact(ci, ring.t_power(g)))
+    while len(y) < A.cols:
+        y.append(ring.zero)
+    return True, ke, V.apply(tuple(y[: A.cols]))
 
 
 def zero_fiber(Q, alpha, r, q):

@@ -1,20 +1,22 @@
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import scalar_reference as ref
-from quivercount.bruteforce import (Caps, ask_counts,
+from quivercount.bruteforce import (Caps, _hook, ask_counts,
                                     count_absolutely_indecomposable,
-                                    count_iso_classes, end_exponent,
-                                    enumerate_orbits, iter_rep_points,
+                                    count_iso_classes, enumerate_orbits,
                                     jet_counts, moment_fiber_count,
                                     moment_matrix, moment_theta_basis,
                                     rep_space_dim, group_order)
 from quivercount.errors import (CapExceeded, CharacteristicTooSmall,
                                 DimensionMismatch, NonGenericLambda)
 from quivercount.localring import ORing, gl_order
-from quivercount.quiver import (Quiver, a2_quiver, cyclic_quiver,
+from quivercount.quiver import (Quiver, _union_find, a2_quiver, cyclic_quiver,
                                 jordan_quiver, kronecker_quiver, loop_quiver)
 
 
@@ -51,13 +53,12 @@ class TestEnumerateOrbits:
 
     def test_indecomposable_end_local(self):
         # endomorphisms of an indecomposable split into units and nilpotents
-        from quivercount.bruteforce import _end_elements
         ring = ORing(2, 2)
         recs = enumerate_orbits(a2_quiver(), 2, (1, 1), 2)
         for rec in recs:
             if not rec.indecomposable:
                 continue
-            for xi in _end_elements(a2_quiver(), ring, (1, 1), rec.representative):
+            for xi in ref.end_elements(a2_quiver(), ring, (1, 1), rec.representative):
                 units = all(m.is_invertible() for m in xi)
                 power = xi
                 for _ in range(4):
@@ -80,20 +81,7 @@ class TestEnumerateOrbits:
             ones = (1,) * Q.num_vertices
             for alpha, q in [(1, 2), (2, 2), (1, 3)]:
                 fast = enumerate_orbits(Q, alpha, ones, q)
-                # force the generic sweep by calling the building blocks
-                from quivercount import bruteforce as bf
-                ring = ORing(q, alpha)
-                group = bf.enumerate_group(Q, ring, ones, Caps())
-                visited = set()
-                slow = []
-                for x in iter_rep_points(Q, ring, ones):
-                    if x in visited:
-                        continue
-                    orbit = set()
-                    for gs, gs_inv in group:
-                        orbit.add(bf.act(Q, gs, gs_inv, x))
-                    visited |= orbit
-                    slow.append((x, len(orbit)))
+                slow = ref.orbits(Q, alpha, ones, q)
                 assert len(fast) == len(slow)
                 assert sorted(r.orbit_size for r in fast) == sorted(s for _, s in slow)
                 a_fast = sum(1 for r in fast if r.absolutely_indecomposable)
@@ -102,6 +90,77 @@ class TestEnumerateOrbits:
     def test_space_cap(self):
         with pytest.raises(CapExceeded):
             enumerate_orbits(loop_quiver(3), 2, (2,), 3, Caps(max_space_log2=10))
+
+
+class TestRepresentatives:
+    """Each representative is the lexicographically smallest point of its
+    orbit, and records come sorted by representative: the scalar walk
+    over the whole group visits orbits in that order."""
+
+    @pytest.mark.parametrize("Q,alpha,r,q", [
+        (cyclic_quiver(3), 1, (1, 1, 1), 3), (kronecker_quiver(2), 1, (1, 1), 3),
+        (kronecker_quiver(2), 2, (1, 1), 2), (loop_quiver(2), 1, (2,), 2),
+        (a2_quiver(), 1, (2, 1), 3), (jordan_quiver(), 2, (2,), 2),
+        (jordan_quiver(), 1, (2,), 4)])
+    def test_lex_min(self, Q, alpha, r, q):
+        recs = enumerate_orbits(Q, alpha, r, q)
+        assert [(rec.representative, rec.orbit_size) for rec in recs] == ref.orbits(Q, alpha, r, q)
+
+
+@st.composite
+def small_instances(draw):
+    """(Q, alpha, r, q) with at most two vertices and arrows, small enough
+    for the scalar group walk and the idempotent census."""
+    n = draw(st.integers(1, 2))
+    arrows = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           max_size=2))
+    r = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    alpha = draw(st.integers(1, 2))
+    q = draw(st.sampled_from([2, 3]))
+    Q = Quiver([str(i) for i in range(n)], arrows)
+    assume(q ** (alpha * rep_space_dim(Q, r)) * group_order(Q, alpha, r, q) <= 30000)
+    assume(q ** (alpha * sum(ri * ri for ri in r)) <= 2 ** 10)  # bounds |End|
+    return Q, alpha, r, q
+
+
+class TestGeneratorGraphProperties:
+    def test_hook_matches_union_find(self):
+        # one to four permutations per case: uniform ones, or products of
+        # transpositions, whose many short cycles resemble the generators'
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            n = int(rng.integers(1, 60))
+            perms = []
+            for _ in range(int(rng.integers(1, 5))):
+                perm = rng.permutation(n) if rng.integers(2) else np.arange(n)
+                for a, b in rng.integers(0, n, (int(rng.integers(0, n + 1)), 2)):
+                    perm[[a, b]] = perm[[b, a]]
+                perms.append(perm)
+            labels = np.arange(n)
+            for perm in perms:
+                labels = _hook(labels, perm)
+            roots, _ = _union_find(n, [(x, int(y)) for perm in perms for x, y in enumerate(perm)])
+            least = {}
+            for x, root in enumerate(roots):
+                least.setdefault(root, x)
+            assert labels.tolist() == [least[root] for root in roots]
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_instances())
+    def test_orbits_match_group_walk(self, instance):
+        Q, alpha, r, q = instance
+        recs = enumerate_orbits(Q, alpha, r, q)
+        assert [(rec.representative, rec.orbit_size) for rec in recs] == ref.orbits(Q, alpha, r, q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_instances())
+    def test_count_rule_matches_idempotent_census(self, instance):
+        Q, alpha, r, q = instance
+        ring = ORing(q, alpha)
+        for rec in enumerate_orbits(Q, alpha, r, q):
+            x = rec.representative
+            assert rec.end_size_exp == ref.end_exponent(Q, ring, r, x)
+            assert rec.indecomposable == ref.is_indecomposable(Q, ring, r, x)
 
 
 class TestBurnside:
@@ -170,13 +229,13 @@ class TestMomentFibers:
         alpha, q, r = 2, 2, (1, 1)
         ring = ORing(q, alpha)
         e0 = euler_form(Q, r, r)
-        for x in iter_rep_points(Q, ring, r):
+        for x in ref.iter_rep_points(Q, ring, r):
             naive = 0
             for y_flat in product(ring.elements(), repeat=rep_space_dim(Q, r)):
                 m = moment_matrix(Q, ring, r, x)
                 if all(v == ring.zero for v in m.apply(y_flat)):
                     naive += 1
-            assert naive == q ** (end_exponent(Q, ring, r, x) - alpha * e0)
+            assert naive == q ** (ref.end_exponent(Q, ring, r, x) - alpha * e0)
 
     def test_jets_jordan(self):
         assert jet_counts(jordan_quiver(), (1,), 2, 3) == [4, 16, 64]

@@ -207,6 +207,43 @@ class TestErrorPaths:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "2 x 2" in err
 
+    @pytest.mark.parametrize("args,message", [
+        (["kac", "--quiver", "{gloop2}", "--alpha", "-1"], "alpha"),
+        (["kac", "--quiver", "{gloop2}", "--alpha", "-1", "--method", "tree"], "alpha"),
+        (["kac-gloop", "--g", "2", "--alpha", "-1", "--rank", "2"], "alpha"),
+        (["kac-kronecker", "--r", "3", "--alpha", "-1"], "alpha"),
+        (["fiber-count", "--quiver", "{a2}", "--symbolic", "--alpha", "-1"], "alpha"),
+        (["jet-series", "--quiver", "{a2}", "--q", "2", "--n-max", "-1"], "n_max"),
+        (["hall", "--alpha", "-1", "--q", "2", "--rank1", "1,0", "--rank2", "0,1"], "alpha"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else v)
+    def test_out_of_range_parameter(self, gloop2_file, a2_file, args, message):
+        argv = [arg.format(gloop2=gloop2_file, a2=a2_file) for arg in args]
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and message in err
+
+    def test_alpha_zero_toric_count(self, gloop2_file):
+        code, out, _ = run_cli(["kac", "--quiver", gloop2_file, "--alpha", "0"])
+        assert code == 0 and out.strip() == "1"
+
     def test_usage_error(self):
         code, _, _ = run_cli(["kac"])
         assert code == 2
+
+
+def test_one_parser_per_process(gloop2_file, capsys):
+    """main reuses one parser; a failed parse, a good call and another
+    subcommand, run in one process, match separate fresh processes."""
+    calls = [["--jobs", "0", "kac-gloop", "--g", "2", "--alpha", "1", "--rank", "2"],
+             ["kac-gloop", "--g", "2", "--alpha", "1", "--rank", "2"],
+             ["--format", "json", "kac", "--quiver", gloop2_file, "--alpha", "2"]]
+    codes = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == run_cli(argv)
+        codes.append(code)
+    assert codes == [2, 0, 0]

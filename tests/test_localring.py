@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from quivercount.errors import EnumerationCapExceeded
 from quivercount.localring import (Fq, OMatrix, ORing, gl_enumerate, gl_order,
-                                   kernel_elements, kernel_size_exponent,
-                                   smith_invariants, smith_invariants_batch,
-                                   smith_normal_form, solve_linear)
+                                   kernel_size_exponent, smith_invariants,
+                                   smith_invariants_batch, smith_normal_form)
+from scalar_reference import kernel_elements, solve_linear
 
 
 class TestFq:
@@ -60,6 +60,51 @@ class TestORing:
         assert R.divide_exact(a, b) == R.from_coeffs([1, 1])
         with pytest.raises(ValueError):
             R.divide_exact(R.one, R.t)
+
+
+_RINGS = [(2, 1), (2, 3), (3, 2), (4, 2), (5, 1), (7, 3), (9, 2)]
+
+
+@st.composite
+def ring_elements(draw, count):
+    """An O_alpha from _RINGS and `count` of its elements."""
+    R = ORing(*draw(st.sampled_from(_RINGS)))
+    element = st.lists(st.integers(0, R.q - 1), min_size=R.alpha,
+                       max_size=R.alpha).map(tuple)
+    return R, [draw(element) for _ in range(count)]
+
+
+class TestORingProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(ring_elements(3))
+    def test_commutative_ring_axioms(self, drawn):
+        R, (a, b, c) = drawn
+        assert R.add(a, b) == R.add(b, a) and R.mul(a, b) == R.mul(b, a)
+        assert R.add(R.add(a, b), c) == R.add(a, R.add(b, c))
+        assert R.mul(R.mul(a, b), c) == R.mul(a, R.mul(b, c))
+        assert R.mul(a, R.add(b, c)) == R.add(R.mul(a, b), R.mul(a, c))
+        assert R.add(a, R.zero) == a and R.mul(a, R.one) == a
+        assert R.add(a, R.neg(a)) == R.zero and R.sub(a, b) == R.add(a, R.neg(b))
+        if R.is_unit(a):
+            assert R.mul(a, R.inv(a)) == R.one
+        else:
+            assert R.val(R.mul(a, b)) >= 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(ring_elements(8))
+    def test_mul_batch_matches_mul(self, drawn):
+        from quivercount.localring import _mul_batch
+        R, elems = drawn
+        add, mul = R.field.arrays[:2]
+        A = np.array(elems[:4], dtype=np.int16).reshape(2, 2, R.alpha)
+        B = np.array(elems[4:], dtype=np.int16).reshape(2, 2, R.alpha)
+        got = _mul_batch(R.q, add, mul, A, B).reshape(4, R.alpha)
+        assert [tuple(row) for row in got.tolist()] == [
+            R.mul(a, b) for a, b in zip(elems[:4], elems[4:])]
+        # a single element broadcasts against a stack
+        got = _mul_batch(R.q, add, mul, A, np.array(elems[7], dtype=np.int16))
+        assert [tuple(row) for row in got.reshape(4, R.alpha).tolist()] == [
+            R.mul(a, elems[7]) for a in elems[:4]]
 
 
 class TestSmithNormalForm:

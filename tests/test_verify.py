@@ -5,7 +5,7 @@ from quivercount import verify
 # criteria of `quivercount verify` that tier-1 runs; their seconds are
 # printed with `pytest -s`
 BRUTE_CHECKS = [verify.check_moment_fibers, verify.check_deformed_fibers,
-                verify.check_jet_series]
+                verify.check_jet_series, verify.check_plethystic_fixed_q]
 SYMBOLIC_CHECKS = [verify.check_toric_tables, verify.check_gloop_rank2,
                    verify.check_gloop_rank3, verify.check_kronecker_pipeline,
                    verify.check_limits_hilbert]
