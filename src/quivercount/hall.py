@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from .errors import CapExceeded, UnsupportedParameter
 from .localring import OMatrix, ORing, smith_invariants
@@ -123,27 +123,29 @@ class HallFunction:
 # -- submodule machinery -------------------------------------------------------
 
 def _free_summands(ring: ORing, ambient: int, k: int):
-    """Rank-k direct summands of O^ambient: (basis matrix, element set) pairs.
+    """Rank-k direct summands of O^ambient, as (basis, pivots) pairs.
 
-    A tuple of k columns spans a free summand iff its Smith invariants all
-    vanish; summands are deduplicated by their element sets.
+    Modulo t a summand is a k-plane of F_q^ambient; its pivots P are the
+    first k rows that stay independent there.  The summand has exactly one
+    basis B with B[P] = I_k, and in a row i outside P the entry of column
+    j is free when p_j < i and lies in tO when p_j > i, since row i depends
+    on the earlier pivot rows modulo t.  So each summand is listed once,
+    q^((alpha-1)k(n-k)) [n choose k]_q in all (Schubert cells over O_alpha).
     """
-    if k == 0:
-        return [(OMatrix(ring, [[] for _ in range(ambient)], shape=(ambient, 0)),
-                 frozenset([(ring.zero,) * ambient]))]
     if k > ambient:
         return []
-    out = {}
-    vectors = list(product(ring.elements(), repeat=ambient))
-    for cols in product(vectors, repeat=k):
-        basis = OMatrix(ring, [[cols[j][i] for j in range(k)] for i in range(ambient)],
-                        shape=(ambient, k))
-        if any(g != 0 for g in smith_invariants(basis)):
-            continue
-        span = frozenset(basis.apply(w) for w in product(ring.elements(), repeat=k))
-        if span not in out:
-            out[span] = basis
-    return [(basis, span) for span, basis in sorted(out.items(), key=lambda kv: kv[1].entries)]
+    elements = list(ring.elements())
+    in_t = [a for a in elements if a[0] == 0]
+    unit_rows = [tuple(ring.one if j == i else ring.zero for j in range(k))
+                 for i in range(k)]
+    out = []
+    for pivots in combinations(range(ambient), k):
+        cells = [[unit_rows[pivots.index(i)]] if i in pivots else
+                 product(*(elements if p < i else in_t for p in pivots))
+                 for i in range(ambient)]
+        out.extend((OMatrix(ring, rows, shape=(ambient, k)), pivots)
+                   for rows in product(*cells))
+    return out
 
 
 _SUMMAND_CACHE = {}
@@ -156,30 +158,25 @@ def free_summands(ring: ORing, ambient: int, k: int):
     return _SUMMAND_CACHE[key]
 
 
-def _complete_basis(ring: ORing, basis: OMatrix) -> OMatrix:
+def _complete_basis(ring: ORing, basis: OMatrix, pivots) -> OMatrix:
     """Extend a summand basis to an invertible square matrix by appending
-    standard vectors that stay independent modulo t."""
+    the standard vectors of the non-pivot rows; up to a row permutation
+    the result is unitriangular."""
     n = basis.rows
-    cols = [tuple(basis.entries[i][j] for i in range(n)) for j in range(basis.cols)]
-    for e in range(n):
-        if len(cols) == n:
-            break
-        cand = tuple(ring.one if i == e else ring.zero for i in range(n))
-        trial = OMatrix(ring, [[c[i] for c in cols + [cand]] for i in range(n)],
-                        shape=(n, len(cols) + 1))
-        if all(g == 0 for g in smith_invariants(trial)):
-            cols.append(cand)
-    full = OMatrix(ring, [[c[i] for c in cols] for i in range(n)])
+    rest = [i for i in range(n) if i not in pivots]
+    full = OMatrix(ring, [row + tuple(ring.one if i == e else ring.zero for e in rest)
+                          for i, row in enumerate(basis.entries)], shape=(n, n))
     if not full.is_invertible():
         raise AssertionError("basis completion failed")
     return full
 
 
 def _check_caps(rank, alpha, q):
-    if sum(rank) > MAX_TOTAL_RANK or alpha > MAX_ALPHA or q > MAX_Q:
-        raise CapExceeded(
-            f"Hall computation capped at total rank {MAX_TOTAL_RANK}, "
-            f"alpha {MAX_ALPHA}, q {MAX_Q}")
+    for name, value, cap in (("total rank", sum(rank), MAX_TOTAL_RANK),
+                             ("alpha", alpha, MAX_ALPHA), ("q", q, MAX_Q)):
+        if value > cap:
+            raise CapExceeded(f"Hall computation capped at {name} {cap}; "
+                              f"this product needs {name} {value}")
 
 
 _FLAG_CACHE = {}
@@ -197,17 +194,20 @@ def _flag_table(q: int, alpha: int, rank, sub_rank):
     ring = ORing(q, alpha)
     pairs1 = free_summands(ring, rank[0], sub_rank[0])
     pairs2 = free_summands(ring, rank[1], sub_rank[1])
-    adapted1 = [(_complete_basis(ring, b), b.cols, span) for b, span in pairs1]
-    adapted2 = [(_complete_basis(ring, b).inverse(), b.cols, span) for b, span in pairs2]
+    adapted1 = [(_complete_basis(ring, b, piv), b.cols) for b, piv in pairs1]
+    adapted2 = [(_complete_basis(ring, b, piv).inverse(), b.cols, b, piv)
+                for b, piv in pairs2]
     table = {}
     for label in all_orbit_labels(rank, alpha):
         x = orbit_representative(ring, rank, label)
         census = {}
-        for B1, k1, span1 in adapted1:
+        for B1, k1 in adapted1:
             images = [x.apply(tuple(B1.entries[i][j] for i in range(rank[0])))
                       for j in range(k1)]
-            for B2inv, k2, span2 in adapted2:
-                if any(img not in span2 for img in images):
+            for B2inv, k2, basis2, pivots2 in adapted2:
+                # v lies in the summand iff it is the combination of the
+                # basis columns with its own pivot entries as coefficients
+                if any(basis2.apply([v[p] for p in pivots2]) != v for v in images):
                     continue
                 x_adapted = B2inv * x * B1
                 sub = OMatrix(ring, [[x_adapted.entries[i][j] for j in range(k1)]

@@ -27,9 +27,9 @@ from .series import TruncatedSeries, plethystic_exp, plethystic_log
 _q = QPolynomial.q
 
 
-def _check_alpha(alpha: int, least: int) -> None:
-    if alpha < least:
-        raise UnsupportedParameter(f"alpha must be >= {least}, got {alpha}")
+def _check_at_least(name: str, value: int, least: int) -> None:
+    if value < least:
+        raise UnsupportedParameter(f"{name} must be >= {least}, got {value}")
 
 
 # -- toric Kac polynomials ----------------------------------------------------
@@ -47,7 +47,7 @@ def toric_kac_wyss(Q: Quiver, alpha: int) -> QPolynomial:
     over the 2^E arrow masks, so the cost is O(alpha E 2^E) where the chains
     number (alpha+1)^E.
     """
-    _check_alpha(alpha, 0)
+    _check_at_least("alpha", alpha, 0)
     if not is_connected(Q):
         raise NotConnected("count requires a connected quiver")
     E = Q.num_arrows
@@ -88,7 +88,7 @@ def toric_kac_trees(Q: Quiver, alpha: int) -> QPolynomial:
     T adds alpha - v_max(path) - [a > e], e being the smallest-index path
     edge realizing the maximal valuation (loops add a full alpha).
     """
-    _check_alpha(alpha, 0)
+    _check_at_least("alpha", alpha, 0)
     if not is_connected(Q):
         raise NotConnected("count requires a connected quiver")
     exponent_counts = {}
@@ -190,14 +190,16 @@ def _iterate_recurrence(matrix, vec, steps: int):
 
 def gloop_rank2_recurrence(g: int, alpha: int) -> RationalFunction:
     """All-class count M in rank 2 for the g-loop quiver over O_alpha."""
-    _check_alpha(alpha, 1)
+    _check_at_least("alpha", alpha, 1)
+    _check_at_least("g", g, 0)
     vec = _iterate_recurrence(_rank2_matrix(g), _rank2_initial(g), alpha - 1)
     return sum(vec, RationalFunction.zero())
 
 
 def gloop_rank3_recurrence(g: int, alpha: int) -> RationalFunction:
     """All-class count M in rank 3 for the g-loop quiver over O_alpha."""
-    _check_alpha(alpha, 1)
+    _check_at_least("alpha", alpha, 1)
+    _check_at_least("g", g, 0)
     vec = _iterate_recurrence(_rank3_matrix(g), _rank3_initial(g), alpha - 1)
     return sum(vec, RationalFunction.zero())
 
@@ -252,7 +254,7 @@ def rank1_fiber_count(Q: Quiver, alpha: int) -> RationalFunction:
     restriction of (1 - q^-1)^(V - s) prod_j A(Q|I_j, alpha); partitions
     with a disconnected part carry no indecomposables and drop out.
     """
-    _check_alpha(alpha, 0)
+    _check_at_least("alpha", alpha, 0)
     V = Q.num_vertices
     E = Q.num_arrows
     total = RationalFunction.zero()

@@ -152,10 +152,6 @@ class TruncatedSeries:
         out.coeffs = {r: c for r, c in coeffs.items() if c != self._zero}
         return out
 
-    @staticmethod
-    def make(variables, bound, coeffs=None) -> "TruncatedSeries":
-        return TruncatedSeries(variables, bound, coeffs)
-
     def coefficient(self, r):
         return self.coeffs.get(tuple(r), self._zero)
 

@@ -321,8 +321,17 @@ def check_plethystic_fixed_q(caps=bruteforce.DEFAULT_CAPS) -> CheckResult:
 # -- criterion 11 -----------------------------------------------------------------
 
 def check_hall(caps=None) -> CheckResult:
-    """Associativity, bialgebra compatibility, primitive dimensions and the
-    distinguished brackets for the two-vertex quiver over O_alpha."""
+    """The Hall algebra of the two-vertex quiver over O_alpha, alpha <= 2.
+
+    At q = 2, 3 the product is associative and [e1, e2] is the sum of the
+    indecomposable rank-(1,1) orbits.  The bialgebra identity and the
+    centrality of the extra generators are q = 1 statements about the
+    constructible Hall algebra, which integrates Euler characteristics
+    (Riedtmann, J. Algebra 1994; Schiffmann, arXiv:math/0611617), so they
+    are checked on hall_product_euler.  At a fixed prime power neither
+    holds: the untwisted coproduct is not multiplicative, and for alpha = 2
+    the extra generator does not commute with e1 or e2.
+    """
     t0 = time.time()
     for alpha in (1, 2):
         unit_label = (0,) * alpha
@@ -339,20 +348,20 @@ def check_hall(caps=None) -> CheckResult:
             if not _hall_associativity(alpha, q):
                 return _result("Hall algebra structure", t0, False,
                                f"associativity alpha={alpha} q={q}")
-            if not _hall_bialgebra(alpha, q):
-                return _result("Hall algebra structure", t0, False,
-                               f"bialgebra axiom alpha={alpha} q={q}")
-            if not _hall_extra_generators_central(alpha, q):
-                return _result("Hall algebra structure", t0, False,
-                               f"extra generators alpha={alpha} q={q}")
+        if not _hall_bialgebra_euler(alpha):
+            return _result("Hall algebra structure", t0, False,
+                           f"Euler-shadow bialgebra axiom alpha={alpha}")
+        if not _hall_extra_generators_central_euler(alpha):
+            return _result("Hall algebra structure", t0, False,
+                           f"Euler-shadow extra generators alpha={alpha}")
         if hall.primitive_space_dim((1, 1), alpha) != alpha:
             return _result("Hall algebra structure", t0, False,
                            f"primitive dimension at (1,1), alpha={alpha}")
         if hall.primitive_space_dim((2, 1), alpha) != 0:
             return _result("Hall algebra structure", t0, False,
                            f"primitive dimension at (2,1), alpha={alpha}")
-    return _result("Hall algebra: associative bialgebra with the expected primitives", t0,
-                   True, "alpha <= 2, q in {2,3}, total rank <= (2,2)")
+    return _result("Hall algebra: associative, Euler-shadow bialgebra, expected primitives",
+                   t0, True, "alpha <= 2, q in {2,3} and q -> 1, total rank <= (2,2)")
 
 
 def _hall_indicator_basis(alpha):
@@ -391,21 +400,21 @@ def _coproduct_table(f):
     return table
 
 
-def _hall_bialgebra(alpha, q) -> bool:
+def _hall_bialgebra_euler(alpha) -> bool:
     """Delta(f * g) = Delta(f) Delta(g) on indicator pairs (componentwise
-    products of tensor legs)."""
+    products of tensor legs), with Euler-shadow products."""
     basis = _hall_indicator_basis(alpha)
     for f in basis:
         for g in basis:
             total = tuple(a + b for a, b in zip(f.rank, g.rank))
             if total[0] > 2 or total[1] > 2:
                 continue
-            lhs = _coproduct_table(hall.hall_product(f, g, q))
+            lhs = _coproduct_table(hall.hall_product_euler(f, g))
             rhs = {}
             for lf, rf in hall.hall_coproduct(f):
                 for lg, rg in hall.hall_coproduct(g):
-                    left = hall.hall_product(lf, lg, q)
-                    right = hall.hall_product(rf, rg, q)
+                    left = hall.hall_product_euler(lf, lg)
+                    right = hall.hall_product_euler(rf, rg)
                     for lab1, v1 in left.values.items():
                         for lab2, v2 in right.values.items():
                             key = (left.rank, lab1, right.rank, lab2)
@@ -416,23 +425,15 @@ def _hall_bialgebra(alpha, q) -> bool:
     return True
 
 
-def _hall_extra_generators_central(alpha, q) -> bool:
-    """1_{O_i}, i >= 1 brackets to zero with every generator of the
-    primitive space, inside the tested rank window."""
-    gens = [hall.HallFunction.indicator((1, 0), alpha, (0,) * alpha),
-            hall.HallFunction.indicator((0, 1), alpha, (0,) * alpha)]
-    for i in range(alpha):
-        lab = tuple(1 if j == i else 0 for j in range(alpha))
-        gens.append(hall.HallFunction.indicator((1, 1), alpha, lab))
+def _hall_extra_generators_central_euler(alpha) -> bool:
+    """1_{O_i}, i >= 1 has zero Euler-shadow bracket with every orbit
+    indicator of rank at most (1,1), the primitive generators among them."""
+    basis = _hall_indicator_basis(alpha)
     for i in range(1, alpha):
         lab = tuple(1 if j == i else 0 for j in range(alpha))
         f = hall.HallFunction.indicator((1, 1), alpha, lab)
-        for g in gens:
-            total = (f.rank[0] + g.rank[0], f.rank[1] + g.rank[1])
-            if total[0] > 2 or total[1] > 2:
-                continue
-            if hall.bracket(f, g, q).values:
-                return False
+        if any(hall.bracket_euler(f, g).values for g in basis):
+            return False
     return True
 
 

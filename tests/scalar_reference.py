@@ -1,18 +1,23 @@
-"""Per-point scalar loops that the batched point walks and the orbit
-census replaced.
+"""Per-point scalar loops that the batched point walks, the orbit census
+and the pivot-basis summand enumeration replaced.
 
 Each function walks its points one at a time through the scalar Smith
-form, and the orbit walk applies every group element to each point, as the
-package did before the batched kernel and the generator-graph census; the
-tests require the package to give equal counts.
+form, the orbit walk applies every group element to each point, and the
+summand walk filters every column tuple by its Smith invariants, as the
+package did before the batched kernel, the generator-graph census and the
+Schubert-cell enumeration; the tests require the package to give equal
+results.
 """
 
 from fractions import Fraction
 from itertools import product
 
 from quivercount.bruteforce import end_system_matrix, group_order, moment_matrix
+from quivercount.hall import (all_orbit_labels, orbit_label_of,
+                              orbit_representative)
 from quivercount.localring import (OMatrix, ORing, gl_enumerate,
-                                   kernel_size_exponent, smith_normal_form)
+                                   kernel_size_exponent, smith_invariants,
+                                   smith_normal_form)
 
 
 def matrix_pool(ring, rows, cols):
@@ -207,3 +212,75 @@ def iso_classes(Q, alpha, r, q):
     count, rem = divmod(total, group_order(Q, alpha, r, q))
     assert rem == 0
     return count
+
+
+def free_summands(ring, ambient, k):
+    """Rank-k direct summands of O^ambient: (basis matrix, element set) pairs.
+
+    A tuple of k columns spans a free summand iff its Smith invariants all
+    vanish; summands are deduplicated by their element sets.
+    """
+    if k == 0:
+        return [(OMatrix(ring, [[] for _ in range(ambient)], shape=(ambient, 0)),
+                 frozenset([(ring.zero,) * ambient]))]
+    if k > ambient:
+        return []
+    out = {}
+    vectors = list(product(ring.elements(), repeat=ambient))
+    for cols in product(vectors, repeat=k):
+        basis = OMatrix(ring, [[cols[j][i] for j in range(k)] for i in range(ambient)],
+                        shape=(ambient, k))
+        if any(g != 0 for g in smith_invariants(basis)):
+            continue
+        span = frozenset(basis.apply(w) for w in product(ring.elements(), repeat=k))
+        if span not in out:
+            out[span] = basis
+    return [(basis, span) for span, basis in sorted(out.items(), key=lambda kv: kv[1].entries)]
+
+
+def complete_basis(ring, basis):
+    """Extend a summand basis to an invertible square matrix by appending
+    standard vectors that stay independent modulo t."""
+    n = basis.rows
+    cols = [tuple(basis.entries[i][j] for i in range(n)) for j in range(basis.cols)]
+    for e in range(n):
+        if len(cols) == n:
+            break
+        cand = tuple(ring.one if i == e else ring.zero for i in range(n))
+        trial = OMatrix(ring, [[c[i] for c in cols + [cand]] for i in range(n)],
+                        shape=(n, len(cols) + 1))
+        if all(g == 0 for g in smith_invariants(trial)):
+            cols.append(cand)
+    full = OMatrix(ring, [[c[i] for c in cols] for i in range(n)])
+    assert full.is_invertible()
+    return full
+
+
+def flag_table(q, alpha, rank, sub_rank):
+    """The (sub-label, quotient-label) census of every orbit label, over the
+    x-stable pairs of summands found by the column-tuple walk."""
+    ring = ORing(q, alpha)
+    adapted1 = [(complete_basis(ring, b), b.cols)
+                for b, _ in free_summands(ring, rank[0], sub_rank[0])]
+    adapted2 = [(complete_basis(ring, b).inverse(), b.cols, span)
+                for b, span in free_summands(ring, rank[1], sub_rank[1])]
+    table = {}
+    for label in all_orbit_labels(rank, alpha):
+        x = orbit_representative(ring, rank, label)
+        census = {}
+        for B1, k1 in adapted1:
+            images = [x.apply(tuple(B1.entries[i][j] for i in range(rank[0])))
+                      for j in range(k1)]
+            for B2inv, k2, span2 in adapted2:
+                if any(img not in span2 for img in images):
+                    continue
+                x_adapted = B2inv * x * B1
+                sub = OMatrix(ring, [[x_adapted.entries[i][j] for j in range(k1)]
+                                     for i in range(k2)], shape=(k2, k1))
+                quo = OMatrix(ring, [[x_adapted.entries[i][j] for j in range(k1, x.cols)]
+                                     for i in range(k2, x.rows)],
+                              shape=(x.rows - k2, x.cols - k1))
+                pair = (orbit_label_of(sub, alpha), orbit_label_of(quo, alpha))
+                census[pair] = census.get(pair, 0) + 1
+        table[label] = census
+    return table

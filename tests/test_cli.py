@@ -211,6 +211,8 @@ class TestErrorPaths:
         (["kac", "--quiver", "{gloop2}", "--alpha", "-1"], "alpha"),
         (["kac", "--quiver", "{gloop2}", "--alpha", "-1", "--method", "tree"], "alpha"),
         (["kac-gloop", "--g", "2", "--alpha", "-1", "--rank", "2"], "alpha"),
+        (["kac-gloop", "--g", "-1", "--alpha", "1", "--rank", "2"], "g must be"),
+        (["kac-gloop", "--g", "-2", "--alpha", "2", "--rank", "3"], "g must be"),
         (["kac-kronecker", "--r", "3", "--alpha", "-1"], "alpha"),
         (["fiber-count", "--quiver", "{a2}", "--symbolic", "--alpha", "-1"], "alpha"),
         (["jet-series", "--quiver", "{a2}", "--q", "2", "--n-max", "-1"], "n_max"),
@@ -225,6 +227,11 @@ class TestErrorPaths:
     def test_alpha_zero_toric_count(self, gloop2_file):
         code, out, _ = run_cli(["kac", "--quiver", gloop2_file, "--alpha", "0"])
         assert code == 0 and out.strip() == "1"
+
+    def test_no_loops_gloop_count(self):
+        # without arrows no representation of rank >= 2 is indecomposable
+        code, out, _ = run_cli(["kac-gloop", "--g", "0", "--alpha", "2", "--rank", "3"])
+        assert code == 0 and out.strip() == "0"
 
     def test_usage_error(self):
         code, _, _ = run_cli(["kac"])

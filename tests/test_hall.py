@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+import scalar_reference
 from quivercount.errors import CapExceeded
-from quivercount.hall import (HallFunction, all_orbit_labels, bracket,
+from quivercount.hall import (HallFunction, _flag_table, all_orbit_labels, bracket,
                               free_summands, hall_coproduct, hall_product,
                               is_indecomposable_label, is_primitive,
                               orbit_label_of, orbit_representative,
@@ -41,6 +43,56 @@ class TestOrbitModel:
         assert len(free_summands(ring, 2, 0)) == 1
 
 
+def gauss_binomial(n, k, q):
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def span(ring, basis):
+    return frozenset(basis.apply(w) for w in product(ring.elements(), repeat=basis.cols))
+
+
+# every (n, k, q, alpha) with n <= 3, q <= 4, alpha <= 2 whose column-tuple
+# walk has at most 4,096 tuples
+ORACLE_GRID = [(n, k, q, alpha) for n in range(4) for k in range(n + 2)
+               for q in (2, 3, 4) for alpha in (1, 2) if q ** (alpha * n * k) <= 4096]
+
+
+class TestFreeSummands:
+    @pytest.mark.parametrize("n,k,q,alpha", ORACLE_GRID)
+    def test_equal_the_column_tuple_walk(self, n, k, q, alpha):
+        ring = ORing(q, alpha)
+        found = [span(ring, basis) for basis, _ in free_summands(ring, n, k)]
+        want = {s for _, s in scalar_reference.free_summands(ring, n, k)}
+        assert len(found) == len(set(found)) == len(want)
+        assert set(found) == want
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_count_is_a_schubert_cell_sum(self, q, alpha):
+        ring = ORing(q, alpha)
+        for n in range(4):
+            for k in range(n + 1):
+                want = q ** ((alpha - 1) * k * (n - k)) * gauss_binomial(n, k, q)
+                assert len(free_summands(ring, n, k)) == want, (n, k)
+
+    def test_basis_is_identity_on_pivots(self):
+        ring = ORing(3, 2)
+        for basis, pivots in free_summands(ring, 3, 2):
+            assert [basis.entries[p] for p in pivots] == [(ring.one, ring.zero),
+                                                         (ring.zero, ring.one)]
+
+    @pytest.mark.parametrize("q,alpha", [(2, 1), (2, 2), (3, 1)])
+    @pytest.mark.parametrize("rank", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_flag_tables_equal_the_oracle(self, q, alpha, rank):
+        for sub in product(range(rank[0] + 1), range(rank[1] + 1)):
+            assert _flag_table(q, alpha, rank, sub) == \
+                scalar_reference.flag_table(q, alpha, rank, sub), sub
+
+
 class TestProductOracles:
     @pytest.mark.parametrize("alpha", [1, 2, 3])
     @pytest.mark.parametrize("q", [2, 3])
@@ -73,6 +125,16 @@ class TestProductOracles:
         g = indicator((2, 2), 2, (0, 0))
         with pytest.raises(CapExceeded):
             hall_product(f, g, 2)
+
+    @pytest.mark.parametrize("ranks,alpha,q,message", [
+        (((2, 2), (1, 0)), 1, 2, "capped at total rank 4; this product needs total rank 5"),
+        (((1, 0), (0, 1)), 4, 2, "capped at alpha 3; this product needs alpha 4"),
+        (((1, 0), (0, 1)), 1, 11, "capped at q 9; this product needs q 11"),
+    ])
+    def test_cap_names_the_exceeded_cap(self, ranks, alpha, q, message):
+        f, g = (indicator(r, alpha, unit_label(alpha)) for r in ranks)
+        with pytest.raises(CapExceeded, match=message):
+            hall_product(f, g, q)
 
 
 class TestCoproduct:
@@ -149,6 +211,9 @@ class TestStructure:
             if total[0] > 2 or total[1] > 2:
                 continue
             assert not bracket_euler(extra, g).values
-            # fixed-q brackets vanish only modulo q - 1
-            fixed = bracket(extra, g, 2)
-            assert all(v % 1 == 0 for v in fixed.values.values())
+            # fixed-q brackets vanish only modulo q - 1: those with e1 and e2
+            # do not vanish, so verify states centrality at q = 1
+            for q in (2, 3):
+                fixed = bracket(extra, g, q).values
+                assert bool(fixed) == (g.rank != (1, 1))
+                assert all(v % (q - 1) == 0 for v in fixed.values())

@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivercount.errors import ConstantTermNotOne, NonzeroConstantTerm
 from quivercount.qpolynomial import QPolynomial, RationalFunction
-from quivercount.series import (TruncatedSeries, VolumeSequence, moebius,
-                                geometric_series, plethystic_exp,
+from quivercount.series import (TruncatedSeries, VolumeSequence, all_exponents,
+                                geometric_series, moebius, plethystic_exp,
                                 plethystic_log, series_to_json)
 
 q = RationalFunction.q
@@ -16,6 +17,15 @@ one = RationalFunction.one()
 def t_series(bound, coeffs):
     names = [f"t{i}" for i in range(len(bound))]
     return TruncatedSeries(names, bound, coeffs)
+
+
+# c q^e / d, d a denominator of the kind the counting series carry
+_coefficients = st.builds(
+    lambda c, e, d: RationalFunction(QPolynomial({e: c}), d),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool),
+    st.integers(-2, 3),
+    st.sampled_from([QPolynomial.one(), QPolynomial({1: 1, 0: -1}),
+                     QPolynomial({2: 1, 0: -1}), QPolynomial({1: 1, 0: 1})]))
 
 
 def test_moebius():
@@ -69,6 +79,15 @@ class TestPlethystic:
                         coeffs[(r1, r2)] = RationalFunction(QPolynomial({e: c}))
             F = t_series((2, 1), coeffs)
             assert plethystic_log(plethystic_exp(F)) == F
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_log_inverts_exp(self, data):
+        bound = data.draw(st.sampled_from([(3,), (2, 1), (1, 1, 1)]))
+        monomials = [r for r in all_exponents(bound) if any(r)]
+        F = t_series(bound, data.draw(st.dictionaries(
+            st.sampled_from(monomials), _coefficients, max_size=len(monomials))))
+        assert plethystic_log(plethystic_exp(F)) == F
 
     def test_exp_additivity(self):
         random.seed(5)

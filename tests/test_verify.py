@@ -23,3 +23,11 @@ def test_symbolic_criterion_passes(check):
     result = check()
     print(result.line())
     assert result.passed, result.detail
+
+
+def test_hall_criterion_passes():
+    # criterion 11: fixed-q associativity and [e1, e2], Euler-shadow
+    # bialgebra identity and centrality
+    result = verify.check_hall()
+    print(result.line())
+    assert result.passed, result.detail
