@@ -3,8 +3,9 @@
 Everything here counts by brute force: points are integer indices whose
 base-q digits are their coordinates, group orbits are the components of the
 permutations of a few generators, and all higher-level identities in the
-package are checked against these counts.  Correctness first; caps keep the
-instances at desk scale.
+package are checked against these counts.  Kernel sizes come from batched
+Smith forms, one point per valuation pattern for rank-one zero fibers.
+Correctness first; caps keep the instances at desk scale.
 
 A representation point is a tuple of OMatrix values, one per arrow, of
 shape r_target x r_source.  The group GL_{alpha,r} = prod_i GL_{r_i}(O_alpha)
@@ -13,6 +14,7 @@ acts by g . x = (g_{t(a)} x_a g_{s(a)}^{-1}).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
@@ -22,16 +24,16 @@ import numpy as np
 from .errors import (CapExceeded, CharacteristicTooSmall, DimensionMismatch,
                      NonGenericLambda, UnsupportedParameter)
 from .localring import (Fq, OMatrix, ORing, _mul_batch, gl_enumerate, gl_order,
-                        kernel_size_exponent, smith_invariants_batch)
-from .quiver import Quiver, _union_find, is_connected, restrict_arrows
+                        smith_invariants_batch)
+from .quiver import Quiver, _betti_by_subset, _union_find
 
 
 @dataclass(frozen=True)
 class Caps:
     """Resource limits; defaults sized so the verification suite finishes
-    in minutes.  max_space_log2 caps the points of every walk and census;
-    max_group caps the group that the Burnside count count_iso_classes
-    enumerates."""
+    in minutes.  max_space_log2 caps the points of every walk and census (a
+    census holds int32 arrays, 30 bytes a point in rank all-one: 0.5 GiB at
+    2^24); max_group caps the group that count_iso_classes enumerates."""
     max_space_log2: int = 24
     max_group: int = 10 ** 5
 
@@ -58,7 +60,6 @@ def rep_space_dim(Q: Quiver, r) -> int:
 
 
 def check_space_cap(Q: Quiver, alpha: int, r, q: int, caps: Caps) -> None:
-    import math
     log2_size = alpha * rep_space_dim(Q, r) * math.log2(q)
     if log2_size > caps.max_space_log2:
         raise CapExceeded(
@@ -66,10 +67,7 @@ def check_space_cap(Q: Quiver, alpha: int, r, q: int, caps: Caps) -> None:
 
 
 def group_order(Q: Quiver, alpha: int, r, q: int) -> int:
-    order = 1
-    for ri in r:
-        order *= gl_order(q, alpha, ri)
-    return order
+    return math.prod(gl_order(q, alpha, ri) for ri in r)
 
 
 # -- End and indecomposability ------------------------------------------------
@@ -171,14 +169,9 @@ def count_absolutely_indecomposable(Q: Quiver, alpha: int, r, q: int,
         labels = _orbit_labels(Q, ORing(q, alpha), r)
         reps = np.flatnonzero(labels == np.arange(labels.size))
         radix = q ** alpha
-        support_mask = np.zeros(len(reps), dtype=np.int64)
-        for a in range(Q.num_arrows):
-            digit = (reps // (radix ** (Q.num_arrows - 1 - a))) % radix
-            support_mask |= (digit != 0).astype(np.int64) << a
-        connected = np.zeros(1 << Q.num_arrows, dtype=bool)
-        for mask in range(1 << Q.num_arrows):
-            edges = [a for a in range(Q.num_arrows) if mask >> a & 1]
-            connected[mask] = is_connected(restrict_arrows(Q, edges))
+        support_mask = sum((reps // radix ** (Q.num_arrows - 1 - a) % radix != 0).astype(np.int64)
+                           << a for a in range(Q.num_arrows))
+        connected = np.array(_betti_by_subset(Q)[1]) == 1
         return int(connected[support_mask].sum())
     return sum(1 for rec in enumerate_orbits(Q, alpha, r, q, caps)
                if rec.absolutely_indecomposable)
@@ -233,53 +226,57 @@ def _orbit_labels(Q: Quiver, ring: ORing, r) -> np.ndarray:
 
     The base-q digits of a point index, most significant first, are its
     coordinates (arrow by arrow, entries row-major, t^0 first), so index
-    order is lexicographic order.  Each generator maps the entries (base
-    q^alpha digits) of all points at once, through tables that _mul_batch
-    builds over O_alpha; its permutation is hooked into the labels and dropped.
+    order is lexicographic order.  In mixed radix an index has one digit per
+    arrow a, the value of x_a, of radix R_a = (q^alpha)^(r_t r_s).  A generator
+    maps each x_a by a table T_a over its R_a values (line_op, via _mul_batch),
+    so its permutation is index + sum_a (T_a - id) place_a, broadcast per axis.
     """
     q, alpha = ring.q, ring.alpha
-    add, mul = ring.field.arrays[:2]
     size = q ** alpha
-    places = q ** np.arange(alpha - 1, -1, -1, dtype=np.int64)
+    shapes = [(r[t], r[s]) for s, t in Q.arrows]
+    radices = [size ** (rows * cols) for rows, cols in shapes]
+    n_points = math.prod(radices)
+    if n_points > np.iinfo(np.int32).max:
+        raise CapExceeded(f"census capped at 2^31 - 1 points (int32); this space has {n_points}")
+    # every value below stays under n_points, so int32 arithmetic is exact
+    add, mul = ring.field.arrays[:2]
+    places = q ** np.arange(alpha - 1, -1, -1, dtype=np.int32)
     digits = (np.arange(size)[:, None] // places % q).astype(np.int16)
-    plus = None
-    if any(ri > 1 for ri in r):
-        plus = (add[digits[:, None] * q + digits] @ places).ravel()
+    plus = ((add[digits[:, None] * q + digits] @ places).ravel()
+            if any(rows * cols > 1 for rows, cols in shapes) else None)
 
     def line_op(lines, op):
         k, l, c = op
         times = _mul_batch(q, add, mul, digits, np.array(c, dtype=np.int16)) @ places
         lines[k] = times[lines[l]] if k == l else plus[lines[k] * size + times[lines[l]]]
 
-    shapes = [(r[t], r[s]) for s, t in Q.arrows]
-    starts = np.cumsum([0] + [rows * cols for rows, cols in shapes]).tolist()
-    n_points = size ** starts[-1]
-    index = np.arange(n_points, dtype=np.int64)
-    codes = np.empty((starts[-1], n_points), dtype=np.int64)
-    rest = index.copy()
-    for j in reversed(range(starts[-1])):
-        high = rest // size
-        codes[j] = rest - high * size
-        rest = high
+    index = np.arange(n_points, dtype=np.int32)
+    entries = {}
     labels = index.copy()
     roots, _ = _union_find(len(r), [(s, t) for s, t in Q.arrows if r[s] and r[t]])
     scalar_free = {v for v, root in enumerate(roots) if v == root}
     for vertex, row_op, col_op in _generators(ring, r, scalar_free):
-        perm = index
+        perm = None
         for a, (s, t) in enumerate(Q.arrows):
-            # g x g^-1 = x on a 1 x 1 loop
-            if vertex not in (s, t) or (s == t and r[s] == 1):
+            # g x g^-1 = x on a 1 x 1 loop; R_a = 1 leaves nothing to move
+            if vertex not in (s, t) or (s == t and r[s] == 1) or radices[a] == 1:
                 continue
-            old = codes[starts[a]:starts[a + 1]]
-            x = old.reshape(*shapes[a], n_points).copy()
+            rows, cols = shapes[a]
+            weights = size ** np.arange(rows * cols - 1, -1, -1, dtype=np.int32)
+            if shapes[a] not in entries:
+                entries[shapes[a]] = (np.arange(radices[a], dtype=np.int32) // weights[:, None]
+                                      % size).reshape(rows, cols, -1)
+            x = entries[shapes[a]].copy()
             if t == vertex:
                 line_op(x, row_op)
             if s == vertex:
                 line_op(x.transpose(1, 0, 2), col_op)
-            for j, (new, was) in enumerate(zip(x.reshape(old.shape), old)):
-                perm = perm + (new - was) * size ** (starts[-1] - 1 - starts[a] - j)
-        if perm is not index:
-            labels = _hook(labels, perm)
+            shift = ((weights @ x.reshape(rows * cols, -1) - np.arange(radices[a], dtype=np.int32))
+                     * math.prod(radices[a + 1:]))
+            shift = shift.reshape([-1 if b == a else 1 for b in range(len(shapes))])
+            perm = (index.reshape(radices) if perm is None else perm) + shift
+        if perm is not None:
+            labels = _hook(labels, perm.ravel())
     return labels
 
 
@@ -513,17 +510,17 @@ def moment_fiber_count(Q: Quiver, alpha: int, r, q: int, lam=None,
         return 1 if target_zero else 0
 
     if not any(lam) and all(ri == 1 for ri in r):
-        # stratify by valuation pattern: fiber size only depends on it
-        counts_per_val = [(q - 1) * q ** (alpha - 1 - v) if v < alpha else 1
-                          for v in range(alpha + 1)]
+        # rank all-one: the fiber depends on the valuations v_a alone (v_a = alpha
+        # for x_a = 0), so x_a = t^(v_a) stands for (q-1) q^(alpha-1-v_a) points
+        basis = np.array(moment_theta_basis(Q, r), dtype=np.int64)
         total = 0
-        for pattern in product(range(alpha + 1), repeat=Q.num_arrows):
-            x = tuple(OMatrix(ring, [[ring.t_power(v)]]) for v in pattern)
-            ke = kernel_size_exponent(moment_matrix(Q, ring, r, x))
-            mult = 1
-            for v in pattern:
-                mult *= counts_per_val[v]
-            total += mult * q ** ke
+        for v in _point_chunks(alpha + 1, Q.num_arrows, _chunk_size(basis[0].size * alpha)):
+            coeffs = (v[:, :, None] == np.arange(alpha)).astype(np.int16)
+            e = (_kernel_exponents(ring.field, _combine(ring.field, basis, coeffs))
+                 + np.maximum(alpha - 1 - v, 0).sum(axis=1))
+            nonzero = (v < alpha).sum(axis=1)
+            total += sum((q - 1) ** c * _sum_q_powers(q, e[nonzero == c])
+                         for c in range(Q.num_arrows + 1))
         return total
     if jobs > 1:
         import multiprocessing
@@ -584,7 +581,6 @@ def ask_counts(theta_basis, q: int, n_max: int,
     field = Fq(q)
     out = []
     for n in range(1, n_max + 1):
-        import math
         if r_a * n * math.log2(q) > caps.max_space_log2:
             raise CapExceeded(f"coefficient space exceeds cap at level {n}")
         total = 0

@@ -14,6 +14,7 @@ the zero orbit in rank (1,1) and 1_{e1} * 1_{e2} the constant function 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
@@ -24,6 +25,7 @@ from .localring import OMatrix, ORing, smith_invariants
 MAX_TOTAL_RANK = 4
 MAX_ALPHA = 3
 MAX_Q = 9
+MAX_SUMMAND_PAIRS = 10 ** 4  # per flag table; the largest in use has 8,100
 
 # sample points for reading off structure constants as polynomials in q;
 # six points pin the degree (at most 2 alpha <= 4) with room to spare
@@ -129,8 +131,7 @@ def _free_summands(ring: ORing, ambient: int, k: int):
     first k rows that stay independent there.  The summand has exactly one
     basis B with B[P] = I_k, and in a row i outside P the entry of column
     j is free when p_j < i and lies in tO when p_j > i, since row i depends
-    on the earlier pivot rows modulo t.  So each summand is listed once,
-    q^((alpha-1)k(n-k)) [n choose k]_q in all (Schubert cells over O_alpha).
+    on the earlier pivot rows modulo t.  Each summand is listed once.
     """
     if k > ambient:
         return []
@@ -171,12 +172,23 @@ def _complete_basis(ring: ORing, basis: OMatrix, pivots) -> OMatrix:
     return full
 
 
-def _check_caps(rank, alpha, q):
+def _summand_count(n: int, k: int, q: int, alpha: int) -> int:
+    """len(_free_summands(ring, n, k)): Schubert cells over O_alpha, one
+    F_q-Grassmannian point of [n choose k]_q with a fiber of q^((alpha-1)k(n-k))."""
+    return (q ** ((alpha - 1) * k * (n - k)) * math.prod(q ** (n - i) - 1 for i in range(k))
+            // math.prod(q ** i - 1 for i in range(1, k + 1)))
+
+
+def _check_caps(rank, sub_rank, alpha, q):
     for name, value, cap in (("total rank", sum(rank), MAX_TOTAL_RANK),
                              ("alpha", alpha, MAX_ALPHA), ("q", q, MAX_Q)):
         if value > cap:
             raise CapExceeded(f"Hall computation capped at {name} {cap}; "
                               f"this product needs {name} {value}")
+    pairs = math.prod(_summand_count(n, k, q, alpha) for n, k in zip(rank, sub_rank))
+    if pairs > MAX_SUMMAND_PAIRS:
+        raise CapExceeded(f"Hall computation capped at {MAX_SUMMAND_PAIRS} summand pairs; "
+                          f"this product needs {pairs} summand pairs")
 
 
 _FLAG_CACHE = {}
@@ -229,7 +241,7 @@ def hall_product(f1: HallFunction, f2: HallFunction, q: int) -> HallFunction:
         raise ValueError("mixed truncation levels")
     alpha = f1.alpha
     rank = (f1.rank[0] + f2.rank[0], f1.rank[1] + f2.rank[1])
-    _check_caps(rank, alpha, q)
+    _check_caps(rank, f2.rank, alpha, q)
     table = _flag_table(q, alpha, rank, f2.rank)
     values = {}
     for label, census in table.items():

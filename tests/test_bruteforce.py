@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -7,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
-from quivercount.bruteforce import (Caps, _hook, ask_counts,
+from quivercount.bruteforce import (Caps, _fiber_shard, _hook, ask_counts,
                                     count_absolutely_indecomposable,
                                     count_iso_classes, enumerate_orbits,
                                     jet_counts, moment_fiber_count,
@@ -101,10 +102,34 @@ class TestRepresentatives:
         (cyclic_quiver(3), 1, (1, 1, 1), 3), (kronecker_quiver(2), 1, (1, 1), 3),
         (kronecker_quiver(2), 2, (1, 1), 2), (loop_quiver(2), 1, (2,), 2),
         (a2_quiver(), 1, (2, 1), 3), (jordan_quiver(), 2, (2,), 2),
-        (jordan_quiver(), 1, (2,), 4)])
+        (jordan_quiver(), 1, (2,), 4),
+        # a vertex of rank zero: its arrows have one value and never move
+        (a2_quiver(), 2, (2, 0), 2), (a2_quiver(), 1, (0, 1), 3),
+        (cyclic_quiver(3), 2, (1, 0, 1), 3), (loop_quiver(2), 2, (0,), 2)])
     def test_lex_min(self, Q, alpha, r, q):
         recs = enumerate_orbits(Q, alpha, r, q)
         assert [(rec.representative, rec.orbit_size) for rec in recs] == ref.orbits(Q, alpha, r, q)
+
+
+class TestCensusMemory:
+    def test_no_table_over_all_points_per_entry(self):
+        # 2^20 points over ten arrows: a table of every point's ten entries
+        # alone would take 80 MiB as int64, against a few int32 arrays of N
+        Q = Quiver(["0", "1", "2"], [(0, 1), (0, 1), (1, 2), (2, 0), (2, 2),
+                                     (0, 0), (1, 0), (2, 1), (1, 1), (0, 2)])
+        tracemalloc.start()
+        try:
+            count = count_absolutely_indecomposable(Q, 2, (1, 1, 1), 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 291456
+        assert peak < 64 * 2 ** 20
+
+    def test_points_beyond_int32_refused(self):
+        # raising the space cap past 2^31 points cannot overflow the index
+        with pytest.raises(CapExceeded, match="int32"):
+            enumerate_orbits(kronecker_quiver(16), 2, (1, 1), 2, Caps(max_space_log2=40))
 
 
 @st.composite
@@ -318,6 +343,27 @@ def _quiver(family):
     return _QUIVERS[family[0]](family[1])
 
 
+def _named(instances):
+    return [pytest.param(Q, alpha, q, id=f"{name}-{alpha}-{q}") for name, Q, alpha, q in instances]
+
+
+# Rank all-one zero fibers, which moment_fiber_count sums over valuation
+# patterns: loops, parallel arrows, one to five vertices.
+K2_LOOP = Quiver(["0", "1"], [(0, 1), (0, 1), (1, 1)])
+TREE4_LOOP = Quiver(["0", "1", "2", "3"], [(0, 1), (1, 2), (1, 3), (3, 3)])
+RANK_ONE_FIBERS = [
+    ("jordan", jordan_quiver(), 3, 3), ("loop2", loop_quiver(2), 2, 4),
+    ("a2", a2_quiver(), 3, 5), ("a2", a2_quiver(), 5, 2),
+    ("kronecker2", kronecker_quiver(2), 3, 2), ("kronecker3", kronecker_quiver(3), 2, 3),
+    ("cyclic3", cyclic_quiver(3), 1, 5), ("cyclic3", cyclic_quiver(3), 2, 3),
+    ("cyclic4", cyclic_quiver(4), 1, 4), ("k2loop", K2_LOOP, 2, 3),
+    ("tree4loop", TREE4_LOOP, 2, 2), ("tree4loop", TREE4_LOOP, 1, 3)]
+RANK_ONE_FIBERS_LARGE = [
+    ("kronecker3", kronecker_quiver(3), 3, 3), ("cyclic4", cyclic_quiver(4), 2, 4),
+    ("cyclic5", cyclic_quiver(5), 2, 3), ("k2loop", K2_LOOP, 4, 3),
+    ("a2", a2_quiver(), 8, 3), ("loop3", loop_quiver(3), 3, 4)]
+
+
 class TestBatchedWalksMatchScalar:
     """The batched walks against the per-point scalar loops they replaced."""
 
@@ -325,6 +371,18 @@ class TestBatchedWalksMatchScalar:
     def test_zero_fiber(self, family, r, alpha, q):
         Q = _quiver(family)
         assert moment_fiber_count(Q, alpha, r, q) == ref.zero_fiber(Q, alpha, r, q)
+
+    @pytest.mark.parametrize("Q,alpha,q", _named(RANK_ONE_FIBERS))
+    def test_rank_one_zero_fiber(self, Q, alpha, q):
+        r = (1,) * Q.num_vertices
+        assert moment_fiber_count(Q, alpha, r, q) == ref.zero_fiber(Q, alpha, r, q)
+
+    @pytest.mark.parametrize("Q,alpha,q", _named(RANK_ONE_FIBERS_LARGE))
+    def test_rank_one_zero_fiber_against_point_walk(self, Q, alpha, q):
+        # the general walk over every point, with no valuation patterns
+        n = Q.num_vertices
+        walk = _fiber_shard((Q.to_json(), alpha, (1,) * n, q, (0,) * n, 0, 1))
+        assert moment_fiber_count(Q, alpha, (1,) * n, q) == walk
 
     @pytest.mark.parametrize("family,r,q,n_max", JETS, ids=_ident)
     def test_jets(self, family, r, q, n_max):

@@ -174,6 +174,14 @@ class TestErrorPaths:
                                 "--quiver", c3_file, "--q", "2", "--n-max", "2"])
         assert code == 3 and "cap" in err.lower()
 
+    def test_hall_summand_cap(self):
+        # every rank is within its cap, but the flag table would need all
+        # 9^8 [4 choose 2]_9 rank-2 summands of O_3^4
+        code, out, err = run_cli(["hall", "--alpha", "3", "--q", "9",
+                                  "--rank1", "2,0", "--rank2", "2,0"])
+        assert code == 3 and out == "" and len(err.splitlines()) == 1
+        assert "10000 summand pairs" in err and "needs 321214632102 summand pairs" in err
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one(self, gloop2_file, jobs):
         code, out, err = run_cli(["--jobs", jobs, "fiber-count", "--quiver",

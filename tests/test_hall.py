@@ -5,8 +5,9 @@ import pytest
 
 import scalar_reference
 from quivercount.errors import CapExceeded
-from quivercount.hall import (HallFunction, _flag_table, all_orbit_labels, bracket,
-                              free_summands, hall_coproduct, hall_product,
+from quivercount.hall import (HallFunction, _flag_table, _summand_count,
+                              all_orbit_labels, bracket, free_summands,
+                              hall_coproduct, hall_product,
                               is_indecomposable_label, is_primitive,
                               orbit_label_of, orbit_representative,
                               primitive_space_dim, structure_constants)
@@ -78,6 +79,7 @@ class TestFreeSummands:
             for k in range(n + 1):
                 want = q ** ((alpha - 1) * k * (n - k)) * gauss_binomial(n, k, q)
                 assert len(free_summands(ring, n, k)) == want, (n, k)
+                assert _summand_count(n, k, q, alpha) == want, (n, k)
 
     def test_basis_is_identity_on_pivots(self):
         ring = ORing(3, 2)
@@ -130,6 +132,12 @@ class TestProductOracles:
         (((2, 2), (1, 0)), 1, 2, "capped at total rank 4; this product needs total rank 5"),
         (((1, 0), (0, 1)), 4, 2, "capped at alpha 3; this product needs alpha 4"),
         (((1, 0), (0, 1)), 1, 11, "capped at q 9; this product needs q 11"),
+        # 9^8 [4 choose 2]_9 rank-2 summands of O_3^4, each rank within its cap
+        (((2, 0), (2, 0)), 3, 9,
+         "capped at 10000 summand pairs; this product needs 321214632102 summand pairs"),
+        # just above the cap: 3^4 [4 choose 2]_3 (verify admits 8,100 pairs)
+        (((2, 0), (2, 0)), 2, 3,
+         "capped at 10000 summand pairs; this product needs 10530 summand pairs"),
     ])
     def test_cap_names_the_exceeded_cap(self, ranks, alpha, q, message):
         f, g = (indicator(r, alpha, unit_label(alpha)) for r in ranks)
