@@ -3,9 +3,8 @@
 Everything here counts by brute force: points are integer indices whose
 base-q digits are their coordinates, group orbits are the components of the
 permutations of a few generators, and all higher-level identities in the
-package are checked against these counts.  Kernel sizes come from batched
-Smith forms, one point per valuation pattern for rank-one zero fibers.
-Correctness first; caps keep the instances at desk scale.
+package are checked against these counts.  Correctness first; caps keep the
+instances at desk scale.
 
 A representation point is a tuple of OMatrix values, one per arrow, of
 shape r_target x r_source.  The group GL_{alpha,r} = prod_i GL_{r_i}(O_alpha)
@@ -24,7 +23,7 @@ import numpy as np
 from .errors import (CapExceeded, CharacteristicTooSmall, DimensionMismatch,
                      NonGenericLambda, UnsupportedParameter)
 from .localring import (Fq, OMatrix, ORing, _mul_batch, gl_enumerate, gl_order,
-                        smith_invariants_batch)
+                        kernel_size_exponent, smith_invariants_batch)
 from .quiver import Quiver, _betti_by_subset, _union_find
 
 
@@ -67,7 +66,10 @@ def check_space_cap(Q: Quiver, alpha: int, r, q: int, caps: Caps) -> None:
 
 
 def group_order(Q: Quiver, alpha: int, r, q: int) -> int:
-    return math.prod(gl_order(q, alpha, ri) for ri in r)
+    order = 1
+    for ri in r:
+        order *= gl_order(q, alpha, ri)
+    return order
 
 
 # -- End and indecomposability ------------------------------------------------
@@ -228,17 +230,16 @@ def _orbit_labels(Q: Quiver, ring: ORing, r) -> np.ndarray:
     coordinates (arrow by arrow, entries row-major, t^0 first), so index
     order is lexicographic order.  In mixed radix an index has one digit per
     arrow a, the value of x_a, of radix R_a = (q^alpha)^(r_t r_s).  A generator
-    maps each x_a by a table T_a over its R_a values (line_op, via _mul_batch),
-    so its permutation is index + sum_a (T_a - id) place_a, broadcast per axis.
+    maps each x_a by a table T_a over its R_a values (line_op), so its permutation
+    adds (T_a - id) place_a to the index along axis 1 of a (high, R_a, low) view.
     """
     q, alpha = ring.q, ring.alpha
     size = q ** alpha
     shapes = [(r[t], r[s]) for s, t in Q.arrows]
     radices = [size ** (rows * cols) for rows, cols in shapes]
     n_points = math.prod(radices)
-    if n_points > np.iinfo(np.int32).max:
+    if n_points > np.iinfo(np.int32).max:  # every value below is under n_points: int32 is exact
         raise CapExceeded(f"census capped at 2^31 - 1 points (int32); this space has {n_points}")
-    # every value below stays under n_points, so int32 arithmetic is exact
     add, mul = ring.field.arrays[:2]
     places = q ** np.arange(alpha - 1, -1, -1, dtype=np.int32)
     digits = (np.arange(size)[:, None] // places % q).astype(np.int16)
@@ -271,12 +272,12 @@ def _orbit_labels(Q: Quiver, ring: ORing, r) -> np.ndarray:
                 line_op(x, row_op)
             if s == vertex:
                 line_op(x.transpose(1, 0, 2), col_op)
-            shift = ((weights @ x.reshape(rows * cols, -1) - np.arange(radices[a], dtype=np.int32))
-                     * math.prod(radices[a + 1:]))
-            shift = shift.reshape([-1 if b == a else 1 for b in range(len(shapes))])
-            perm = (index.reshape(radices) if perm is None else perm) + shift
+            moved = weights @ x.reshape(rows * cols, -1) - np.arange(radices[a], dtype=np.int32)
+            perm = index.copy() if perm is None else perm
+            view = perm.reshape(-1, radices[a], math.prod(radices[a + 1:]))
+            view += moved[:, None] * view.shape[2]
         if perm is not None:
-            labels = _hook(labels, perm.ravel())
+            labels = _hook(labels, perm)
     return labels
 
 
@@ -510,17 +511,17 @@ def moment_fiber_count(Q: Quiver, alpha: int, r, q: int, lam=None,
         return 1 if target_zero else 0
 
     if not any(lam) and all(ri == 1 for ri in r):
-        # rank all-one: the fiber depends on the valuations v_a alone (v_a = alpha
-        # for x_a = 0), so x_a = t^(v_a) stands for (q-1) q^(alpha-1-v_a) points
-        basis = np.array(moment_theta_basis(Q, r), dtype=np.int64)
+        # stratify by valuation pattern: fiber size only depends on it
+        counts_per_val = [(q - 1) * q ** (alpha - 1 - v) if v < alpha else 1
+                          for v in range(alpha + 1)]
         total = 0
-        for v in _point_chunks(alpha + 1, Q.num_arrows, _chunk_size(basis[0].size * alpha)):
-            coeffs = (v[:, :, None] == np.arange(alpha)).astype(np.int16)
-            e = (_kernel_exponents(ring.field, _combine(ring.field, basis, coeffs))
-                 + np.maximum(alpha - 1 - v, 0).sum(axis=1))
-            nonzero = (v < alpha).sum(axis=1)
-            total += sum((q - 1) ** c * _sum_q_powers(q, e[nonzero == c])
-                         for c in range(Q.num_arrows + 1))
+        for pattern in product(range(alpha + 1), repeat=Q.num_arrows):
+            x = tuple(OMatrix(ring, [[ring.t_power(v)]]) for v in pattern)
+            ke = kernel_size_exponent(moment_matrix(Q, ring, r, x))
+            mult = 1
+            for v in pattern:
+                mult *= counts_per_val[v]
+            total += mult * q ** ke
         return total
     if jobs > 1:
         import multiprocessing

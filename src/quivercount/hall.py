@@ -25,7 +25,7 @@ from .localring import OMatrix, ORing, smith_invariants
 MAX_TOTAL_RANK = 4
 MAX_ALPHA = 3
 MAX_Q = 9
-MAX_SUMMAND_PAIRS = 10 ** 4  # per flag table; the largest in use has 8,100
+MAX_SUMMAND_PAIRS = 2 * 10 ** 5  # a flag table of ~10 s, 150 MiB at 50 us, 0.75 KiB a pair
 
 # sample points for reading off structure constants as polynomials in q;
 # six points pin the degree (at most 2 alpha <= 4) with room to spare
@@ -173,8 +173,7 @@ def _complete_basis(ring: ORing, basis: OMatrix, pivots) -> OMatrix:
 
 
 def _summand_count(n: int, k: int, q: int, alpha: int) -> int:
-    """len(_free_summands(ring, n, k)): Schubert cells over O_alpha, one
-    F_q-Grassmannian point of [n choose k]_q with a fiber of q^((alpha-1)k(n-k))."""
+    """len(_free_summands(ring, n, k)) = q^((alpha-1)k(n-k)) [n choose k]_q."""
     return (q ** ((alpha - 1) * k * (n - k)) * math.prod(q ** (n - i) - 1 for i in range(k))
             // math.prod(q ** i - 1 for i in range(1, k + 1)))
 

@@ -126,6 +126,14 @@ class TestCensusMemory:
         assert count == 291456
         assert peak < 64 * 2 ** 20
 
+    def test_many_arrows_at_a_rank_zero_vertex(self):
+        # seventy arrows of one value each, more than numpy has array axes
+        Q = Quiver(["0", "1", "2"], [(0, 1)] * 70 + [(0, 2), (2, 0)])
+        recs = enumerate_orbits(Q, 2, (1, 0, 1), 2)
+        assert [(rec.representative, rec.orbit_size) for rec in recs] == ref.orbits(Q, 2, (1, 0, 1), 2)
+        assert count_absolutely_indecomposable(Q, 2, (1, 0, 1), 2) == sum(
+            rec.absolutely_indecomposable for rec in recs) > 0
+
     def test_points_beyond_int32_refused(self):
         # raising the space cap past 2^31 points cannot overflow the index
         with pytest.raises(CapExceeded, match="int32"):

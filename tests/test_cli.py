@@ -180,7 +180,7 @@ class TestErrorPaths:
         code, out, err = run_cli(["hall", "--alpha", "3", "--q", "9",
                                   "--rank1", "2,0", "--rank2", "2,0"])
         assert code == 3 and out == "" and len(err.splitlines()) == 1
-        assert "10000 summand pairs" in err and "needs 321214632102 summand pairs" in err
+        assert "200000 summand pairs" in err and "needs 321214632102 summand pairs" in err
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one(self, gloop2_file, jobs):

@@ -5,7 +5,7 @@ import pytest
 
 import scalar_reference
 from quivercount.errors import CapExceeded
-from quivercount.hall import (HallFunction, _flag_table, _summand_count,
+from quivercount.hall import (HallFunction, _check_caps, _flag_table, _summand_count,
                               all_orbit_labels, bracket, free_summands,
                               hall_coproduct, hall_product,
                               is_indecomposable_label, is_primitive,
@@ -134,15 +134,20 @@ class TestProductOracles:
         (((1, 0), (0, 1)), 1, 11, "capped at q 9; this product needs q 11"),
         # 9^8 [4 choose 2]_9 rank-2 summands of O_3^4, each rank within its cap
         (((2, 0), (2, 0)), 3, 9,
-         "capped at 10000 summand pairs; this product needs 321214632102 summand pairs"),
-        # just above the cap: 3^4 [4 choose 2]_3 (verify admits 8,100 pairs)
-        (((2, 0), (2, 0)), 2, 3,
-         "capped at 10000 summand pairs; this product needs 10530 summand pairs"),
+         "capped at 200000 summand pairs; this product needs 321214632102 summand pairs"),
+        # above the cap: 5^4 [4 choose 2]_5, a table of some 25 s
+        (((2, 0), (2, 0)), 2, 5,
+         "capped at 200000 summand pairs; this product needs 503750 summand pairs"),
     ])
     def test_cap_names_the_exceeded_cap(self, ranks, alpha, q, message):
         f, g = (indicator(r, alpha, unit_label(alpha)) for r in ranks)
         with pytest.raises(CapExceeded, match=message):
             hall_product(f, g, q)
+
+    @pytest.mark.parametrize("alpha,q", [(2, 3), (2, 4), (3, 2)])
+    def test_summand_cap_admits_tables_of_seconds(self, alpha, q):
+        # 10,530, 91,392 and 8,960 pairs: tables of under 5 s on a 2-CPU VM
+        _check_caps((4, 0), (2, 0), alpha, q)
 
 
 class TestCoproduct:
