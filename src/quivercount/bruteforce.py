@@ -292,16 +292,16 @@ def _chunk_size(entries_per_item: int) -> int:
     return max(1, _CHUNK_ENTRIES // max(1, entries_per_item))
 
 
-def _point_chunks(q: int, width: int, size: int, shard: int = 0, nshards: int = 1):
+def _point_chunks(q: int, width: int, size: int):
     """Base-q digit arrays (most significant first) of the integers
-    0..q^width - 1, in chunks of `size`; shard s of n gets chunks s, s+n, ...
+    0..q^width - 1, in chunks of `size`.
 
     The digits of a point index are its field coordinates, as in
     _orbit_labels, so the index order is the lexicographic order of points.
     """
     total = q ** width
     powers = q ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    for start in range(shard * size, total, nshards * size):
+    for start in range(0, total, size):
         idx = np.arange(start, min(start + size, total), dtype=np.int64)
         yield (idx[:, None] // powers) % q
 
@@ -335,6 +335,30 @@ def _sum_q_powers(q: int, exponents) -> int:
     each exponent, and the powers are summed as Python integers."""
     counts = np.bincount(np.ravel(exponents))
     return sum(c * q ** e for e, c in enumerate(counts.tolist()) if c)
+
+
+def _walk(field, basis: np.ndarray, alpha: int, target=None) -> int:
+    """Sum of q^ke(A(c)) over all coefficient tuples c in O_alpha^K, where
+    A(c) = sum_k c_k B_k for the K integer matrices of basis (K, rows, cols).
+
+    With a target column b (rows, 1, alpha) only the c with b in the image
+    of A(c) count: that holds iff ke([A | b]) = ke(A) + alpha, since the
+    scalars s with s b in im A form an ideal of O_alpha and |Ker [A | b]|
+    is its size times |Ker A|.
+    """
+    q = field.q
+    n_coords, rows, cols = basis.shape
+    size = _chunk_size(rows * (cols + 1) * alpha)  # cols + 1: room for the target column
+    total = 0
+    for digits in _point_chunks(q, n_coords * alpha, size):
+        mats = _combine(field, basis, digits.reshape(-1, n_coords, alpha))
+        ke = _kernel_exponents(field, mats)
+        if target is not None:
+            column = np.broadcast_to(target, (len(mats), rows, 1, alpha))
+            augmented = _kernel_exponents(field, np.concatenate([mats, column], axis=2))
+            ke = ke[augmented == ke + alpha]
+        total += _sum_q_powers(q, ke)
+    return total
 
 
 # -- Burnside count ------------------------------------------------------------
@@ -444,61 +468,25 @@ def moment_matrix(Q: Quiver, ring: ORing, r, x) -> OMatrix:
     return OMatrix(ring, rows, shape=(total_gl, total_y))
 
 
-def _fiber_shard(payload):
-    """Partial fiber sum over one shard of the point chunks; top-level so
-    worker processes can receive it.
-
-    The moment matrix A of every point x comes from moment_theta_basis.  On
-    the zero fiber x contributes |Ker A| = q^ke(A).  On a deformed fiber
-    with target b, b lies in the image of A iff ke([A | b]) = ke(A) + alpha
-    (the scalars s with s b in im A form an ideal of O_alpha, and
-    |Ker [A | b]| is its size times |Ker A|), and then x contributes q^ke(A).
-    """
-    quiver_json, alpha, r, q, lam, shard, nshards = payload
-    Q = Quiver.from_json(quiver_json)
-    field = Fq(q)
-    basis = np.array(moment_theta_basis(Q, r), dtype=np.int64)
-    n_coords, rows, cols = basis.shape
-    target = None
-    if any(lam):
-        target = np.zeros((rows, 1, alpha), dtype=np.int16)
-        offset = 0
-        for i, ri in enumerate(r):
-            for u in range(ri):
-                target[offset + u * ri + u, 0, alpha - 1] = field.from_int(lam[i])
-            offset += ri * ri
-    total = 0
-    size = _chunk_size(rows * (cols + 1) * alpha)
-    for digits in _point_chunks(q, n_coords * alpha, size, shard, nshards):
-        mats = _combine(field, basis, digits.reshape(-1, n_coords, alpha))
-        ke = _kernel_exponents(field, mats)
-        if target is not None:
-            column = np.broadcast_to(target, (len(mats), rows, 1, alpha))
-            augmented = _kernel_exponents(field, np.concatenate([mats, column], axis=2))
-            ke = ke[augmented == ke + alpha]
-        total += _sum_q_powers(q, ke)
-    return total
-
-
 def moment_fiber_count(Q: Quiver, alpha: int, r, q: int, lam=None,
-                       caps: Caps = DEFAULT_CAPS, jobs: int = 1) -> int:
+                       caps: Caps = DEFAULT_CAPS) -> int:
     """#{(x, y) : mu(x, y) = t^(alpha-1) lambda} over O_alpha.
 
     lambda = None or all zero counts the zero fiber; a nonzero lambda must
     pair to zero with r, to nonzero with every intermediate rank vector,
-    and needs characteristic larger than sum |lambda_i| r_i.  jobs > 1
-    shards the point walk (zero or deformed fiber) across processes; the
-    reduction is integer addition, so the result does not depend on the
-    schedule.
+    and needs characteristic larger than sum |lambda_i| r_i.  Rank all-one
+    zero fibers sum over valuation patterns; every other fiber walks all
+    points x, each contributing |Ker A(x)| for the moment matrix A(x) of
+    moment_theta_basis (see _walk).
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     n = Q.num_vertices
     r = tuple(int(x) for x in r)
     lam = tuple(int(v) for v in (lam if lam is not None else (0,) * n))
     if len(r) != n or len(lam) != n:
         raise DimensionMismatch(
             f"rank vector and lambda need {n} entries, got {len(r)} and {len(lam)}")
+    if min(r, default=0) < 0:
+        raise UnsupportedParameter(f"rank entries must be >= 0, got {list(r)}")
     check_space_cap(Q, alpha, r, q, caps)
     ring = ORing(q, alpha)
     if any(lam):
@@ -523,13 +511,16 @@ def moment_fiber_count(Q: Quiver, alpha: int, r, q: int, lam=None,
                 mult *= counts_per_val[v]
             total += mult * q ** ke
         return total
-    if jobs > 1:
-        import multiprocessing
-        ctx = multiprocessing.get_context("fork")
-        payloads = [(Q.to_json(), alpha, r, q, lam, shard, jobs) for shard in range(jobs)]
-        with ctx.Pool(jobs) as pool:
-            return sum(pool.map(_fiber_shard, payloads))
-    return _fiber_shard((Q.to_json(), alpha, r, q, lam, 0, 1))
+    basis = np.array(moment_theta_basis(Q, r), dtype=np.int64)
+    target = None
+    if any(lam):
+        target = np.zeros((basis.shape[1], 1, alpha), dtype=np.int16)
+        offset = 0
+        for i, ri in enumerate(r):
+            for u in range(ri):
+                target[offset + u * ri + u, 0, alpha - 1] = ring.field.from_int(lam[i])
+            offset += ri * ri
+    return _walk(ring.field, basis, alpha, target)
 
 
 def _char(q: int) -> int:
@@ -552,11 +543,12 @@ def _check_generic(Q: Quiver, r, q: int, lam) -> None:
 
 
 def jet_counts(Q: Quiver, d, q: int, n_max: int,
-               caps: Caps = DEFAULT_CAPS, jobs: int = 1) -> list:
-    """N_n = #mu^{-1}(0)(F_q[t]/(t^n)) for n = 1..n_max."""
+               caps: Caps = DEFAULT_CAPS) -> list:
+    """N_n = #mu^{-1}(0)(F_q[t]/(t^n)) for n = 1..n_max, each one
+    moment_fiber_count(Q, n, d, q)."""
     if n_max < 1:
         raise UnsupportedParameter(f"n_max must be >= 1, got {n_max}")
-    return [moment_fiber_count(Q, n, d, q, None, caps, jobs) for n in range(1, n_max + 1)]
+    return [moment_fiber_count(Q, n, d, q, None, caps) for n in range(1, n_max + 1)]
 
 
 # -- average size of kernels -----------------------------------------------------
@@ -565,8 +557,9 @@ def ask_counts(theta_basis, q: int, n_max: int,
                caps: Caps = DEFAULT_CAPS) -> list:
     """ask_n of the linear matrix family a -> sum a_k B_k for n = 1..n_max.
 
-    theta_basis is a list of integer matrices (same shape); ask_n averages
-    |Ker| over all coefficient tuples with entries in O_n.
+    theta_basis is a list of K integer matrices (same shape); ask_n averages
+    |Ker| over all coefficient tuples with entries in O_n: the _walk sum
+    over O_n divided by q^(nK).
     """
     if n_max < 1:
         raise UnsupportedParameter(f"n_max must be >= 1, got {n_max}")
@@ -584,11 +577,7 @@ def ask_counts(theta_basis, q: int, n_max: int,
     for n in range(1, n_max + 1):
         if r_a * n * math.log2(q) > caps.max_space_log2:
             raise CapExceeded(f"coefficient space exceeds cap at level {n}")
-        total = 0
-        for digits in _point_chunks(q, r_a * n, _chunk_size(rows * cols * n)):
-            mats = _combine(field, basis, digits.reshape(-1, r_a, n))
-            total += _sum_q_powers(q, _kernel_exponents(field, mats))
-        out.append(Fraction(total, q ** (n * r_a)))
+        out.append(Fraction(_walk(field, basis, n), q ** (n * r_a)))
     return out
 
 

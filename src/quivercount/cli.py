@@ -45,7 +45,10 @@ def _caps(args) -> Caps:
 
 
 def _emit(args, text: str, payload) -> None:
-    out = args.out and open(args.out, "w") or sys.stdout
+    try:
+        out = open(args.out, "w") if args.out else sys.stdout
+    except OSError as exc:
+        raise SystemExit(f"cannot write output file {args.out}: {exc}")
     try:
         if args.format == "json":
             json.dump(payload, out, indent=2, sort_keys=True)
@@ -58,7 +61,10 @@ def _emit(args, text: str, payload) -> None:
 
 
 def _parse_ints(text: str):
-    return tuple(int(x) for x in text.split(","))
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise SystemExit(f"not a comma-separated list of integers: {text!r}")
 
 
 def cmd_kac(args) -> int:
@@ -112,8 +118,7 @@ def cmd_fiber_count(args) -> int:
     if args.q is None:
         raise SystemExit("brute-force fiber counts need --q")
     lam = _parse_ints(args.lam) if args.lam else None
-    count = bruteforce.moment_fiber_count(Q, args.alpha, rank, args.q, lam,
-                                          _caps(args), jobs=args.jobs)
+    count = bruteforce.moment_fiber_count(Q, args.alpha, rank, args.q, lam, _caps(args))
     _emit(args, str(count), {"alpha": args.alpha, "q": args.q,
                              "rank": list(rank), "count": count})
     return 0
@@ -122,15 +127,18 @@ def cmd_fiber_count(args) -> int:
 def cmd_jet_series(args) -> int:
     Q = _load_quiver(args.quiver)
     rank = _parse_ints(args.rank) if args.rank else (1,) * Q.num_vertices
-    counts = bruteforce.jet_counts(Q, rank, args.q, args.n_max, _caps(args), args.jobs)
+    counts = bruteforce.jet_counts(Q, rank, args.q, args.n_max, _caps(args))
     text = " ".join(str(c) for c in counts)
     _emit(args, text, {"q": args.q, "rank": list(rank), "counts": counts})
     return 0
 
 
 def cmd_ask(args) -> int:
-    with open(args.theta) as fh:
-        basis = json.load(fh)
+    try:
+        with open(args.theta) as fh:
+            basis = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"cannot read matrix family file {args.theta}: {exc}")
     values = bruteforce.ask_counts(basis, args.q, args.n_max, _caps(args))
     text = " ".join(str(v) for v in values)
     _emit(args, text, {"q": args.q, "ask": [str(v) for v in values]})
@@ -184,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--out", help="write output to a file instead of stdout")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker count for sum reductions")
+                        help="accepted for compatibility (at least 1); has no effect, "
+                             "every count runs in one process")
     parser.add_argument("--max-space-log2", type=int, default=24)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -19,13 +19,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 
-from .errors import CapExceeded, UnsupportedParameter
+from .errors import CapExceeded, DimensionMismatch, UnsupportedParameter
 from .localring import OMatrix, ORing, smith_invariants
 
 MAX_TOTAL_RANK = 4
 MAX_ALPHA = 3
 MAX_Q = 9
-MAX_SUMMAND_PAIRS = 2 * 10 ** 5  # a flag table of ~10 s, 150 MiB at 50 us, 0.75 KiB a pair
+MAX_SUMMAND_PAIRS = 2 * 10 ** 5  # a flag table of ~4 s, 40 MiB at 20 us, 0.2 KiB a pair
 
 # sample points for reading off structure constants as polynomials in q;
 # six points pin the degree (at most 2 alpha <= 4) with room to spare
@@ -159,19 +159,6 @@ def free_summands(ring: ORing, ambient: int, k: int):
     return _SUMMAND_CACHE[key]
 
 
-def _complete_basis(ring: ORing, basis: OMatrix, pivots) -> OMatrix:
-    """Extend a summand basis to an invertible square matrix by appending
-    the standard vectors of the non-pivot rows; up to a row permutation
-    the result is unitriangular."""
-    n = basis.rows
-    rest = [i for i in range(n) if i not in pivots]
-    full = OMatrix(ring, [row + tuple(ring.one if i == e else ring.zero for e in rest)
-                          for i, row in enumerate(basis.entries)], shape=(n, n))
-    if not full.is_invertible():
-        raise AssertionError("basis completion failed")
-    return full
-
-
 def _summand_count(n: int, k: int, q: int, alpha: int) -> int:
     """len(_free_summands(ring, n, k)) = q^((alpha-1)k(n-k)) [n choose k]_q."""
     return (q ** ((alpha - 1) * k * (n - k)) * math.prod(q ** (n - i) - 1 for i in range(k))
@@ -193,9 +180,19 @@ def _check_caps(rank, sub_rank, alpha, q):
 _FLAG_CACHE = {}
 
 
+def _block(x: OMatrix, rows, cols) -> OMatrix:
+    return OMatrix(x.ring, [[x.entries[i][j] for j in cols] for i in rows],
+                   shape=(len(rows), len(cols)))
+
+
 def _flag_table(q: int, alpha: int, rank, sub_rank):
     """For each orbit label: the (sub-label, quotient-label) census over all
     x-stable free summand pairs of the given sub-rank.
+
+    A summand basis B is the identity on its pivot rows P, so in the basis
+    [B | e_rest] of O^n a vector v has coordinates v[P] on B and
+    v[rest] - B[rest] v[P] on e_rest.  In these bases x has the sub block
+    (x B1)[P2] and the quotient block x[rest2, rest1] - B2[rest2] x[P2, rest1].
 
     The table drives every product in this degree, so it is built once per
     (q, alpha, rank, sub_rank)."""
@@ -203,29 +200,27 @@ def _flag_table(q: int, alpha: int, rank, sub_rank):
     if key in _FLAG_CACHE:
         return _FLAG_CACHE[key]
     ring = ORing(q, alpha)
-    pairs1 = free_summands(ring, rank[0], sub_rank[0])
-    pairs2 = free_summands(ring, rank[1], sub_rank[1])
-    adapted1 = [(_complete_basis(ring, b, piv), b.cols) for b, piv in pairs1]
-    adapted2 = [(_complete_basis(ring, b, piv).inverse(), b.cols, b, piv)
-                for b, piv in pairs2]
+    k1, k2 = sub_rank
+    pairs1 = free_summands(ring, rank[0], k1)
+    pairs2 = []
+    for basis, pivots in free_summands(ring, rank[1], k2):
+        rest = [i for i in range(rank[1]) if i not in pivots]
+        pairs2.append((basis, pivots, rest, _block(basis, rest, range(k2))))
     table = {}
     for label in all_orbit_labels(rank, alpha):
         x = orbit_representative(ring, rank, label)
         census = {}
-        for B1, k1 in adapted1:
-            images = [x.apply(tuple(B1.entries[i][j] for i in range(rank[0])))
-                      for j in range(k1)]
-            for B2inv, k2, basis2, pivots2 in adapted2:
+        for basis1, pivots1 in pairs1:
+            images = [x.apply(column) for column in zip(*basis1.entries)]
+            rest1 = [j for j in range(rank[0]) if j not in pivots1]
+            for basis2, pivots2, rest2, below2 in pairs2:
                 # v lies in the summand iff it is the combination of the
                 # basis columns with its own pivot entries as coefficients
-                if any(basis2.apply([v[p] for p in pivots2]) != v for v in images):
+                coords = [tuple(v[p] for p in pivots2) for v in images]
+                if any(basis2.apply(c) != v for c, v in zip(coords, images)):
                     continue
-                x_adapted = B2inv * x * B1
-                sub = OMatrix(ring, [[x_adapted.entries[i][j] for j in range(k1)]
-                                     for i in range(k2)], shape=(k2, k1))
-                quo = OMatrix(ring, [[x_adapted.entries[i][j] for j in range(k1, x.cols)]
-                                     for i in range(k2, x.rows)],
-                              shape=(x.rows - k2, x.cols - k1))
+                sub = OMatrix(ring, list(zip(*coords)), shape=(k2, k1))
+                quo = _block(x, rest2, rest1) - below2 * _block(x, pivots2, rest1)
                 pair = (orbit_label_of(sub, alpha), orbit_label_of(quo, alpha))
                 census[pair] = census.get(pair, 0) + 1
         table[label] = census
@@ -317,6 +312,11 @@ def structure_constants(rank1, rank2, alpha: int, q: int):
     {(label1, label2): {label: value}}."""
     if alpha < 1:
         raise UnsupportedParameter(f"alpha must be >= 1, got {alpha}")
+    for rank in (rank1, rank2):
+        if len(rank) != 2:
+            raise DimensionMismatch(f"Hall degrees need 2 entries, got {len(rank)}")
+        if min(rank) < 0:
+            raise UnsupportedParameter(f"Hall degrees must be >= 0, got {list(rank)}")
     out = {}
     for lab1 in all_orbit_labels(rank1, alpha):
         for lab2 in all_orbit_labels(rank2, alpha):

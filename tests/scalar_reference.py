@@ -9,6 +9,7 @@ Schubert-cell enumeration; the tests require the package to give equal
 results.
 """
 
+import functools
 from fractions import Fraction
 from itertools import product
 
@@ -214,6 +215,7 @@ def iso_classes(Q, alpha, r, q):
     return count
 
 
+@functools.cache  # the flag-table oracle asks for each list once per sub-rank
 def free_summands(ring, ambient, k):
     """Rank-k direct summands of O^ambient: (basis matrix, element set) pairs.
 

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
-from quivercount.bruteforce import (Caps, _fiber_shard, _hook, ask_counts,
+from quivercount.bruteforce import (Caps, _hook, _walk, ask_counts,
                                     count_absolutely_indecomposable,
                                     count_iso_classes, enumerate_orbits,
                                     jet_counts, moment_fiber_count,
@@ -16,7 +16,7 @@ from quivercount.bruteforce import (Caps, _fiber_shard, _hook, ask_counts,
                                     rep_space_dim, group_order)
 from quivercount.errors import (CapExceeded, CharacteristicTooSmall,
                                 DimensionMismatch, NonGenericLambda)
-from quivercount.localring import ORing, gl_order
+from quivercount.localring import Fq, ORing, gl_order
 from quivercount.quiver import (Quiver, _union_find, a2_quiver, cyclic_quiver,
                                 jordan_quiver, kronecker_quiver, loop_quiver)
 
@@ -274,16 +274,6 @@ class TestMomentFibers:
         assert jet_counts(jordan_quiver(), (1,), 2, 3) == [4, 16, 64]
         assert jet_counts(jordan_quiver(), (1,), 3, 2) == [9, 81]
 
-    def test_jobs_deterministic(self):
-        a = moment_fiber_count(loop_quiver(2), 1, (2,), 2, None)
-        b = moment_fiber_count(loop_quiver(2), 1, (2,), 2, None, jobs=2)
-        assert a == b == 11776
-
-    @pytest.mark.parametrize("jobs", [0, -1])
-    def test_jobs_must_be_positive(self, jobs):
-        with pytest.raises(ValueError):
-            moment_fiber_count(loop_quiver(2), 1, (2,), 2, None, jobs=jobs)
-
     @pytest.mark.parametrize("r,lam", [((1, 1, 1), None), ((1,), None),
                                        ((1, 1), (1, -1, 7)), ((1, 1), (1,))])
     def test_vector_lengths_must_match_vertices(self, r, lam):
@@ -388,9 +378,9 @@ class TestBatchedWalksMatchScalar:
     @pytest.mark.parametrize("Q,alpha,q", _named(RANK_ONE_FIBERS_LARGE))
     def test_rank_one_zero_fiber_against_point_walk(self, Q, alpha, q):
         # the general walk over every point, with no valuation patterns
-        n = Q.num_vertices
-        walk = _fiber_shard((Q.to_json(), alpha, (1,) * n, q, (0,) * n, 0, 1))
-        assert moment_fiber_count(Q, alpha, (1,) * n, q) == walk
+        r = (1,) * Q.num_vertices
+        walk = _walk(Fq(q), np.array(moment_theta_basis(Q, r), dtype=np.int64), alpha)
+        assert moment_fiber_count(Q, alpha, r, q) == walk
 
     @pytest.mark.parametrize("family,r,q,n_max", JETS, ids=_ident)
     def test_jets(self, family, r, q, n_max):
@@ -403,12 +393,21 @@ class TestBatchedWalksMatchScalar:
         Q = _quiver(family)
         want = ref.deformed_fiber(Q, alpha, r, q, lam)
         assert moment_fiber_count(Q, alpha, r, q, lam) == want
-        assert moment_fiber_count(Q, alpha, r, q, lam, jobs=2) == want
 
     @pytest.mark.parametrize("family,r,q,n_max", ASKS, ids=_ident)
     def test_ask(self, family, r, q, n_max):
         theta = moment_theta_basis(_quiver(family), r)
         assert ask_counts(theta, q, n_max) == ref.ask_counts(theta, q, n_max)
+
+    @pytest.mark.parametrize("family,r,q,n_max", [(L2, (2,), 2, 1), (K3, (1, 2), 2, 1),
+                                                  (A2, (2, 1), 3, 2)], ids=_ident)
+    def test_ask_of_the_moment_family_is_the_zero_fiber(self, family, r, q, n_max):
+        # the zero fiber sums |Ker A(x)| over the K coordinates of x, ask_n averages it
+        Q = _quiver(family)
+        theta = moment_theta_basis(Q, r)
+        scaled = [a * q ** (n * len(theta))
+                  for n, a in enumerate(ask_counts(theta, q, n_max), start=1)]
+        assert scaled == jet_counts(Q, r, q, n_max)
 
     @pytest.mark.parametrize("g,alpha,q", ISO_CLASSES, ids=_ident)
     def test_iso_classes(self, g, alpha, q):

@@ -116,34 +116,19 @@ class TestCommands:
 
 
 class TestDeterminism:
-    def test_jobs_do_not_change_output(self, c3_file):
-        runs = []
+    def test_jobs_do_not_change_output(self, gloop2_file, c3_file):
+        # --jobs has no effect; the fiber calls are the benchmark's argv form
+        calls = [(["fiber-count", "--quiver", gloop2_file, "--alpha", "1", "--rank", "2",
+                   "--q", "2"], "11776"),
+                 # 600000 = |GL_r| A_r / (1 - 1/q) with |GL_r| = 20^3 and A_r = 60
+                 (["fiber-count", "--quiver", c3_file, "--alpha", "2", "--q", "5",
+                   "--lam=1,1,-2"], "600000"),
+                 (["jet-series", "--quiver", c3_file, "--rank", "1,1,1", "--q", "2",
+                   "--n-max", "2"], "28 592")]
         for jobs in ("1", "2"):
-            code, out, _ = run_cli(["--jobs", jobs, "jet-series", "--quiver",
-                                    c3_file, "--rank", "1,1,1", "--q", "2",
-                                    "--n-max", "2"])
-            assert code == 0
-            runs.append(out)
-        assert runs[0] == runs[1]
-
-    def test_jobs_do_not_change_sharded_output(self, gloop2_file):
-        # rank 2 is not all ones, so --jobs 2 starts the worker pool
-        for jobs in ("1", "2"):
-            code, out, _ = run_cli(["--jobs", jobs, "fiber-count", "--quiver",
-                                    gloop2_file, "--alpha", "1", "--rank", "2",
-                                    "--q", "2"])
-            assert code == 0 and out.strip() == "11776"
-
-    def test_jobs_do_not_change_deformed_output(self, c3_file):
-        # 5^6 points in chunks of at most 2^15 / (3 * 4 * 2) = 1365, so each
-        # of the two workers walks several chunks; 600000 = |GL_r| A_r / (1 - 1/q)
-        # with |GL_r| = 20^3 and A_r = 60 (here <r,r> = 0)
-        from quivercount.bruteforce import _chunk_size
-        assert 5 ** 6 > 2 * _chunk_size(3 * 4 * 2)
-        for jobs in ("1", "2"):
-            code, out, _ = run_cli(["--jobs", jobs, "fiber-count", "--quiver", c3_file,
-                                    "--alpha", "2", "--q", "5", "--lam=1,1,-2"])
-            assert code == 0 and out.strip() == "600000"
+            for argv, want in calls:
+                code, out, _ = run_cli(["--jobs", jobs] + argv)
+                assert code == 0 and out.strip() == want
 
     def test_repeat_runs_identical(self, c3_file):
         outs = {run_cli(["kac", "--quiver", c3_file, "--alpha", "2"])[1]
@@ -197,6 +182,8 @@ class TestErrorPaths:
         (["--alpha", "1", "--q", "6"], "field size"),
         (["--alpha", "1", "--symbolic", "--rank", "1,1,1"], "2 entries"),
         (["--alpha", "1", "--symbolic", "--rank", "1"], "2 entries"),
+        (["--alpha", "1", "--q", "5", "--rank", "1,a"], "comma-separated list of integers"),
+        (["--alpha", "1", "--q", "5", "--rank=-1,1"], "rank entries must be >= 0"),
     ])
     def test_malformed_fiber_input(self, a2_file, args, message):
         code, out, err = run_cli(["fiber-count", "--quiver", a2_file] + args)
@@ -225,9 +212,30 @@ class TestErrorPaths:
         (["fiber-count", "--quiver", "{a2}", "--symbolic", "--alpha", "-1"], "alpha"),
         (["jet-series", "--quiver", "{a2}", "--q", "2", "--n-max", "-1"], "n_max"),
         (["hall", "--alpha", "-1", "--q", "2", "--rank1", "1,0", "--rank2", "0,1"], "alpha"),
+        (["jet-series", "--quiver", "{a2}", "--q", "2", "--n-max", "1", "--rank=-1,1"],
+         "rank entries must be >= 0"),
+        (["hall", "--alpha", "1", "--q", "2", "--rank1=-1,0", "--rank2", "0,1"],
+         "degrees must be >= 0"),
+        (["hall", "--alpha", "1", "--q", "2", "--rank1", "1", "--rank2", "0,1"], "2 entries"),
     ], ids=lambda v: v[0] if isinstance(v, list) else v)
     def test_out_of_range_parameter(self, gloop2_file, a2_file, args, message):
         argv = [arg.format(gloop2=gloop2_file, a2=a2_file) for arg in args]
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and message in err
+
+    @pytest.mark.parametrize("args,message", [
+        (["ask", "--theta", "{missing}", "--q", "2", "--n-max", "1"],
+         "cannot read matrix family file"),
+        (["ask", "--theta", "{bad}", "--q", "2", "--n-max", "1"],
+         "cannot read matrix family file"),
+        (["--out", "{missing}/out.txt", "kac-gloop", "--g", "1", "--alpha", "1", "--rank", "2"],
+         "cannot write output file"),
+    ], ids=["theta-missing", "theta-not-json", "out-dir-missing"])
+    def test_unreadable_file(self, tmp_path, args, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        argv = [arg.format(missing=tmp_path / "missing", bad=bad) for arg in args]
         code, out, err = run_cli(argv)
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and message in err

@@ -87,7 +87,7 @@ class TestFreeSummands:
             assert [basis.entries[p] for p in pivots] == [(ring.one, ring.zero),
                                                          (ring.zero, ring.one)]
 
-    @pytest.mark.parametrize("q,alpha", [(2, 1), (2, 2), (3, 1)])
+    @pytest.mark.parametrize("q,alpha", [(2, 1), (2, 2), (3, 1), (4, 1), (2, 3)])
     @pytest.mark.parametrize("rank", [(1, 1), (2, 1), (1, 2), (2, 2)])
     def test_flag_tables_equal_the_oracle(self, q, alpha, rank):
         for sub in product(range(rank[0] + 1), range(rank[1] + 1)):
@@ -135,7 +135,7 @@ class TestProductOracles:
         # 9^8 [4 choose 2]_9 rank-2 summands of O_3^4, each rank within its cap
         (((2, 0), (2, 0)), 3, 9,
          "capped at 200000 summand pairs; this product needs 321214632102 summand pairs"),
-        # above the cap: 5^4 [4 choose 2]_5, a table of some 25 s
+        # above the cap: 5^4 [4 choose 2]_5, a table of some 10 s
         (((2, 0), (2, 0)), 2, 5,
          "capped at 200000 summand pairs; this product needs 503750 summand pairs"),
     ])
