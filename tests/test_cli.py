@@ -116,19 +116,35 @@ class TestCommands:
 
 
 class TestDeterminism:
-    def test_jobs_do_not_change_output(self, gloop2_file, c3_file):
-        # --jobs has no effect; the fiber calls are the benchmark's argv form
-        calls = [(["fiber-count", "--quiver", gloop2_file, "--alpha", "1", "--rank", "2",
-                   "--q", "2"], "11776"),
-                 # 600000 = |GL_r| A_r / (1 - 1/q) with |GL_r| = 20^3 and A_r = 60
-                 (["fiber-count", "--quiver", c3_file, "--alpha", "2", "--q", "5",
-                   "--lam=1,1,-2"], "600000"),
-                 (["jet-series", "--quiver", c3_file, "--rank", "1,1,1", "--q", "2",
-                   "--n-max", "2"], "28 592")]
+    def test_jobs_do_not_change_output(self, c3_file):
+        # --jobs is accepted for compatibility and has no effect
+        runs = []
         for jobs in ("1", "2"):
-            for argv, want in calls:
-                code, out, _ = run_cli(["--jobs", jobs] + argv)
-                assert code == 0 and out.strip() == want
+            code, out, _ = run_cli(["--jobs", jobs, "jet-series", "--quiver",
+                                    c3_file, "--rank", "1,1,1", "--q", "2",
+                                    "--n-max", "2"])
+            assert code == 0 and out.strip() == "28 592"
+            runs.append(out)
+        assert runs[0] == runs[1]
+
+    def test_jobs_do_not_change_sharded_output(self, gloop2_file):
+        # rank 2 is not all ones; this is the benchmark's argv form
+        for jobs in ("1", "2"):
+            code, out, _ = run_cli(["--jobs", jobs, "fiber-count", "--quiver",
+                                    gloop2_file, "--alpha", "1", "--rank", "2",
+                                    "--q", "2"])
+            assert code == 0 and out.strip() == "11776"
+
+    def test_jobs_do_not_change_deformed_output(self, c3_file):
+        # 5^6 points in chunks of at most 2^15 / (3 * 4 * 2) = 1365, so the
+        # serial walk crosses several chunks; 600000 = |GL_r| A_r / (1 - 1/q)
+        # with |GL_r| = 20^3 and A_r = 60 (here <r,r> = 0)
+        from quivercount.bruteforce import _chunk_size
+        assert 5 ** 6 > 2 * _chunk_size(3 * 4 * 2)
+        for jobs in ("1", "2"):
+            code, out, _ = run_cli(["--jobs", jobs, "fiber-count", "--quiver", c3_file,
+                                    "--alpha", "2", "--q", "5", "--lam=1,1,-2"])
+            assert code == 0 and out.strip() == "600000"
 
     def test_repeat_runs_identical(self, c3_file):
         outs = {run_cli(["kac", "--quiver", c3_file, "--alpha", "2"])[1]
