@@ -1,10 +1,13 @@
 """Exhaustive enumeration oracles over O_alpha = F_q[t]/(t^alpha).
 
 Everything here counts by brute force: points are integer indices whose
-base-q digits are their coordinates, group orbits are the components of the
-permutations of a few generators, and all higher-level identities in the
-package are checked against these counts.  Correctness first; caps keep the
-instances at desk scale.
+base-q digits are their coordinates, and group orbits are the components of
+the graph of a few generators.  The first generator's orbits are its
+cycles.  Each later generator adds edges from orbit roots only: from the
+roots of the orbits so far while it normalizes the group generated before
+it, and from those of a normal subgroup after that (see _orbit_labels).
+All higher-level identities in the package are checked against these
+counts.  Correctness first; caps keep the instances at desk scale.
 
 A representation point is a tuple of OMatrix values, one per arrow, of
 shape r_target x r_source.  The group GL_{alpha,r} = prod_i GL_{r_i}(O_alpha)
@@ -21,7 +24,7 @@ from itertools import permutations, product
 import numpy as np
 
 from .errors import (CapExceeded, CharacteristicTooSmall, DimensionMismatch,
-                     NonGenericLambda, UnsupportedParameter)
+                     InvalidType, NonGenericLambda, UnsupportedParameter)
 from .localring import (Fq, OMatrix, ORing, _mul_batch, gl_enumerate, gl_order,
                         kernel_size_exponent, smith_invariants_batch)
 from .quiver import Quiver, _betti_by_subset, _union_find
@@ -31,8 +34,9 @@ from .quiver import Quiver, _betti_by_subset, _union_find
 class Caps:
     """Resource limits; defaults sized so the verification suite finishes
     in minutes.  max_space_log2 caps the points of every walk and census (a
-    census holds int32 arrays, 30 bytes a point in rank all-one: 0.5 GiB at
-    2^24); max_group caps the group that count_iso_classes enumerates."""
+    census holds int32 arrays: at 2^20 points it peaks at 24 bytes a point
+    in rank all-one and 29 on a 2 x 2 loop, some 0.4 and 0.45 GiB at 2^24);
+    max_group caps the group that count_iso_classes enumerates."""
     max_space_log2: int = 24
     max_group: int = 10 ** 5
 
@@ -132,9 +136,7 @@ def enumerate_orbits(Q: Quiver, alpha: int, r, q: int,
     r = tuple(int(x) for x in r)
     check_space_cap(Q, alpha, r, q, caps)
     ring = ORing(q, alpha)
-    labels = _orbit_labels(Q, ring, r)
-    reps = np.flatnonzero(labels == np.arange(labels.size))
-    sizes = np.bincount(labels)[reps]
+    reps, sizes = _orbit_labels(Q, ring, r)
     shapes = [(r[t], r[s]) for s, t in Q.arrows]
     n_coords = sum(rows * cols for rows, cols in shapes)
     width = n_coords * alpha
@@ -168,8 +170,7 @@ def count_absolutely_indecomposable(Q: Quiver, alpha: int, r, q: int,
         # orbit labels alone: in rank all-one an orbit is absolutely
         # indecomposable iff its support subquiver is connected
         check_space_cap(Q, alpha, r, q, caps)
-        labels = _orbit_labels(Q, ORing(q, alpha), r)
-        reps = np.flatnonzero(labels == np.arange(labels.size))
+        reps, _ = _orbit_labels(Q, ORing(q, alpha), r)
         radix = q ** alpha
         support_mask = sum((reps // radix ** (Q.num_arrows - 1 - a) % radix != 0).astype(np.int64)
                            << a for a in range(Q.num_arrows))
@@ -182,109 +183,227 @@ def count_absolutely_indecomposable(Q: Quiver, alpha: int, r, q: int,
 # -- orbits as components of the generator graph --------------------------------
 
 def _generators(ring: ORing, r, scalar_free):
-    """Generators of GL_{alpha,r} up to scalars, as (vertex, row operation
-    of g, column operation of g^-1); (k, l, c) scales line k by c if k == l,
-    else adds c times line l to line k.  With b in an F_p-basis of F_q, the
-    transvections I + b t^j e_kl and, in the diagonal slots, a generator of
-    F_q^* and the units 1 + b t^j (j >= 1) generate, by elimination over a
-    local ring.  Scalars constant on a component act trivially, so slot 0
-    of the vertices in scalar_free gets no units."""
+    """Generators of GL_{alpha,r} up to scalars, as (level, vertex, row
+    operation of g, column operation of g^-1); (k, l, c) scales line k by c
+    if k == l, else adds c times line l to line k.  With b in an F_p-basis
+    of F_q, the transvections I + b t^j e_kl and, in the diagonal slots, a
+    generator of F_q^* and the units 1 + b t^j (j >= 1) generate, by
+    elimination over a local ring.  The level of a generator is its j, and 0
+    for the generator of F_q^*.  Scalars constant on a component act
+    trivially, so slot 0 of the vertices in scalar_free gets no units."""
     field = ring.field
     basis = [1] if field.k == 1 else [1, field.p]
-    shifts = [ring.scalar_mul(b, ring.t_power(j)) for j in range(ring.alpha) for b in basis]
-    units = [ring.add(ring.one, c) for c in shifts[len(basis):]]
+    shifts = [(j, ring.scalar_mul(b, ring.t_power(j))) for j in range(ring.alpha) for b in basis]
+    units = [(j, ring.add(ring.one, c)) for j, c in shifts if j]
     if field.q > 2:
-        units.append(ring.from_coeffs([next(a for a in range(2, field.q)
-                                            if field.element_order(a) == field.q - 1)]))
+        units.append((0, ring.from_coeffs([next(a for a in range(2, field.q)
+                                                if field.element_order(a) == field.q - 1)])))
     for i, ri in enumerate(r):
         for k in range(1 if i in scalar_free else 0, ri):
-            for u in units:
-                yield i, (k, k, u), (k, k, ring.inv(u))
+            for j, u in units:
+                yield j, i, (k, k, u), (k, k, ring.inv(u))
         for k, l in permutations(range(ri), 2):
-            for c in shifts:
-                yield i, (k, l, c), (l, k, ring.neg(c))
+            for j, c in shifts:
+                yield j, i, (k, l, c), (l, k, ring.neg(c))
 
 
-def _hook(labels: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """labels joined along the edges x -> perm[x], where labels[x] is the
-    least point of the component of x: each round hooks the larger root of
-    every crossing edge onto the smaller, then pointer jumping follows."""
+def _find(labels: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The roots of points in the forest labels (labels[x] <= x, and a root
+    labels itself), by pointer jumping; the points are then hung on them."""
+    roots = points
     while True:
-        other = labels[perm]
-        cross = labels != other
-        if not cross.any():
-            return labels
-        ends, other = labels[cross], other[cross]
-        labels[np.maximum(ends, other)] = np.minimum(ends, other)
-        while True:
-            jumped = labels[labels]
-            if np.array_equal(jumped, labels):
-                break
-            labels = jumped
+        up = labels[roots]
+        if (up == roots).all():
+            labels[points] = roots
+            return roots
+        roots = up
 
 
-def _orbit_labels(Q: Quiver, ring: ORing, r) -> np.ndarray:
-    """The least point index in the GL-orbit of every point of R(Q, alpha; r).
+def _hook(labels: np.ndarray, ends: np.ndarray, others: np.ndarray) -> None:
+    """Join, in the forest labels, the tree of each ends[i] with that of
+    others[i]: each round hooks the larger root of every crossing edge onto
+    the smaller, so that every root stays the least point of its tree.  An
+    edge whose hook another write to the same root overrode goes round
+    again."""
+    while True:
+        roots = _find(labels, np.concatenate([ends, others]))
+        ends, others = roots[:len(ends)], roots[len(ends):]
+        cross = ends != others
+        ends, others = ends[cross], others[cross]
+        high, low = np.maximum(ends, others), np.minimum(ends, others)
+        labels[high] = low
+        lost = labels[high] != low
+        if not lost.any():
+            return
+        ends, others = high[lost], low[lost]
+
+
+def _orbit_labels(Q: Quiver, ring: ORing, r):
+    """(representatives, orbit sizes) of the GL-orbits on R(Q, alpha; r),
+    each representative the least point index of its orbit, in increasing
+    order.
 
     The base-q digits of a point index, most significant first, are its
     coordinates (arrow by arrow, entries row-major, t^0 first), so index
     order is lexicographic order.  In mixed radix an index has one digit per
-    arrow a, the value of x_a, of radix R_a = (q^alpha)^(r_t r_s).  A generator
-    maps each x_a by a table T_a over its R_a values (line_op), so its permutation
-    adds (T_a - id) place_a to the index along axis 1 of a (high, R_a, low) view.
+    arrow a, the value of x_a, of radix R_a = (q^alpha)^(r_t r_s) and place
+    P_a.  A generator maps each x_a by a table T_a over its R_a values, so
+    it moves an index by the sum over arrows of (T_a - id)[x_a] P_a.
+
+    Orbits are the trees of a forest, labels, whose roots are least points:
+    - The orbits of the first generator g are its cycles: each point hangs
+      on the least of its images under g^0, ..., g^(m-1).
+    - A later generator g is hooked (_hook) along the edges x -> g x from
+      the current roots x only.  That suffices while g normalizes the group
+      H generated before it, for g then maps H-orbits onto H-orbits.  The
+      generators come by falling level (see _generators), and within level
+      0 the rank-one vertices first.  K_j = I + t^j M_r(O) is normal, and
+      for j >= 1 the commutators [K_j, K_j] lie in K_2j, within K_(j+1);
+      scalars constant on a component act trivially, and a level-0
+      generator at a rank-one vertex is central.  So each of these
+      generators normalizes H.
+    - From the first level-0 generator at a vertex of rank >= 2 on, the
+      edges come from the roots of that moment: the orbits of K_1 times the
+      central part, a normal subgroup.
+    An orbit's size is the sum of the lengths of the cycles of g in it,
+    carried on the cycle roots: no pass over all points follows the hooks.
     """
     q, alpha = ring.q, ring.alpha
     size = q ** alpha
     shapes = [(r[t], r[s]) for s, t in Q.arrows]
     radices = [size ** (rows * cols) for rows, cols in shapes]
+    places = [math.prod(radices[a + 1:]) for a in range(len(radices))]
     n_points = math.prod(radices)
     if n_points > np.iinfo(np.int32).max:  # every value below is under n_points: int32 is exact
         raise CapExceeded(f"census capped at 2^31 - 1 points (int32); this space has {n_points}")
     add, mul = ring.field.arrays[:2]
-    places = q ** np.arange(alpha - 1, -1, -1, dtype=np.int32)
-    digits = (np.arange(size)[:, None] // places % q).astype(np.int16)
-    plus = ((add[digits[:, None] * q + digits] @ places).ravel()
+    coeff_places = q ** np.arange(alpha - 1, -1, -1, dtype=np.int32)
+    digits = (np.arange(size)[:, None] // coeff_places % q).astype(np.int16)
+    plus = ((add[digits[:, None] * q + digits] @ coeff_places).ravel()
             if any(rows * cols > 1 for rows, cols in shapes) else None)
+    entry_places = [size ** np.arange(rows * cols - 1, -1, -1, dtype=np.int32).reshape(rows, cols)
+                    for rows, cols in shapes]
+    products = {}
 
-    def line_op(lines, op):
-        k, l, c = op
-        times = _mul_batch(q, add, mul, digits, np.array(c, dtype=np.int16)) @ places
-        lines[k] = times[lines[l]] if k == l else plus[lines[k] * size + times[lines[l]]]
+    def times(c):
+        """Multiplication by c, as a table over the values of an entry."""
+        if c not in products:
+            products[c] = _mul_batch(q, add, mul, digits, np.array(c, dtype=np.int16)) @ coeff_places
+        return products[c]
 
-    index = np.arange(n_points, dtype=np.int32)
-    entries = {}
-    labels = index.copy()
+    def line_op(line, k, l, c):
+        """Line k of x_a before and after the operation, for every value."""
+        old = line(k)
+        image = times(c)[old if k == l else line(l)]
+        return old, image if k == l else plus[old * size + image]
+
+    def move(a, gen, value):
+        """(T_a - id)[value] for an array of values of x_a.  Only the lines
+        of x_a that the operations of gen read or change are built, from the
+        values read as base-q^alpha numbers."""
+        vertex, row_op, col_op = gen
+        s, t = Q.arrows[a]
+        weights = entry_places[a]
+        delta = 0
+        if t == vertex:
+            old, row = line_op(lambda m: value // weights[m, :, None] % size, *row_op)
+            delta = weights[row_op[0]] @ (row - old)
+
+        def column(m):
+            col = value // weights[:, m, None] % size
+            if t == vertex:  # a loop: the columns as the row operation left them
+                col[row_op[0]] = row[m]
+            return col
+
+        if s == vertex:
+            old, col = line_op(column, *col_op)
+            delta = delta + weights[:, col_op[0]] @ (col - old)
+        return delta
+
+    def table(a, gen):
+        """T_a - id over all values of x_a, built in chunks so that the
+        lines of one chunk stay small."""
+        return np.concatenate([
+            move(a, gen, np.arange(start, min(start + _CHUNK_ENTRIES, radices[a]), dtype=np.int32))
+            for start in range(0, radices[a], _CHUNK_ENTRIES)])
+
+    def permutation(deltas):
+        """The image of every point when each x_a moves by its delta_a."""
+        out = np.arange(n_points, dtype=np.int32)
+        for a, delta in deltas:
+            view = out.reshape(-1, radices[a], places[a])
+            view += delta[:, None] * places[a]
+        return out
+
+    def image(gen, arrows, points=None):
+        """gen applied to every point, or to points.  Few points go through
+        their values of x_a, each moved by the table of T_a or, when the
+        points are fewer than its values, directly; many points go through
+        the whole permutation, one pass over all points per arrow."""
+        if points is None or 4 * len(points) >= n_points:
+            out = permutation([(a, table(a, gen)) for a in arrows])
+            return out if points is None else out[points]
+        out = points.copy()
+        for a in arrows:
+            value = points // places[a] % radices[a]
+            out += (table(a, gen)[value] if radices[a] <= len(points)
+                    else move(a, gen, value)) * places[a]
+        return out
+
+    def cycles(gen, arrows):
+        """Hang every point on the least point of its cycle under g; return
+        the cycle roots and their cycle lengths, m / #{k < m : g^k x = x}
+        for the order m of g (below 256 for every field and cap here)."""
+        index = np.arange(n_points, dtype=np.int32)
+        ident = [np.arange(radices[a], dtype=np.int32) for a in arrows]
+        maps = [table(a, gen) + e for a, e in zip(arrows, ident)]
+        powers, order = maps, 1
+        returns = np.zeros(n_points, dtype=np.uint8)
+        while not all(np.array_equal(power, e) for power, e in zip(powers, ident)):
+            step = permutation([(a, power - e) for a, power, e in zip(arrows, powers, ident)])
+            np.minimum(labels, step, out=labels)
+            returns += step == index
+            powers = [m[power] for m, power in zip(maps, powers)]
+            order += 1
+        roots = index[labels == index]
+        return roots, order // (1 + returns[roots])
+
+    labels = np.arange(n_points, dtype=np.int32)
     roots, _ = _union_find(len(r), [(s, t) for s, t in Q.arrows if r[s] and r[t]])
     scalar_free = {v for v, root in enumerate(roots) if v == root}
-    for vertex, row_op, col_op in _generators(ring, r, scalar_free):
-        perm = None
-        for a, (s, t) in enumerate(Q.arrows):
-            # g x g^-1 = x on a 1 x 1 loop; R_a = 1 leaves nothing to move
-            if vertex not in (s, t) or (s == t and r[s] == 1) or radices[a] == 1:
-                continue
-            rows, cols = shapes[a]
-            weights = size ** np.arange(rows * cols - 1, -1, -1, dtype=np.int32)
-            if shapes[a] not in entries:
-                entries[shapes[a]] = (np.arange(radices[a], dtype=np.int32) // weights[:, None]
-                                      % size).reshape(rows, cols, -1)
-            x = entries[shapes[a]].copy()
-            if t == vertex:
-                line_op(x, row_op)
-            if s == vertex:
-                line_op(x.transpose(1, 0, 2), col_op)
-            moved = weights @ x.reshape(rows * cols, -1) - np.arange(radices[a], dtype=np.int32)
-            perm = index.copy() if perm is None else perm
-            view = perm.reshape(-1, radices[a], math.prod(radices[a + 1:]))
-            view += moved[:, None] * view.shape[2]
-        if perm is not None:
-            labels = _hook(labels, perm)
-    return labels
+    # g x g^-1 = x on a 1 x 1 loop; R_a = 1 leaves nothing to move
+    moving = [[a for a, (s, t) in enumerate(Q.arrows)
+               if v in (s, t) and not (s == t and r[v] == 1) and radices[a] > 1]
+              for v in range(len(r))]
+    gens = sorted(_generators(ring, r, scalar_free), key=lambda g: (-g[0], r[g[1]] > 1))
+    cut = next((i for i, g in enumerate(gens) if g[0] == 0 and r[g[1]] > 1), len(gens))
+    cycle_roots = ends = None  # edges from every point while ends is None
+    for i, (_, *gen) in enumerate(gens):
+        arrows = moving[gen[0]]
+        if not arrows:
+            continue
+        if cycle_roots is None:
+            cycle_roots, cycle_sizes = cycles(gen, arrows)
+            ends = cycle_roots if i < cut else None
+        elif ends is None:
+            _hook(labels, np.arange(n_points, dtype=np.int32), image(gen, arrows))
+        else:
+            _hook(labels, ends, image(gen, arrows, ends))
+            if i < cut:
+                ends = ends[labels[ends] == ends]
+    if cycle_roots is None:  # no generator moves a point
+        return labels, np.ones(n_points, dtype=np.int64)
+    final = _find(labels, cycle_roots)
+    reps = cycle_roots[final == cycle_roots]
+    labels[reps] = np.arange(len(reps))  # the forest is done with: number the orbits
+    return reps, np.bincount(labels[final], cycle_sizes, len(reps)).astype(np.int64)
 
 
 # -- batched point walks -------------------------------------------------------
 
 # coefficient entries (matrices x rows x cols x alpha) per batched Smith
-# call: bounds each array of a chunk to 2^15 entries, at most 256 KiB
+# call: bounds each array of a chunk to 2^15 entries, at most 256 KiB; also
+# the values of x_a per chunk of a census table T_a
 _CHUNK_ENTRIES = 1 << 15
 
 
@@ -563,13 +682,17 @@ def ask_counts(theta_basis, q: int, n_max: int,
     """
     if n_max < 1:
         raise UnsupportedParameter(f"n_max must be >= 1, got {n_max}")
-    if not theta_basis:
-        raise ValueError("empty family")
+    if not (isinstance(theta_basis, (list, tuple)) and theta_basis
+            and all(isinstance(b, (list, tuple)) and all(isinstance(row, (list, tuple)) for row in b)
+                    for b in theta_basis)):
+        raise InvalidType("a matrix family is a non-empty list of matrices, each a list of rows")
     rows = len(theta_basis[0])
     cols = len(theta_basis[0][0]) if rows else 0
     if any(len(b) != rows or any(len(row) != cols for row in b) for b in theta_basis):
         raise DimensionMismatch(
             f"basis matrices must all be {rows} x {cols}, with rows of one length")
+    if not all(isinstance(e, (int, np.integer)) for b in theta_basis for row in b for e in row):
+        raise InvalidType("matrix entries must be integers")
     r_a = len(theta_basis)
     basis = np.array(theta_basis, dtype=np.int64).reshape(r_a, rows, cols)
     field = Fq(q)

@@ -8,6 +8,7 @@ arrows are allowed everywhere.
 
 from __future__ import annotations
 
+import functools
 import json
 from itertools import combinations, combinations_with_replacement, permutations
 from math import gcd
@@ -201,15 +202,21 @@ def betti(Q: Quiver) -> int:
 
 def _betti_by_subset(Q: Quiver):
     """Betti numbers and component counts of Q restricted to each arrow
-    subset, both bitmask-indexed."""
-    n = Q.num_vertices
+    subset, both bitmask-indexed tuples."""
+    return _subset_tables(Q.num_vertices, Q.arrows)
+
+
+@functools.lru_cache(maxsize=64)
+def _subset_tables(n: int, arrows: tuple):
+    """_betti_by_subset by vertex count and arrows: a quiver's toric count
+    and its census both read the tables, so each is built once."""
     betti_of, comps = [], []
-    for mask in range(1 << Q.num_arrows):
-        edges = [arrow for a, arrow in enumerate(Q.arrows) if mask >> a & 1]
+    for mask in range(1 << len(arrows)):
+        edges = [arrow for a, arrow in enumerate(arrows) if mask >> a & 1]
         _, merges = _union_find(n, edges)
         comps.append(n - merges)
         betti_of.append(len(edges) - merges)
-    return betti_of, comps
+    return tuple(betti_of), tuple(comps)
 
 
 def is_2_connected(Q: Quiver) -> bool:

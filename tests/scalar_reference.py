@@ -6,19 +6,25 @@ form, the orbit walk applies every group element to each point, and the
 summand walk filters every column tuple by its Smith invariants, as the
 package did before the batched kernel, the generator-graph census and the
 Schubert-cell enumeration; the tests require the package to give equal
-results.
+results.  orbit_labels is the generator-graph census as it was before it
+hooked later generators on the orbit roots only: every generator joins
+the labels of all points.
 """
 
 import functools
+import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
+
+import numpy as np
 
 from quivercount.bruteforce import end_system_matrix, group_order, moment_matrix
 from quivercount.hall import (all_orbit_labels, orbit_label_of,
                               orbit_representative)
-from quivercount.localring import (OMatrix, ORing, gl_enumerate,
+from quivercount.localring import (OMatrix, ORing, _mul_batch, gl_enumerate,
                                    kernel_size_exponent, smith_invariants,
                                    smith_normal_form)
+from quivercount.quiver import _union_find
 
 
 def matrix_pool(ring, rows, cols):
@@ -65,6 +71,94 @@ def orbits(Q, alpha, r, q):
         visited |= orbit
         out.append((x, len(orbit)))
     return out
+
+
+def _generators(ring, r, scalar_free):
+    """Generators of GL_{alpha,r} up to scalars, as (vertex, row operation
+    of g, column operation of g^-1), in vertex order; (k, l, c) scales line
+    k by c if k == l, else adds c times line l to line k."""
+    field = ring.field
+    basis = [1] if field.k == 1 else [1, field.p]
+    shifts = [ring.scalar_mul(b, ring.t_power(j)) for j in range(ring.alpha) for b in basis]
+    units = [ring.add(ring.one, c) for c in shifts[len(basis):]]
+    if field.q > 2:
+        units.append(ring.from_coeffs([next(a for a in range(2, field.q)
+                                            if field.element_order(a) == field.q - 1)]))
+    for i, ri in enumerate(r):
+        for k in range(1 if i in scalar_free else 0, ri):
+            for u in units:
+                yield i, (k, k, u), (k, k, ring.inv(u))
+        for k, l in permutations(range(ri), 2):
+            for c in shifts:
+                yield i, (k, l, c), (l, k, ring.neg(c))
+
+
+def hook(labels, perm):
+    """labels joined along the edges x -> perm[x], where labels[x] is the
+    least point of the component of x: each round hooks the larger root of
+    every crossing edge onto the smaller, then pointer jumping follows."""
+    while True:
+        other = labels[perm]
+        cross = labels != other
+        if not cross.any():
+            return labels
+        ends, other = labels[cross], other[cross]
+        labels[np.maximum(ends, other)] = np.minimum(ends, other)
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+
+
+def orbit_labels(Q, alpha, r, q):
+    """(representatives, orbit sizes) of the GL-orbits on R(Q, alpha; r),
+    with every generator hooked over all points: each generator's
+    permutation of the point indices (base-q digits, most significant
+    first) is built from a copy of the whole entry table of each arrow."""
+    ring = ORing(q, alpha)
+    size = q ** alpha
+    shapes = [(r[t], r[s]) for s, t in Q.arrows]
+    radices = [size ** (rows * cols) for rows, cols in shapes]
+    n_points = math.prod(radices)
+    add, mul = ring.field.arrays[:2]
+    places = q ** np.arange(alpha - 1, -1, -1, dtype=np.int32)
+    digits = (np.arange(size)[:, None] // places % q).astype(np.int16)
+    plus = (add[digits[:, None] * q + digits] @ places).ravel()
+
+    def line_op(lines, op):
+        k, l, c = op
+        times = _mul_batch(q, add, mul, digits, np.array(c, dtype=np.int16)) @ places
+        lines[k] = times[lines[l]] if k == l else plus[lines[k] * size + times[lines[l]]]
+
+    index = np.arange(n_points, dtype=np.int32)
+    entries = {}
+    labels = index.copy()
+    roots, _ = _union_find(len(r), [(s, t) for s, t in Q.arrows if r[s] and r[t]])
+    scalar_free = {v for v, root in enumerate(roots) if v == root}
+    for vertex, row_op, col_op in _generators(ring, r, scalar_free):
+        perm = None
+        for a, (s, t) in enumerate(Q.arrows):
+            if vertex not in (s, t) or (s == t and r[s] == 1) or radices[a] == 1:
+                continue
+            rows, cols = shapes[a]
+            weights = size ** np.arange(rows * cols - 1, -1, -1, dtype=np.int32)
+            if shapes[a] not in entries:
+                entries[shapes[a]] = (np.arange(radices[a], dtype=np.int32) // weights[:, None]
+                                      % size).reshape(rows, cols, -1)
+            x = entries[shapes[a]].copy()
+            if t == vertex:
+                line_op(x, row_op)
+            if s == vertex:
+                line_op(x.transpose(1, 0, 2), col_op)
+            moved = weights @ x.reshape(rows * cols, -1) - np.arange(radices[a], dtype=np.int32)
+            perm = index.copy() if perm is None else perm
+            view = perm.reshape(-1, radices[a], math.prod(radices[a + 1:]))
+            view += moved[:, None] * view.shape[2]
+        if perm is not None:
+            labels = hook(labels, perm)
+    reps = np.flatnonzero(labels == index)
+    return reps, np.bincount(labels)[reps]
 
 
 def end_exponent(Q, ring, r, x):

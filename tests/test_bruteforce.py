@@ -1,6 +1,9 @@
+import importlib.util
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
-from quivercount.bruteforce import (Caps, _hook, _walk, ask_counts,
+from quivercount.bruteforce import (Caps, _find, _hook, _orbit_labels, _walk, ask_counts,
                                     count_absolutely_indecomposable,
                                     count_iso_classes, enumerate_orbits,
                                     jet_counts, moment_fiber_count,
@@ -134,6 +137,19 @@ class TestCensusMemory:
         assert count_absolutely_indecomposable(Q, 2, (1, 0, 1), 2) == sum(
             rec.absolutely_indecomposable for rec in recs) > 0
 
+    def test_general_rank_builds_only_changed_lines(self):
+        # 2^20 points on one 2 x 2 loop: the entry table of x_a alone is
+        # 16 MiB, and building each generator's table from a copy of it
+        # peaks at 72 MiB
+        tracemalloc.start()
+        try:
+            reps, sizes = _orbit_labels(jordan_quiver(), ORing(2, 5), (2,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert int(sizes.sum()) == 2 ** 20 and reps[0] == 0
+        assert peak < 48 * 2 ** 20
+
     def test_points_beyond_int32_refused(self):
         # raising the space cap past 2^31 points cannot overflow the index
         with pytest.raises(CapExceeded, match="int32"):
@@ -159,24 +175,26 @@ def small_instances(draw):
 class TestGeneratorGraphProperties:
     def test_hook_matches_union_find(self):
         # one to four permutations per case: uniform ones, or products of
-        # transpositions, whose many short cycles resemble the generators'
+        # transpositions, whose many short cycles resemble the generators';
+        # each joins the points of a random subset to their images
         rng = np.random.default_rng(0)
         for _ in range(2000):
             n = int(rng.integers(1, 60))
-            perms = []
+            labels = np.arange(n, dtype=np.int32)
+            edges = []
             for _ in range(int(rng.integers(1, 5))):
                 perm = rng.permutation(n) if rng.integers(2) else np.arange(n)
                 for a, b in rng.integers(0, n, (int(rng.integers(0, n + 1)), 2)):
                     perm[[a, b]] = perm[[b, a]]
-                perms.append(perm)
-            labels = np.arange(n)
-            for perm in perms:
-                labels = _hook(labels, perm)
-            roots, _ = _union_find(n, [(x, int(y)) for perm in perms for x, y in enumerate(perm)])
+                ends = np.flatnonzero(rng.random(n) < rng.random()).astype(np.int32)
+                _hook(labels, ends, perm[ends].astype(np.int32))
+                edges += [(int(x), int(perm[x])) for x in ends]
+                assert (labels <= np.arange(n)).all()
+            roots, _ = _union_find(n, edges)
             least = {}
             for x, root in enumerate(roots):
                 least.setdefault(root, x)
-            assert labels.tolist() == [least[root] for root in roots]
+            assert _find(labels, np.arange(n, dtype=np.int32)).tolist() == [least[root] for root in roots]
 
     @settings(max_examples=60, deadline=None)
     @given(small_instances())
@@ -194,6 +212,65 @@ class TestGeneratorGraphProperties:
             x = rec.representative
             assert rec.end_size_exp == ref.end_exponent(Q, ring, r, x)
             assert rec.indecomposable == ref.is_indecomposable(Q, ring, r, x)
+
+
+def _bench_census_instances():
+    """(Q, alpha, r, q) of every census, orbits-rank1 and orbits-rank2 menu
+    item of the benchmark workloads."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    out = []
+    for stratum in workloads._orbits_strata() + workloads._brute_strata():
+        if stratum.kind in ("census", "orbits-rank1", "orbits-rank2"):
+            for item in stratum.menu:
+                Q = item.get("quiver") or workloads.named_quiver(item["family"], item["n"])
+                out.append((Q, item["alpha"], tuple(item.get("rank", (1,) * Q.num_vertices)),
+                            item["q"]))
+    return out
+
+
+class TestOrbitsMatchFullHook:
+    """The census hooks later generators on the orbit roots only; the
+    oracle hooks every generator over all points."""
+
+    @staticmethod
+    def check(Q, alpha, r, q):
+        reps, sizes = _orbit_labels(Q, ORing(q, alpha), r)
+        want_reps, want_sizes = ref.orbit_labels(Q, alpha, r, q)
+        assert reps.tolist() == want_reps.tolist()
+        assert sizes.tolist() == want_sizes.tolist()
+        assert reps.dtype == np.int32
+
+    @pytest.mark.parametrize("Q,alpha,r,q", _bench_census_instances())
+    def test_bench_menus(self, Q, alpha, r, q):
+        self.check(Q, alpha, r, q)
+
+    two_cycle = Quiver(["0", "1"], [(0, 1), (1, 0)])
+
+    @pytest.mark.parametrize("Q,alpha,r,q", [
+        # q = 4: a two-element F_p-basis
+        (jordan_quiver(), 2, (2,), 4), (kronecker_quiver(2), 2, (1, 1), 4),
+        # q = 5 and 7 at alpha 1: F_q^* generators of order 4 and 6
+        (jordan_quiver(), 1, (2,), 5), (jordan_quiver(), 1, (2,), 7),
+        (a2_quiver(), 1, (1, 2), 7), (cyclic_quiver(3), 1, (1, 1, 1), 7),
+        # alpha 3 and 4: units and transvections on three and four levels
+        (jordan_quiver(), 3, (2,), 2), (jordan_quiver(), 4, (2,), 2),
+        (kronecker_quiver(2), 4, (1, 1), 3), (cyclic_quiver(3), 3, (1, 1, 1), 2),
+        # mixed ranks: level-0 units at rank-one vertices before the cut
+        (cyclic_quiver(3), 1, (1, 2, 2), 2), (cyclic_quiver(3), 2, (1, 2, 2), 2),
+        (two_cycle, 2, (2, 1), 2), (two_cycle, 2, (2, 1), 3), (a2_quiver(), 2, (1, 2), 3),
+        # a vertex of rank zero, and a space that no generator moves
+        (Quiver(["0", "1"], [(0, 1), (1, 1)]), 2, (0, 2), 2), (a2_quiver(), 2, (2, 0), 2),
+        # past the cut the edges must come from the roots of that moment:
+        # here the current roots alone miss two orbit joins
+        (Quiver(["0", "1"], [(0, 1), (1, 1)]), 1, (1, 2), 5),
+        # the Jordan quiver in ranks 2 and 3
+        (jordan_quiver(), 2, (2,), 3), (jordan_quiver(), 1, (3,), 2),
+        (jordan_quiver(), 1, (3,), 3)])
+    def test_every_ordering_branch(self, Q, alpha, r, q):
+        self.check(Q, alpha, r, q)
 
 
 class TestBurnside:

@@ -218,6 +218,19 @@ class TestErrorPaths:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "2 x 2" in err
 
+    @pytest.mark.parametrize("family,message", [
+        ([], "non-empty list of matrices"),
+        ({"a": 1}, "non-empty list of matrices"),
+        ([1, 2], "non-empty list of matrices"),
+        ([[["x"]]], "entries must be integers"),
+    ], ids=["empty", "object", "not-matrices", "not-integers"])
+    def test_malformed_theta(self, tmp_path, family, message):
+        path = tmp_path / "theta.json"
+        path.write_text(json.dumps(family))
+        code, out, err = run_cli(["ask", "--theta", str(path), "--q", "2", "--n-max", "1"])
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and message in err
+
     @pytest.mark.parametrize("args,message", [
         (["kac", "--quiver", "{gloop2}", "--alpha", "-1"], "alpha"),
         (["kac", "--quiver", "{gloop2}", "--alpha", "-1", "--method", "tree"], "alpha"),

@@ -5,7 +5,8 @@ import pytest
 
 from quivercount.errors import (ContractLoop, DimensionMismatch,
                                 ReflectionAtImaginaryVertex)
-from quivercount.quiver import (Quiver, SemisimpleType, a2_quiver, aux_quiver,
+from quivercount.quiver import (Quiver, SemisimpleType, _betti_by_subset, _subset_tables,
+                                a2_quiver, aux_quiver,
                                 betti, chains_of_edge_subsets,
                                 connected_components, connected_quiver_corpus,
                                 contract, cyclic_quiver, delete, euler_form,
@@ -273,3 +274,12 @@ def test_corpus_shape():
     assert len(corpus) == 283
     assert all(is_connected(Q) for Q in corpus)
     assert all(Q.num_vertices <= 4 and Q.num_arrows <= 6 for Q in corpus)
+
+
+def test_cached_subset_tables_equal_fresh_ones():
+    # the tables are cached by vertex count and arrows; a quiver built anew
+    # with the same arrows reads the same tables
+    for Q in connected_quiver_corpus(4, 6):
+        tables = _betti_by_subset(Q)
+        assert _betti_by_subset(Quiver(Q.vertices, Q.arrows)) is tables
+        assert tables == _subset_tables.__wrapped__(Q.num_vertices, Q.arrows)
