@@ -209,7 +209,9 @@ def _generators(ring: ORing, r, scalar_free):
 
 def _find(labels: np.ndarray, points: np.ndarray) -> np.ndarray:
     """The roots of points in the forest labels (labels[x] <= x, and a root
-    labels itself), by pointer jumping; the points are then hung on them."""
+    labels itself), climbing one parent per pass over the points only; the
+    points are then hung on them.  The trees stay shallow: on the census
+    instances of the benchmark no call takes more than five passes."""
     roots = points
     while True:
         up = labels[roots]
@@ -335,14 +337,16 @@ def _orbit_labels(Q: Quiver, ring: ORing, r):
             view += delta[:, None] * places[a]
         return out
 
-    def image(gen, arrows, points=None):
-        """gen applied to every point, or to points.  Few points go through
-        their values of x_a, each moved by the table of T_a or, when the
-        points are fewer than its values, directly; many points go through
-        the whole permutation, one pass over all points per arrow."""
-        if points is None or 4 * len(points) >= n_points:
-            out = permutation([(a, table(a, gen)) for a in arrows])
-            return out if points is None else out[points]
+    def image(gen, arrows, points):
+        """gen applied to points.  Few points go through their values of
+        x_a (a division, a remainder and a gather per point), each moved by
+        the table of T_a or, when the points are fewer than its values,
+        directly; from an eighth of all points on, the whole permutation
+        (one streaming add over all points per arrow) and one gather cost
+        less.  That is where the two crossed on the census instances of
+        the benchmark and of verify criterion 2, at 2^12 points and more."""
+        if 8 * len(points) >= n_points:
+            return permutation([(a, table(a, gen)) for a in arrows])[points]
         out = points.copy()
         for a in arrows:
             value = points // places[a] % radices[a]
@@ -377,16 +381,15 @@ def _orbit_labels(Q: Quiver, ring: ORing, r):
               for v in range(len(r))]
     gens = sorted(_generators(ring, r, scalar_free), key=lambda g: (-g[0], r[g[1]] > 1))
     cut = next((i for i, g in enumerate(gens) if g[0] == 0 and r[g[1]] > 1), len(gens))
-    cycle_roots = ends = None  # edges from every point while ends is None
+    cycle_roots = None
     for i, (_, *gen) in enumerate(gens):
         arrows = moving[gen[0]]
         if not arrows:
             continue
         if cycle_roots is None:
             cycle_roots, cycle_sizes = cycles(gen, arrows)
-            ends = cycle_roots if i < cut else None
-        elif ends is None:
-            _hook(labels, np.arange(n_points, dtype=np.int32), image(gen, arrows))
+            # past the cut, edges come from the orbits of the trivial group
+            ends = cycle_roots if i < cut else np.arange(n_points, dtype=np.int32)
         else:
             _hook(labels, ends, image(gen, arrows, ends))
             if i < cut:
