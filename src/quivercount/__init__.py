@@ -21,9 +21,8 @@ from .kacpoly import (gloop_kac_rank2, gloop_kac_rank3, gloop_rank2_recurrence,
                       limit_B, limits, m_to_a, a_to_m, order_complex_hilbert,
                       poincare_from_zeta, poincare_symbolic, rank1_fiber_count,
                       toric_kac_trees, toric_kac_wyss)
-from .localring import (Fq, OMatrix, ORing, gl_enumerate, gl_order,
-                        kernel_size_exponent, smith_invariants,
-                        smith_normal_form)
+from .localring import (Fq, OMatrix, ORing, gl_order, kernel_size_exponent,
+                        smith_invariants, smith_normal_form)
 from .qpolynomial import QPolynomial, RationalFunction
 from .quiver import (Quiver, SemisimpleType, a2_quiver, aux_quiver, betti,
                      chains_of_edge_subsets, connected_components,

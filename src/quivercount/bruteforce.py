@@ -6,6 +6,8 @@ the graph of a few generators.  The first generator's orbits are its
 cycles.  Each later generator adds edges from orbit roots only: from the
 roots of the orbits so far while it normalizes the group generated before
 it, and from those of a normal subgroup after that (see _orbit_labels).
+On the Jordan quiver the census lists the conjugacy classes of GL_r(O_alpha),
+over whose tuples count_iso_classes sums Burnside's lemma.
 All higher-level identities in the package are checked against these
 counts.  Correctness first; caps keep the instances at desk scale.
 
@@ -16,6 +18,7 @@ acts by g . x = (g_{t(a)} x_a g_{s(a)}^{-1}).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,9 +28,9 @@ import numpy as np
 
 from .errors import (CapExceeded, CharacteristicTooSmall, DimensionMismatch,
                      InvalidType, NonGenericLambda, UnsupportedParameter)
-from .localring import (Fq, OMatrix, ORing, _mul_batch, gl_enumerate, gl_order,
-                        kernel_size_exponent, smith_invariants_batch)
-from .quiver import Quiver, _betti_by_subset, _union_find
+from .localring import (Fq, OMatrix, ORing, _mul_batch, gl_order, kernel_size_exponent,
+                        smith_invariants_batch)
+from .quiver import Quiver, _betti_by_subset, _union_find, jordan_quiver
 
 
 @dataclass(frozen=True)
@@ -35,10 +38,10 @@ class Caps:
     """Resource limits; defaults sized so the verification suite finishes
     in minutes.  max_space_log2 caps the points of every walk and census (a
     census holds int32 arrays: at 2^20 points it peaks at 24 bytes a point
-    in rank all-one and 29 on a 2 x 2 loop, some 0.4 and 0.45 GiB at 2^24);
-    max_group caps the group that count_iso_classes enumerates."""
+    in rank all-one and 29 on a 2 x 2 loop, some 0.4 and 0.45 GiB at 2^24).
+    count_iso_classes walks no x-space: the cap bounds its Jordan census
+    of M_{r_i}(O_alpha) at each vertex and its grid of class tuples."""
     max_space_log2: int = 24
-    max_group: int = 10 ** 5
 
 
 DEFAULT_CAPS = Caps()
@@ -139,13 +142,11 @@ def enumerate_orbits(Q: Quiver, alpha: int, r, q: int,
     reps, sizes = _orbit_labels(Q, ring, r)
     shapes = [(r[t], r[s]) for s, t in Q.arrows]
     n_coords = sum(rows * cols for rows, cols in shapes)
-    width = n_coords * alpha
-    coords = (reps[:, None] // q ** np.arange(width - 1, -1, -1, dtype=np.int64) % q
-              ).reshape(len(reps), n_coords, alpha)
+    coords = _digits(reps, q, n_coords * alpha).reshape(len(reps), n_coords, alpha)
     # one equation per coordinate, one unknown per entry of the xi_i
     n_unknowns = sum(ri * ri for ri in r)
-    basis = np.array(_integer_basis(end_system_matrix, Q, r),
-                     dtype=np.int64).reshape(n_coords, n_coords, n_unknowns)
+    basis = _integer_basis(end_system_matrix, Q.arrows, Q.num_vertices, r).reshape(
+        n_coords, n_coords, n_unknowns)
     step = _chunk_size(n_coords * n_unknowns * alpha)
     ends = np.concatenate([
         _kernel_exponents(ring.field, _combine(ring.field, basis, coords[i:i + step]))
@@ -171,9 +172,8 @@ def count_absolutely_indecomposable(Q: Quiver, alpha: int, r, q: int,
         # indecomposable iff its support subquiver is connected
         check_space_cap(Q, alpha, r, q, caps)
         reps, _ = _orbit_labels(Q, ORing(q, alpha), r)
-        radix = q ** alpha
-        support_mask = sum((reps // radix ** (Q.num_arrows - 1 - a) % radix != 0).astype(np.int64)
-                           << a for a in range(Q.num_arrows))
+        support = _digits(reps, q ** alpha, Q.num_arrows) != 0  # one value per arrow
+        support_mask = support @ (1 << np.arange(Q.num_arrows))
         connected = np.array(_betti_by_subset(Q)[1]) == 1
         return int(connected[support_mask].sum())
     return sum(1 for rec in enumerate_orbits(Q, alpha, r, q, caps)
@@ -280,7 +280,7 @@ def _orbit_labels(Q: Quiver, ring: ORing, r):
         raise CapExceeded(f"census capped at 2^31 - 1 points (int32); this space has {n_points}")
     add, mul = ring.field.arrays[:2]
     coeff_places = q ** np.arange(alpha - 1, -1, -1, dtype=np.int32)
-    digits = (np.arange(size)[:, None] // coeff_places % q).astype(np.int16)
+    digits = _digits(np.arange(size), q, alpha).astype(np.int16)
     plus = ((add[digits[:, None] * q + digits] @ coeff_places).ravel()
             if any(rows * cols > 1 for rows, cols in shapes) else None)
     entry_places = [size ** np.arange(rows * cols - 1, -1, -1, dtype=np.int32).reshape(rows, cols)
@@ -414,18 +414,11 @@ def _chunk_size(entries_per_item: int) -> int:
     return max(1, _CHUNK_ENTRIES // max(1, entries_per_item))
 
 
-def _point_chunks(q: int, width: int, size: int):
-    """Base-q digit arrays (most significant first) of the integers
-    0..q^width - 1, in chunks of `size`.
-
-    The digits of a point index are its field coordinates, as in
-    _orbit_labels, so the index order is the lexicographic order of points.
-    """
-    total = q ** width
-    powers = q ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total, size):
-        idx = np.arange(start, min(start + size, total), dtype=np.int64)
-        yield (idx[:, None] // powers) % q
+def _digits(points: np.ndarray, q: int, width: int) -> np.ndarray:
+    """The width base-q digits, most significant first, of each point index:
+    its field coordinates, as in _orbit_labels, so that the index order is
+    the lexicographic order of points.  Shape (len(points), width)."""
+    return points[:, None] // q ** np.arange(width - 1, -1, -1, dtype=np.int64) % q
 
 
 def _combine(field, basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -452,13 +445,6 @@ def _kernel_exponents(field, mats: np.ndarray) -> np.ndarray:
     return alpha * (m - min(n, m)) + gammas.sum(axis=1)
 
 
-def _sum_q_powers(q: int, exponents) -> int:
-    """Exact sum of q^e over an array of nonnegative integers: numpy counts
-    each exponent, and the powers are summed as Python integers."""
-    counts = np.bincount(np.ravel(exponents))
-    return sum(c * q ** e for e, c in enumerate(counts.tolist()) if c)
-
-
 def _walk(field, basis: np.ndarray, alpha: int, target=None) -> int:
     """Sum of q^ke(A(c)) over all coefficient tuples c in O_alpha^K, where
     A(c) = sum_k c_k B_k for the K integer matrices of basis (K, rows, cols).
@@ -471,42 +457,32 @@ def _walk(field, basis: np.ndarray, alpha: int, target=None) -> int:
     q = field.q
     n_coords, rows, cols = basis.shape
     size = _chunk_size(rows * (cols + 1) * alpha)  # cols + 1: room for the target column
-    total = 0
-    for digits in _point_chunks(q, n_coords * alpha, size):
-        mats = _combine(field, basis, digits.reshape(-1, n_coords, alpha))
+    width, total = n_coords * alpha, 0
+    for start in range(0, q ** width, size):
+        points = np.arange(start, min(start + size, q ** width), dtype=np.int64)
+        mats = _combine(field, basis, _digits(points, q, width).reshape(-1, n_coords, alpha))
         ke = _kernel_exponents(field, mats)
         if target is not None:
             column = np.broadcast_to(target, (len(mats), rows, 1, alpha))
             augmented = _kernel_exponents(field, np.concatenate([mats, column], axis=2))
             ke = ke[augmented == ke + alpha]
-        total += _sum_q_powers(q, ke)
+        # numpy counts each exponent; the powers are summed as Python integers
+        total += sum(c * q ** e for e, c in enumerate(np.bincount(ke).tolist()) if c)
     return total
 
 
 # -- Burnside count ------------------------------------------------------------
 
-def _conjugation_basis(rows: int, cols: int) -> np.ndarray:
-    """Integer matrices of x -> g_t x - x g_s on rows x cols matrices, one
-    per entry of g_t and then of g_s (row-major); the kernel of this map is
-    the fixed-point set of x -> g_t x g_s^{-1}."""
-    total = rows * cols
-    basis = np.zeros((rows * rows + cols * cols, total, total), dtype=np.int64)
-    for u in range(rows):
-        for v in range(cols):
-            for w in range(rows):
-                basis[u * rows + w, u * cols + v, w * cols + v] += 1
-            for w in range(cols):
-                basis[rows * rows + w * cols + v, u * cols + v, u * cols + w] -= 1
-    return basis
-
-
 def _conjugation_exponents(field, g_t, g_s, loop: bool) -> np.ndarray:
     """Fixed-point exponents of x -> g_t x g_s^{-1} for every pair of
     elements of the stacks g_t and g_s (shape (G, r, r, alpha)): an array
-    of shape (G_t, G_s), or (G,) over the diagonal pairs of a loop."""
+    of shape (G_t, G_s), or (G,) over the diagonal pairs of a loop.  They
+    form the kernel of x -> g_t x - x g_s: the end system of one arrow,
+    with the entries of g_s and then of g_t as its coordinates."""
     n_t, rows, _, alpha = g_t.shape
     n_s, cols = g_s.shape[:2]
-    basis = _conjugation_basis(rows, cols)
+    basis = _integer_basis(end_system_matrix, ((0, 1),), 2, (cols, rows)).reshape(
+        rows * cols, rows * cols, rows * rows + cols * cols).transpose(2, 1, 0)
     flat_t = g_t.reshape(n_t, rows * rows, alpha)
     flat_s = g_s.reshape(n_s, cols * cols, alpha)
     n_pairs = n_t if loop else n_t * n_s
@@ -515,37 +491,65 @@ def _conjugation_exponents(field, g_t, g_s, loop: bool) -> np.ndarray:
     for start in range(0, n_pairs, step):
         idx = np.arange(start, min(start + step, n_pairs))
         i, j = (idx, idx) if loop else np.divmod(idx, n_s)
-        coeffs = np.concatenate([flat_t[i], flat_s[j]], axis=1)
+        coeffs = np.concatenate([flat_s[j], flat_t[i]], axis=1)
         out[start:start + len(idx)] = _kernel_exponents(field, _combine(field, basis, coeffs))
     return out if loop else out.reshape(n_t, n_s)
 
 
+@functools.cache
+def _conjugacy_classes(ring: ORing, r: int):
+    """The conjugacy classes of GL_r(O_alpha): a (C, r, r, alpha) int16
+    stack of representatives and their sizes, read-only.  They are the
+    invertible orbits of the Jordan-quiver census in rank r; the cache runs
+    one census per (q, alpha, r), as ORing(q, alpha) is one instance."""
+    alpha = ring.alpha
+    reps, sizes = _orbit_labels(jordan_quiver(), ring, (r,))
+    stack = _digits(reps, ring.q, r * r * alpha).reshape(len(reps), r, r, alpha).astype(np.int16)
+    invertible = _kernel_exponents(ring.field, stack) == 0
+    stack, sizes = stack[invertible], sizes[invertible]
+    stack.flags.writeable = sizes.flags.writeable = False
+    return stack, sizes
+
+
 def count_iso_classes(Q: Quiver, alpha: int, r, q: int,
                       caps: Caps = DEFAULT_CAPS) -> int:
-    """M_{(Q,alpha),r}(q): all isomorphism classes, via the orbit-count
-    average of fixed points over the group."""
+    """M_{(Q,alpha),r}(q): all isomorphism classes, by Burnside's lemma over
+    conjugacy classes.  g = (g_i) fixes q^(sum_a ke_a) points, ke_a the
+    kernel exponent of x -> g_t x - x g_s, and that depends only on the
+    classes c_i of the g_i, so
+        M = sum over class tuples of prod_i |c_i| q^(sum_a ke_a) / |GL_{alpha,r}|,
+    summed exactly.  No x-space is walked: the space cap bounds the Jordan
+    census at each vertex (q^(alpha r_i^2) points) and the class-tuple grid."""
     r = tuple(int(x) for x in r)
-    check_space_cap(Q, alpha, r, q, caps)
-    ring = ORing(q, alpha)
-    order = group_order(Q, alpha, r, q)
-    if order > caps.max_group:
-        raise CapExceeded(f"|GL| = {order} exceeds cap {caps.max_group}")
-    stacks = []
     for ri in r:
-        mats = [g.entries for g in gl_enumerate(q, alpha, ri, cap=caps.max_group)]
-        stacks.append(np.array(mats, dtype=np.int16).reshape(len(mats), ri, ri, alpha))
-    # fixed-point exponent of every group element, one axis per vertex;
+        check_space_cap(jordan_quiver(), alpha, (ri,), q, caps)
+    ring = ORing(q, alpha)
+    classes = [_conjugacy_classes(ring, ri) for ri in r]
+    shape = [len(sizes) for _, sizes in classes]
+    log2_grid = math.log2(math.prod(shape))
+    if log2_grid > caps.max_space_log2:
+        raise CapExceeded(f"class-tuple grid has 2^{log2_grid:.1f} tuples ({math.prod(shape)}), "
+                          f"cap 2^{caps.max_space_log2}")
+    # fixed-point exponent of every class tuple, one axis per vertex;
     # parallel arrows share their exponents
     n = Q.num_vertices
-    fix_exp = np.zeros([len(st) for st in stacks], dtype=np.int64)
+    fix_exp = np.zeros(shape, dtype=np.int64)
     per_arrow = {}
     for s, t in Q.arrows:
         if (s, t) not in per_arrow:
-            e = _conjugation_exponents(ring.field, stacks[t], stacks[s], s == t)
+            e = _conjugation_exponents(ring.field, classes[t][0], classes[s][0], s == t)
             per_arrow[s, t] = np.expand_dims(e.T if t > s else e,
                                              tuple(i for i in range(n) if i not in (s, t)))
         fix_exp += per_arrow[s, t]
-    count, rem = divmod(_sum_q_powers(q, fix_exp), order)
+    # weights and their sums are at most |GL|: Python integers beyond int64
+    order = group_order(Q, alpha, r, q)
+    dtype = np.int64 if order < 2 ** 63 else object
+    weights = np.ones((), dtype=dtype)
+    for _, sizes in classes:
+        weights = np.multiply.outer(weights, sizes.astype(dtype))
+    total = sum(int(weights[fix_exp == e].sum()) * q ** int(e)
+                for e in np.flatnonzero(np.bincount(fix_exp.ravel())))
+    count, rem = divmod(total, order)
     if rem:
         raise AssertionError("orbit-count average is not an integer")
     return count
@@ -633,7 +637,7 @@ def moment_fiber_count(Q: Quiver, alpha: int, r, q: int, lam=None,
                 mult *= counts_per_val[v]
             total += mult * q ** ke
         return total
-    basis = np.array(moment_theta_basis(Q, r), dtype=np.int64)
+    basis = _integer_basis(moment_matrix, Q.arrows, n, r)
     target = None
     if any(lam):
         target = np.zeros((basis.shape[1], 1, alpha), dtype=np.int16)
@@ -710,19 +714,24 @@ def ask_counts(theta_basis, q: int, n_max: int,
 def moment_theta_basis(Q: Quiver, d):
     """Integer basis matrices of x -> mu(x, .), one per coordinate of the
     x-space (multiplicity one, i.e. over the base field)."""
-    return _integer_basis(moment_matrix, Q, d)
+    return _integer_basis(moment_matrix, Q.arrows, Q.num_vertices,
+                          tuple(int(x) for x in d)).tolist()
 
 
-def _integer_basis(build, Q: Quiver, d) -> list:
+@functools.cache
+def _integer_basis(build, arrows, n_vertices: int, d) -> np.ndarray:
     """Integer matrices B_k with build(Q, ring, d, x) = sum_k x_k B_k, one
-    per coordinate x_k of the x-space (arrow by arrow, entries row-major).
+    per coordinate x_k of the x-space (arrow by arrow, entries row-major),
+    as a read-only int64 array (K, rows, cols), cached by the arrows, the
+    vertex count and the rank vector d.
 
     build must be linear in x with entries in {0, 1, -1} times coordinates;
     they are read off over F_5, where 1 and -1 stay distinguishable.
     """
+    Q = Quiver(range(n_vertices), arrows)
     ring = ORing(5, 1)
     basis = []
-    shapes = [(d[t], d[s]) for s, t in Q.arrows]
+    shapes = [(d[t], d[s]) for s, t in arrows]
     decode = {ring.zero: 0, ring.one: 1, ring.neg(ring.one): -1}
     for a, (rows, cols) in enumerate(shapes):
         for u in range(rows):
@@ -734,4 +743,6 @@ def _integer_basis(build, Q: Quiver, d) -> list:
                     x.append(OMatrix(ring, ent, shape=(rb, cb)))
                 m = build(Q, ring, d, tuple(x))
                 basis.append([[decode[e] for e in row] for row in m.entries])
+    basis = np.array(basis, dtype=np.int64)
+    basis.flags.writeable = False
     return basis

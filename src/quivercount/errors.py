@@ -49,10 +49,6 @@ class CapExceeded(QuivercountError):
     pass
 
 
-class EnumerationCapExceeded(CapExceeded):
-    pass
-
-
 class NonGenericLambda(QuivercountError):
     pass
 

@@ -34,7 +34,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import EnumerationCapExceeded, UnsupportedParameter
+from .errors import UnsupportedParameter
 
 # fixed irreducible quadratics x^2 + c1 x + c0 over F_p, stored as (c1, c0):
 # x^2+x+1 over F_2, x^2+1 over F_3 and F_7, x^2+2 over F_5
@@ -558,39 +558,3 @@ def gl_order(q: int, alpha: int, r: int) -> int:
     for i in range(r):
         order *= q ** r - q ** i
     return order
-
-
-def gl_enumerate(q: int, alpha: int, r: int, cap: int = 10 ** 5):
-    """All invertible r x r matrices over O_alpha, as OMatrix values.
-
-    Matrices are generated as (unit modulo t) x (free higher coefficients);
-    raises EnumerationCapExceeded when the group order exceeds the cap.
-    """
-    order = gl_order(q, alpha, r)
-    if order > cap:
-        raise EnumerationCapExceeded(
-            f"|GL_{{{alpha},{r}}}(F_{q})| = {order} exceeds cap {cap}")
-    ring = ORing(q, alpha)
-    if r == 0:
-        yield OMatrix(ring, [])
-        return
-    field = ring.field
-    # invertible matrices modulo t
-    base = []
-    for flat in product(field.elements(), repeat=r * r):
-        rows = [flat[i * r:(i + 1) * r] for i in range(r)]
-        m0 = OMatrix(ring, [[(x,) + (0,) * (alpha - 1) for x in row] for row in rows])
-        if m0.is_invertible():
-            base.append(rows)
-    higher_range = list(product(field.elements(), repeat=alpha - 1))
-    for rows in base:
-        for flat_high in product(higher_range, repeat=r * r):
-            entries = []
-            idx = 0
-            for i in range(r):
-                row = []
-                for j in range(r):
-                    row.append((rows[i][j],) + tuple(flat_high[idx]))
-                    idx += 1
-                entries.append(row)
-            yield OMatrix(ring, entries)

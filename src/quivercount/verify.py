@@ -95,9 +95,30 @@ def check_toric_brute_anchor(caps=None) -> CheckResult:
 
 # -- criteria 3 and 4 ----------------------------------------------------------
 
+# (g, alpha, q) at which the loop-quiver closed forms meet Burnside counts
+GLOOP_A2_ANCHORS = [(2, 1, 4)] + [(g, alpha, q) for g in (2, 3, 4) for alpha, q in
+                                  ((1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (3, 2))]
+GLOOP_A3_ANCHORS = [(g, alpha, q) for g in (1, 2, 3, 4) for alpha, q in ((1, 2), (1, 3), (2, 2))]
+
+
+def _burnside_anchor_holds(g: int, alpha: int, q: int, rank: int, caps) -> bool:
+    """A_rank(q) of the g-loop quiver, rank 2 or 3, from the Burnside counts
+    M_r(q) through the fixed-q plethystic Log of M = Exp(A), equals its
+    closed form.  Every rank-one point is its own class, so A_1 =
+    q^(alpha g), and psi_n A_1 is A_1 at q^n."""
+    Q = loop_quiver(g)
+    a1, psi2, psi3 = (q ** (n * alpha * g) for n in (1, 2, 3))
+    a = bruteforce.count_iso_classes(Q, alpha, (2,), q, caps) - Fraction(a1 ** 2 + psi2, 2)
+    if rank == 3:
+        a = (bruteforce.count_iso_classes(Q, alpha, (3,), q, caps) - a1 * a
+             - Fraction(a1 ** 3 + 3 * a1 * psi2 + 2 * psi3, 6))
+    return a == (closedforms.gloop_A2 if rank == 2 else closedforms.gloop_A3)(g, alpha).evaluate(q)
+
+
 def check_gloop_rank2(caps=bruteforce.DEFAULT_CAPS) -> CheckResult:
     """Rank-2 recurrence = closed form for g <= 4, alpha <= 6; anchored by
-    the orbit census over F_2 and, through the class-count series, F_4."""
+    the orbit census over F_2 and, through the class-count series, by
+    Burnside counts at GLOOP_A2_ANCHORS."""
     t0 = time.time()
     for g in (1, 2, 3, 4):
         for alpha in range(1, 7):
@@ -108,18 +129,16 @@ def check_gloop_rank2(caps=bruteforce.DEFAULT_CAPS) -> CheckResult:
     census = bruteforce.count_absolutely_indecomposable(loop_quiver(2), 1, (2,), 2, caps)
     if census != closedforms.gloop_A2(2, 1).evaluate(2):
         return _result("rank-2 loop-quiver count", t0, False, "F_2 census mismatch")
-    # F_4 value through the class-count series: A2(4) from Burnside M2(4)
-    m2_f4 = bruteforce.count_iso_classes(loop_quiver(2), 1, (2,), 4, caps)
-    a1 = Fraction(4) ** (1 * 2)
-    a2_f4 = m2_f4 - (a1 ** 2 + Fraction(16) ** 2) / 2
-    if a2_f4 != closedforms.gloop_A2(2, 1).evaluate(4):
-        return _result("rank-2 loop-quiver count", t0, False, "F_4 series-route mismatch")
+    miss = [x for x in GLOOP_A2_ANCHORS if not _burnside_anchor_holds(*x, 2, caps)]
+    if miss:
+        return _result("rank-2 loop-quiver count", t0, False, f"Burnside anchors {miss} mismatch")
     return _result("rank-2 loop-quiver count: recurrence = closed form, census anchors", t0, True,
-                   "g <= 4, alpha <= 6; F_2 and F_4 anchors at (2,1)")
+                   f"g <= 4, alpha <= 6; F_2 census, {len(GLOOP_A2_ANCHORS)} Burnside anchors")
 
 
-def check_gloop_rank3(caps=None) -> CheckResult:
-    """Rank-3 recurrence reproduces all 15 tabulated polynomials."""
+def check_gloop_rank3(caps=bruteforce.DEFAULT_CAPS) -> CheckResult:
+    """Rank-3 recurrence reproduces all 15 tabulated polynomials; the
+    closed form is anchored by Burnside counts at GLOOP_A3_ANCHORS."""
     t0 = time.time()
     for (g, alpha), table in closedforms.GLOOP_RANK3_TABLE.items():
         got = kacpoly.gloop_kac_rank3(g, alpha)
@@ -129,8 +148,12 @@ def check_gloop_rank3(caps=None) -> CheckResult:
         if got != closedforms.gloop_A3(g, alpha):
             return _result("rank-3 loop-quiver count vs tables", t0, False,
                            f"closed-form mismatch at g={g}, alpha={alpha}")
+    miss = [x for x in GLOOP_A3_ANCHORS if not _burnside_anchor_holds(*x, 3, caps)]
+    if miss:
+        return _result("rank-3 loop-quiver count vs tables", t0, False,
+                       f"Burnside anchors {miss} mismatch")
     return _result("rank-3 loop-quiver count: recurrence = 15 tables = closed form", t0, True,
-                   "g <= 3, alpha <= 5")
+                   f"g <= 3, alpha <= 5; {len(GLOOP_A3_ANCHORS)} Burnside anchors")
 
 
 # -- criterion 5 ---------------------------------------------------------------

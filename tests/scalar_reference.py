@@ -8,7 +8,9 @@ package did before the batched kernel, the generator-graph census and the
 Schubert-cell enumeration; the tests require the package to give equal
 results.  orbit_labels is the generator-graph census as it was before it
 hooked later generators on the orbit roots only: every generator joins
-the labels of all points.
+the labels of all points.  iso_classes takes the Burnside average over
+every element of the group (gl_enumerate), where the package sums over
+conjugacy classes.
 """
 
 import functools
@@ -21,10 +23,30 @@ import numpy as np
 from quivercount.bruteforce import end_system_matrix, group_order, moment_matrix
 from quivercount.hall import (all_orbit_labels, orbit_label_of,
                               orbit_representative)
-from quivercount.localring import (OMatrix, ORing, _mul_batch, gl_enumerate,
-                                   kernel_size_exponent, smith_invariants,
-                                   smith_normal_form)
+from quivercount.localring import (OMatrix, ORing, _mul_batch, kernel_size_exponent,
+                                   smith_invariants, smith_normal_form)
 from quivercount.quiver import _union_find
+
+
+def gl_enumerate(q, alpha, r):
+    """All invertible r x r matrices over O_alpha, as OMatrix values:
+    (unit modulo t) x (free higher coefficients)."""
+    ring = ORing(q, alpha)
+    if r == 0:
+        yield OMatrix(ring, [])
+        return
+    field = ring.field
+    base = []
+    for flat in product(field.elements(), repeat=r * r):
+        rows = [flat[i * r:(i + 1) * r] for i in range(r)]
+        m0 = OMatrix(ring, [[(x,) + (0,) * (alpha - 1) for x in row] for row in rows])
+        if m0.is_invertible():
+            base.append(rows)
+    higher_range = list(product(field.elements(), repeat=alpha - 1))
+    for rows in base:
+        for flat_high in product(higher_range, repeat=r * r):
+            high = iter(flat_high)
+            yield OMatrix(ring, [[(x,) + tuple(next(high)) for x in row] for row in rows])
 
 
 def matrix_pool(ring, rows, cols):

@@ -172,6 +172,21 @@ def small_instances(draw):
     return Q, alpha, r, q
 
 
+@st.composite
+def burnside_instances(draw):
+    """(Q, alpha, r, q) with at most three vertices, one to four arrows,
+    ranks at most 2, and a group small enough for the whole-group oracle."""
+    n = draw(st.integers(1, 3))
+    arrows = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           min_size=1, max_size=4))
+    r = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    alpha = draw(st.integers(1, 3))
+    q = draw(st.sampled_from([2, 3, 4]))
+    Q = Quiver([str(i) for i in range(n)], arrows)
+    assume(group_order(Q, alpha, r, q) <= 4000)  # under about 1 s of oracle
+    return Q, alpha, r, q
+
+
 class TestGeneratorGraphProperties:
     def test_hook_matches_union_find(self):
         # one to four permutations per case: uniform ones, or products of
@@ -289,6 +304,22 @@ class TestBurnside:
     def test_matches_orbit_enumeration(self, Q, alpha, r, q):
         assert count_iso_classes(Q, alpha, r, q) == len(enumerate_orbits(Q, alpha, r, q))
 
+    def test_beyond_the_x_space_cap(self):
+        # the x-space has 3^16 = 2^25.4 points; the Jordan census has 3^8
+        assert count_iso_classes(loop_quiver(2), 2, (2,), 3) == 94041
+
+    @settings(max_examples=60, deadline=None)
+    @given(burnside_instances())
+    def test_matches_whole_group_burnside(self, instance):
+        Q, alpha, r, q = instance
+        assert count_iso_classes(Q, alpha, r, q) == ref.iso_classes(Q, alpha, r, q)
+
+    def test_class_tuple_grid_cap(self):
+        # 20 classes of GL_1(O_2) over F_5 at each of 8 vertices: 20^8 tuples
+        Q = Quiver([str(i) for i in range(8)], [(i, i + 1) for i in range(7)])
+        with pytest.raises(CapExceeded, match=r"class-tuple grid has 2\^34\.6 tuples .*cap 2\^24"):
+            count_iso_classes(Q, 2, (1,) * 8, 5)
+
     def test_krull_schmidt_multiset_identity(self):
         # the class-count series is the multiset generating function of the
         # indecomposable classes, checked coefficientwise at fixed q
@@ -386,6 +417,11 @@ class TestAsk:
         assert theta == [[[-1], [1]]]
         # ask_1 = (q + (q-1)) / q
         assert ask_counts(theta, 3, 1) == [Fraction(3 + 2 * 1, 3)]
+
+    def test_cached_basis_comes_as_a_fresh_list(self):
+        theta = moment_theta_basis(a2_quiver(), (1, 1))
+        theta[0][0][0] = 7
+        assert moment_theta_basis(a2_quiver(), (1, 1)) == [[[-1], [1]]]
 
 
 # The point walks of the benchmark's brute-force workload, one entry per
