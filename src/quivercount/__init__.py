@@ -25,9 +25,8 @@ from .localring import (Fq, OMatrix, ORing, gl_order, kernel_size_exponent,
                         smith_invariants, smith_normal_form)
 from .qpolynomial import QPolynomial, RationalFunction
 from .quiver import (Quiver, SemisimpleType, a2_quiver, aux_quiver, betti,
-                     chains_of_edge_subsets, connected_components,
-                     connected_quiver_corpus, contract, cyclic_quiver, delete,
-                     euler_form, euler_form_h, euler_form_sym,
+                     connected_components, connected_quiver_corpus, contract,
+                     cyclic_quiver, delete, euler_form, euler_form_sym,
                      fundamental_set_member, has_property_p, is_2_connected,
                      is_connected, jordan_quiver, kronecker_quiver,
                      loop_quiver, restrict_arrows, restrict_vertices,

@@ -65,6 +65,16 @@ def rep_space_dim(Q: Quiver, r) -> int:
     return sum(r[s] * r[t] for s, t in Q.arrows)
 
 
+def _rank_vector(Q: Quiver, r) -> tuple:
+    """r as a tuple of ints, one nonnegative entry per vertex of Q."""
+    r = tuple(int(x) for x in r)
+    if len(r) != Q.num_vertices:
+        raise DimensionMismatch(f"rank vector needs {Q.num_vertices} entries, got {len(r)}")
+    if min(r, default=0) < 0:
+        raise UnsupportedParameter(f"rank entries must be >= 0, got {list(r)}")
+    return r
+
+
 def check_space_cap(Q: Quiver, alpha: int, r, q: int, caps: Caps) -> None:
     log2_size = alpha * rep_space_dim(Q, r) * math.log2(q)
     if log2_size > caps.max_space_log2:
@@ -136,7 +146,7 @@ def enumerate_orbits(Q: Quiver, alpha: int, r, q: int,
     systems of the representatives, |Aut| = |GL| / |orbit|, and End is
     local iff |End| - |Aut| = q^(e-d) with d >= 1 (see _top_degree).
     """
-    r = tuple(int(x) for x in r)
+    r = _rank_vector(Q, r)
     check_space_cap(Q, alpha, r, q, caps)
     ring = ORing(q, alpha)
     reps, sizes = _orbit_labels(Q, ring, r)
@@ -166,7 +176,7 @@ def enumerate_orbits(Q: Quiver, alpha: int, r, q: int,
 
 def count_absolutely_indecomposable(Q: Quiver, alpha: int, r, q: int,
                                     caps: Caps = DEFAULT_CAPS) -> int:
-    r = tuple(int(x) for x in r)
+    r = _rank_vector(Q, r)
     if all(ri == 1 for ri in r) and Q.num_arrows > 0:
         # orbit labels alone: in rank all-one an orbit is absolutely
         # indecomposable iff its support subquiver is connected
@@ -520,7 +530,7 @@ def count_iso_classes(Q: Quiver, alpha: int, r, q: int,
         M = sum over class tuples of prod_i |c_i| q^(sum_a ke_a) / |GL_{alpha,r}|,
     summed exactly.  No x-space is walked: the space cap bounds the Jordan
     census at each vertex (q^(alpha r_i^2) points) and the class-tuple grid."""
-    r = tuple(int(x) for x in r)
+    r = _rank_vector(Q, r)
     for ri in r:
         check_space_cap(jordan_quiver(), alpha, (ri,), q, caps)
     ring = ORing(q, alpha)
@@ -561,7 +571,7 @@ def moment_matrix(Q: Quiver, ring: ORing, r, x) -> OMatrix:
     """Matrix of y -> mu(x, y), from the y-coordinate space to gl_r.
 
     mu_i(x, y) = sum over arrows into i of x_a y_a minus sum over arrows
-    out of i of y_a x_a (equal multiplicities).
+    out of i of y_a x_a.
     """
     n = Q.num_vertices
     gl_offsets = []
@@ -606,13 +616,10 @@ def moment_fiber_count(Q: Quiver, alpha: int, r, q: int, lam=None,
     moment_theta_basis (see _walk).
     """
     n = Q.num_vertices
-    r = tuple(int(x) for x in r)
+    r = _rank_vector(Q, r)
     lam = tuple(int(v) for v in (lam if lam is not None else (0,) * n))
-    if len(r) != n or len(lam) != n:
-        raise DimensionMismatch(
-            f"rank vector and lambda need {n} entries, got {len(r)} and {len(lam)}")
-    if min(r, default=0) < 0:
-        raise UnsupportedParameter(f"rank entries must be >= 0, got {list(r)}")
+    if len(lam) != n:
+        raise DimensionMismatch(f"lambda needs {n} entries, got {len(lam)}")
     check_space_cap(Q, alpha, r, q, caps)
     ring = ORing(q, alpha)
     if any(lam):
@@ -713,7 +720,7 @@ def ask_counts(theta_basis, q: int, n_max: int,
 
 def moment_theta_basis(Q: Quiver, d):
     """Integer basis matrices of x -> mu(x, .), one per coordinate of the
-    x-space (multiplicity one, i.e. over the base field)."""
+    x-space."""
     return _integer_basis(moment_matrix, Q.arrows, Q.num_vertices,
                           tuple(int(x) for x in d)).tolist()
 

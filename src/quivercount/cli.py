@@ -2,9 +2,13 @@
 
 Subcommands: kac, kac-gloop, kac-kronecker, fiber-count, jet-series, ask,
 limits, hilbert, hall, verify.  Quivers come from JSON files of the form
-{"vertices": [...], "arrows": [{"src": i, "dst": j}, ...],
- "multiplicities": [...]}; the arrow array order is the total order the
-tree-formula count depends on.
+{"vertices": [...], "arrows": [{"src": i, "dst": j}, ...]}; the arrow array
+order is the total order the tree-formula count depends on.  Counts take
+the multiplicity of O_alpha from --alpha, the same at every vertex; a
+"multiplicities" key in a quiver file is ignored.
+
+--max-space-log2 caps the brute-force walks of fiber-count, jet-series and
+ask.  verify runs at its own fixed caps, whatever --max-space-log2 is.
 
 Exit codes: 2 usage error, 3 resource cap exceeded, 4 verification failure.
 """

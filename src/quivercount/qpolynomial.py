@@ -61,6 +61,27 @@ def _div(a, b):
     return _coeff(Fraction(a, b))
 
 
+def _long_division(num: dict, den: dict, order: int) -> list:
+    """Coefficients 0..order of the power series num / den, both given as
+    {exponent >= 0: coefficient} with den[0] != 0."""
+    d0 = den.get(0)
+    state = dict(num)
+    out = []
+    for k in range(order + 1):
+        ck = _div(state.get(k, 0), d0)
+        out.append(ck)
+        for j, dj in den.items():
+            if j == 0:
+                continue
+            e = k + j
+            s = state.get(e, 0) - ck * dj
+            if s:
+                state[e] = s
+            else:
+                state.pop(e, None)
+    return out
+
+
 class QPolynomial:
     """Sparse Laurent polynomial in q over the rationals."""
 
@@ -422,24 +443,8 @@ class RationalFunction:
         if not self.num.is_zero() and dn > dd:
             raise ValueError("function has a pole at q = infinity")
         # substitute u = 1/q: f = u^(dd-dn) * num~(u) / den~(u), den~(0) != 0
-        num_u = {dd - e: c for e, c in self.num.coeffs.items()}
-        den_u = {dd - e: c for e, c in self.den.coeffs.items()}
-        d0 = den_u.get(0)
-        out = []
-        state = dict(num_u)
-        for k in range(order + 1):
-            ck = _div(state.get(k, 0), d0)
-            out.append(ck)
-            for j, dj in den_u.items():
-                if j == 0:
-                    continue
-                e = k + j
-                s = state.get(e, 0) - ck * dj
-                if s:
-                    state[e] = s
-                else:
-                    state.pop(e, None)
-        return out
+        return _long_division({dd - e: c for e, c in self.num.coeffs.items()},
+                              {dd - e: c for e, c in self.den.coeffs.items()}, order)
 
     def taylor_coefficients(self, order: int):
         """Coefficients of the expansion around 0 up to the given order.
@@ -449,22 +454,7 @@ class RationalFunction:
         """
         if self.num.low_degree() < 0 or self.den.low_degree() > 0:
             raise PoleAtEvaluationPoint("pole at 0 blocks the expansion")
-        d0 = self.den.coeffs.get(0)
-        state = dict(self.num.coeffs)
-        out = []
-        for k in range(order + 1):
-            ck = _div(state.get(k, 0), d0)
-            out.append(ck)
-            for j, dj in self.den.coeffs.items():
-                if j == 0:
-                    continue
-                e = k + j
-                s = state.get(e, 0) - ck * dj
-                if s:
-                    state[e] = s
-                else:
-                    state.pop(e, None)
-        return out
+        return _long_division(self.num.coeffs, self.den.coeffs, order)
 
     # -- printing -----------------------------------------------------
 

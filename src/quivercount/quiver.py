@@ -1,9 +1,13 @@
 """Quivers and their combinatorics.
 
-A quiver is a finite directed multigraph: vertex labels, a totally ordered
-arrow list (list position is the order, which the contraction-deletion
-count depends on), and a per-vertex multiplicity.  Loops and parallel
-arrows are allowed everywhere.
+A quiver is a finite directed multigraph: vertex labels and a totally
+ordered arrow list (list position is the order, which the
+contraction-deletion count depends on).  Loops and parallel arrows are
+allowed everywhere.  Every count takes the multiplicity alpha of O_alpha
+as an argument, the same at every vertex, so a quiver carries none.
+
+The JSON form is {"vertices": [...], "arrows": [{"src": i, "dst": j}, ...]}.
+Files written with a "multiplicities" key still load; the key is ignored.
 """
 
 from __future__ import annotations
@@ -11,29 +15,21 @@ from __future__ import annotations
 import functools
 import json
 from itertools import combinations, combinations_with_replacement, permutations
-from math import gcd
 
 from .errors import (ContractLoop, DimensionMismatch, InvalidType,
                      NotConnected, ReflectionAtImaginaryVertex)
 
 
 class Quiver:
-    __slots__ = ("vertices", "arrows", "multiplicities")
+    __slots__ = ("vertices", "arrows")
 
-    def __init__(self, vertices, arrows, multiplicities=None):
+    def __init__(self, vertices, arrows):
         self.vertices = tuple(str(v) for v in vertices)
         self.arrows = tuple((int(s), int(t)) for s, t in arrows)
         n = len(self.vertices)
         for s, t in self.arrows:
             if not (0 <= s < n and 0 <= t < n):
                 raise ValueError(f"arrow ({s},{t}) out of range for {n} vertices")
-        if multiplicities is None:
-            multiplicities = (1,) * n
-        self.multiplicities = tuple(int(m) for m in multiplicities)
-        if len(self.multiplicities) != n:
-            raise ValueError("one multiplicity per vertex required")
-        if any(m < 1 for m in self.multiplicities):
-            raise ValueError("multiplicities must be positive")
 
     # -- basics ---------------------------------------------------------
 
@@ -59,15 +55,13 @@ class Quiver:
     def __eq__(self, other):
         if not isinstance(other, Quiver):
             return NotImplemented
-        return (self.vertices == other.vertices and self.arrows == other.arrows
-                and self.multiplicities == other.multiplicities)
+        return self.vertices == other.vertices and self.arrows == other.arrows
 
     def __hash__(self):
-        return hash((self.vertices, self.arrows, self.multiplicities))
+        return hash((self.vertices, self.arrows))
 
     def __repr__(self):
-        return (f"Quiver(vertices={list(self.vertices)}, arrows={list(self.arrows)}, "
-                f"multiplicities={list(self.multiplicities)})")
+        return f"Quiver(vertices={list(self.vertices)}, arrows={list(self.arrows)})"
 
     # -- serialization ----------------------------------------------------
 
@@ -75,13 +69,12 @@ class Quiver:
         return {
             "vertices": list(self.vertices),
             "arrows": [{"src": s, "dst": t} for s, t in self.arrows],
-            "multiplicities": list(self.multiplicities),
         }
 
     @staticmethod
     def from_json(data: dict) -> "Quiver":
         arrows = [(a["src"], a["dst"]) for a in data["arrows"]]
-        return Quiver(data["vertices"], arrows, data.get("multiplicities"))
+        return Quiver(data["vertices"], arrows)
 
     @staticmethod
     def load(path) -> "Quiver":
@@ -96,26 +89,25 @@ class Quiver:
 
 # -- standard examples ----------------------------------------------------
 
-def jordan_quiver(multiplicity: int = 1) -> Quiver:
-    return Quiver(["v"], [(0, 0)], [multiplicity])
+def jordan_quiver() -> Quiver:
+    return Quiver(["v"], [(0, 0)])
 
 
-def loop_quiver(g: int, multiplicity: int = 1) -> Quiver:
-    return Quiver(["v"], [(0, 0)] * g, [multiplicity])
+def loop_quiver(g: int) -> Quiver:
+    return Quiver(["v"], [(0, 0)] * g)
 
 
-def a2_quiver(multiplicity: int = 1) -> Quiver:
-    return Quiver(["1", "2"], [(0, 1)], [multiplicity] * 2)
+def a2_quiver() -> Quiver:
+    return Quiver(["1", "2"], [(0, 1)])
 
 
-def kronecker_quiver(r: int, multiplicity: int = 1) -> Quiver:
-    return Quiver(["1", "2"], [(0, 1)] * r, [multiplicity] * 2)
+def kronecker_quiver(r: int) -> Quiver:
+    return Quiver(["1", "2"], [(0, 1)] * r)
 
 
-def cyclic_quiver(n: int, multiplicity: int = 1) -> Quiver:
+def cyclic_quiver(n: int) -> Quiver:
     return Quiver([str(i + 1) for i in range(n)],
-                  [(i, (i + 1) % n) for i in range(n)],
-                  [multiplicity] * n)
+                  [(i, (i + 1) % n) for i in range(n)])
 
 
 # -- Euler forms ------------------------------------------------------------
@@ -133,24 +125,6 @@ def euler_form(Q: Quiver, d, e) -> int:
 
 def euler_form_sym(Q: Quiver, d, e) -> int:
     return euler_form(Q, d, e) + euler_form(Q, e, d)
-
-
-def euler_form_h(Q: Quiver, r, s) -> int:
-    """Euler form of the multiplicity datum: hom minus ext dimension over the
-    base field.
-
-    Each vertex contributes n_i r_i s_i; an arrow a: i -> j contributes
-    -lcm(n_i, n_j) r_i s_j, the dimension of the space of maps carried by a.
-    With equal multiplicities alpha this is alpha times the ordinary form.
-    """
-    n = Q.num_vertices
-    if len(r) != n or len(s) != n:
-        raise DimensionMismatch("rank vector length must equal vertex count")
-    mult = Q.multiplicities
-    total = sum(mult[i] * r[i] * s[i] for i in range(n))
-    for a, (i, j) in enumerate(Q.arrows):
-        total -= (mult[i] * mult[j] // gcd(mult[i], mult[j])) * r[i] * s[j]
-    return total
 
 
 # -- graph invariants -------------------------------------------------------
@@ -238,15 +212,14 @@ def restrict_vertices(Q: Quiver, I) -> Quiver:
     I = sorted(set(int(i) for i in I))
     index = {v: k for k, v in enumerate(I)}
     arrows = [(index[s], index[t]) for s, t in Q.arrows if s in index and t in index]
-    return Quiver([Q.vertices[i] for i in I], arrows,
-                  [Q.multiplicities[i] for i in I])
+    return Quiver([Q.vertices[i] for i in I], arrows)
 
 
 def restrict_arrows(Q: Quiver, J) -> Quiver:
     """Subquiver with all vertices and only the arrows in J (order kept)."""
     J = set(int(j) for j in J)
     arrows = [Q.arrows[a] for a in range(Q.num_arrows) if a in J]
-    return Quiver(Q.vertices, arrows, Q.multiplicities)
+    return Quiver(Q.vertices, arrows)
 
 
 def contract(Q: Quiver, a: int) -> Quiver:
@@ -265,24 +238,16 @@ def contract(Q: Quiver, a: int) -> Quiver:
             return lo
         return v - 1 if v > hi else v
 
-    vertices = []
-    mults = []
-    for v in range(Q.num_vertices):
-        if v == hi:
-            continue
-        if v == lo:
-            vertices.append(f"{Q.vertices[lo]}~{Q.vertices[hi]}")
-        else:
-            vertices.append(Q.vertices[v])
-        mults.append(Q.multiplicities[v])
+    vertices = [f"{Q.vertices[lo]}~{Q.vertices[hi]}" if v == lo else Q.vertices[v]
+                for v in range(Q.num_vertices) if v != hi]
     arrows = [(new_index(x), new_index(y))
               for k, (x, y) in enumerate(Q.arrows) if k != a]
-    return Quiver(vertices, arrows, mults)
+    return Quiver(vertices, arrows)
 
 
 def delete(Q: Quiver, a: int) -> Quiver:
     arrows = [arr for k, arr in enumerate(Q.arrows) if k != a]
-    return Quiver(Q.vertices, arrows, Q.multiplicities)
+    return Quiver(Q.vertices, arrows)
 
 
 # -- spanning trees ---------------------------------------------------------
@@ -331,7 +296,7 @@ def tree_path(Q: Quiver, tree, a: int):
     raise NotConnected("arrow endpoints not joined by the tree")
 
 
-# -- partitions and chains ---------------------------------------------------
+# -- set partitions ---------------------------------------------------------
 
 def set_partitions(items):
     """All partitions of a sequence into nonempty blocks, deterministically.
@@ -351,38 +316,6 @@ def set_partitions(items):
         for k in range(len(sub)):
             yield tuple((first,) + sub[i] if i == k else sub[i]
                         for i in range(len(sub)))
-
-
-def chains_of_edge_subsets(edges, length, *, strict=False, final=None,
-                           connected_final_in=None):
-    """Weakly increasing chains E_1 <= ... <= E_length of subsets of `edges`.
-
-    strict          -- require proper inclusions throughout
-    final           -- fix the last term to this subset
-    connected_final_in -- keep only chains whose last term spans a connected
-                          restriction of the given quiver (all vertices kept)
-    """
-    edges = sorted(set(int(e) for e in edges))
-    if final is not None:
-        final = frozenset(int(e) for e in final)
-
-    def grow(chain):
-        if len(chain) == length:
-            last = chain[-1]
-            if final is not None and last != final:
-                return
-            if connected_final_in is not None and not is_connected(
-                    restrict_arrows(connected_final_in, last)):
-                return
-            yield tuple(chain)
-            return
-        prev = chain[-1] if chain else frozenset()
-        remaining = [e for e in edges if e not in prev]
-        for k in range(0 if not strict else 1, len(remaining) + 1):
-            for extra in combinations(remaining, k):
-                yield from grow(chain + [prev | frozenset(extra)])
-
-    yield from grow([])
 
 
 # -- property (P) and auxiliary quivers -------------------------------------

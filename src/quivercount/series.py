@@ -61,12 +61,6 @@ class VolumeSequence:
     def const(c, length: int) -> "VolumeSequence":
         return VolumeSequence([Fraction(c)] * length)
 
-    @staticmethod
-    def from_rf(f: RationalFunction, q0, length: int) -> "VolumeSequence":
-        """Embed a rational function: entry n = f(q0^n)."""
-        q0 = Fraction(q0)
-        return VolumeSequence([f.evaluate(q0 ** n) for n in range(1, length + 1)])
-
     def __len__(self):
         return len(self.values)
 
@@ -313,24 +307,6 @@ def plethystic_log(G: TruncatedSeries) -> TruncatedSeries:
         if piece.coeffs:
             total = total + piece.scale(Fraction(mu, m))
     return total
-
-
-def geometric_series(variables, bound, var_index: int, ratio) -> TruncatedSeries:
-    """1 + c t + c^2 t^2 + ... in the chosen variable (testing helper)."""
-    coeffs = {}
-    n = len(bound)
-    for k in range(bound[var_index] + 1):
-        r = tuple(k if i == var_index else 0 for i in range(n))
-        coeffs[r] = ratio ** k
-    return TruncatedSeries(variables, bound, coeffs)
-
-
-def series_to_json(s: TruncatedSeries) -> dict:
-    """Serialize with RationalFunction coefficients as canonical strings."""
-    terms = []
-    for r in sorted(s.coeffs):
-        terms.append({"r": list(r), "coeff": s.coeffs[r].to_string()})
-    return {"bound": list(s.bound), "terms": terms}
 
 
 def all_exponents(bound):

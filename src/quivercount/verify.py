@@ -51,7 +51,7 @@ def corpus():
 
 # -- criterion 1 --------------------------------------------------------------
 
-def check_toric_tables(caps=bruteforce.DEFAULT_CAPS) -> CheckResult:
+def check_toric_tables() -> CheckResult:
     """Chain formula = tree formula, with nonnegative coefficients, on the
     whole corpus for alpha <= 3."""
     t0 = time.time()
@@ -71,19 +71,22 @@ def check_toric_tables(caps=bruteforce.DEFAULT_CAPS) -> CheckResult:
 
 # -- criterion 2 --------------------------------------------------------------
 
-def check_toric_brute_anchor(caps=None) -> CheckResult:
+# criterion 2 runs the corpus censuses of at most 2^20 points, whatever the CLI caps
+CENSUS_CAPS = Caps(max_space_log2=20)
+
+
+def check_toric_brute_anchor() -> CheckResult:
     """Toric count evaluated at q equals the orbit-census count of
     absolutely indecomposable classes, across the corpus."""
     t0 = time.time()
-    caps = caps or Caps(max_space_log2=20)
     checked = 0
     for Q in corpus():
         ones = (1,) * Q.num_vertices
         for alpha in (1, 2):
             for q in (2, 3):
-                if alpha * Q.num_arrows * math.log2(q) > caps.max_space_log2:
+                if alpha * Q.num_arrows * math.log2(q) > CENSUS_CAPS.max_space_log2:
                     continue
-                cnt = bruteforce.count_absolutely_indecomposable(Q, alpha, ones, q, caps)
+                cnt = bruteforce.count_absolutely_indecomposable(Q, alpha, ones, q, CENSUS_CAPS)
                 val = kacpoly.toric_kac_wyss(Q, alpha).evaluate(q)
                 if cnt != val:
                     return _result("toric count anchored by orbit census", t0, False,
@@ -101,21 +104,21 @@ GLOOP_A2_ANCHORS = [(2, 1, 4)] + [(g, alpha, q) for g in (2, 3, 4) for alpha, q 
 GLOOP_A3_ANCHORS = [(g, alpha, q) for g in (1, 2, 3, 4) for alpha, q in ((1, 2), (1, 3), (2, 2))]
 
 
-def _burnside_anchor_holds(g: int, alpha: int, q: int, rank: int, caps) -> bool:
+def _burnside_anchor_holds(g: int, alpha: int, q: int, rank: int) -> bool:
     """A_rank(q) of the g-loop quiver, rank 2 or 3, from the Burnside counts
     M_r(q) through the fixed-q plethystic Log of M = Exp(A), equals its
     closed form.  Every rank-one point is its own class, so A_1 =
     q^(alpha g), and psi_n A_1 is A_1 at q^n."""
     Q = loop_quiver(g)
     a1, psi2, psi3 = (q ** (n * alpha * g) for n in (1, 2, 3))
-    a = bruteforce.count_iso_classes(Q, alpha, (2,), q, caps) - Fraction(a1 ** 2 + psi2, 2)
+    a = bruteforce.count_iso_classes(Q, alpha, (2,), q) - Fraction(a1 ** 2 + psi2, 2)
     if rank == 3:
-        a = (bruteforce.count_iso_classes(Q, alpha, (3,), q, caps) - a1 * a
+        a = (bruteforce.count_iso_classes(Q, alpha, (3,), q) - a1 * a
              - Fraction(a1 ** 3 + 3 * a1 * psi2 + 2 * psi3, 6))
     return a == (closedforms.gloop_A2 if rank == 2 else closedforms.gloop_A3)(g, alpha).evaluate(q)
 
 
-def check_gloop_rank2(caps=bruteforce.DEFAULT_CAPS) -> CheckResult:
+def check_gloop_rank2() -> CheckResult:
     """Rank-2 recurrence = closed form for g <= 4, alpha <= 6; anchored by
     the orbit census over F_2 and, through the class-count series, by
     Burnside counts at GLOOP_A2_ANCHORS."""
@@ -126,17 +129,17 @@ def check_gloop_rank2(caps=bruteforce.DEFAULT_CAPS) -> CheckResult:
                 return _result("rank-2 loop-quiver count", t0, False,
                                f"recurrence vs closed form at g={g}, alpha={alpha}")
     # absolute-indecomposable census over F_2 at (g, alpha) = (2, 1)
-    census = bruteforce.count_absolutely_indecomposable(loop_quiver(2), 1, (2,), 2, caps)
+    census = bruteforce.count_absolutely_indecomposable(loop_quiver(2), 1, (2,), 2)
     if census != closedforms.gloop_A2(2, 1).evaluate(2):
         return _result("rank-2 loop-quiver count", t0, False, "F_2 census mismatch")
-    miss = [x for x in GLOOP_A2_ANCHORS if not _burnside_anchor_holds(*x, 2, caps)]
+    miss = [x for x in GLOOP_A2_ANCHORS if not _burnside_anchor_holds(*x, 2)]
     if miss:
         return _result("rank-2 loop-quiver count", t0, False, f"Burnside anchors {miss} mismatch")
     return _result("rank-2 loop-quiver count: recurrence = closed form, census anchors", t0, True,
                    f"g <= 4, alpha <= 6; F_2 census, {len(GLOOP_A2_ANCHORS)} Burnside anchors")
 
 
-def check_gloop_rank3(caps=bruteforce.DEFAULT_CAPS) -> CheckResult:
+def check_gloop_rank3() -> CheckResult:
     """Rank-3 recurrence reproduces all 15 tabulated polynomials; the
     closed form is anchored by Burnside counts at GLOOP_A3_ANCHORS."""
     t0 = time.time()
@@ -148,7 +151,7 @@ def check_gloop_rank3(caps=bruteforce.DEFAULT_CAPS) -> CheckResult:
         if got != closedforms.gloop_A3(g, alpha):
             return _result("rank-3 loop-quiver count vs tables", t0, False,
                            f"closed-form mismatch at g={g}, alpha={alpha}")
-    miss = [x for x in GLOOP_A3_ANCHORS if not _burnside_anchor_holds(*x, 3, caps)]
+    miss = [x for x in GLOOP_A3_ANCHORS if not _burnside_anchor_holds(*x, 3)]
     if miss:
         return _result("rank-3 loop-quiver count vs tables", t0, False,
                        f"Burnside anchors {miss} mismatch")
@@ -158,7 +161,7 @@ def check_gloop_rank3(caps=bruteforce.DEFAULT_CAPS) -> CheckResult:
 
 # -- criterion 5 ---------------------------------------------------------------
 
-def check_kronecker_pipeline(caps=None) -> CheckResult:
+def check_kronecker_pipeline() -> CheckResult:
     """Rank-(1,2) Kronecker counts reconstructed from the zeta function
     match the five closed forms, for r in {3,4}."""
     t0 = time.time()
@@ -174,13 +177,13 @@ def check_kronecker_pipeline(caps=None) -> CheckResult:
 
 # -- criterion 6 ---------------------------------------------------------------
 
-def check_moment_fibers(caps=bruteforce.DEFAULT_CAPS) -> CheckResult:
+def check_moment_fibers() -> CheckResult:
     """Zero-fiber counts: rank-2 loop-quiver closed form and the rank-one
     partition formula, both against brute force."""
     t0 = time.time()
     for (g, alpha, q) in [(2, 1, 2), (2, 2, 2), (2, 1, 3)]:
         closed = closedforms.gloop_fiber(g, alpha).evaluate(q)
-        brute = bruteforce.moment_fiber_count(loop_quiver(g), alpha, (2,), q, None, caps)
+        brute = bruteforce.moment_fiber_count(loop_quiver(g), alpha, (2,), q)
         if closed != brute:
             return _result("moment-map zero fibers", t0, False,
                            f"loop g={g} alpha={alpha} q={q}: {closed} vs {brute}")
@@ -189,7 +192,7 @@ def check_moment_fibers(caps=bruteforce.DEFAULT_CAPS) -> CheckResult:
         for alpha in (1, 2):
             sym = kacpoly.rank1_fiber_count(Q, alpha)
             for q in (2, 3):
-                brute = bruteforce.moment_fiber_count(Q, alpha, ones, q, None, caps)
+                brute = bruteforce.moment_fiber_count(Q, alpha, ones, q)
                 if sym.evaluate(q) != brute:
                     return _result("moment-map zero fibers", t0, False,
                                    f"{Q!r} alpha={alpha} q={q}")
@@ -199,12 +202,12 @@ def check_moment_fibers(caps=bruteforce.DEFAULT_CAPS) -> CheckResult:
 
 # -- criterion 7 ---------------------------------------------------------------
 
-def check_deformed_fibers(caps=bruteforce.DEFAULT_CAPS) -> CheckResult:
+def check_deformed_fibers() -> CheckResult:
     """Deformed fiber counts match q^(-alpha<r,r>) A/(1-q^-1) exactly."""
     t0 = time.time()
 
     def one_case(Q, r, lam, alpha, q):
-        cnt = bruteforce.moment_fiber_count(Q, alpha, r, q, lam, caps)
+        cnt = bruteforce.moment_fiber_count(Q, alpha, r, q, lam)
         gl = 1
         for ri in r:
             gl *= gl_order(q, alpha, ri)
@@ -226,17 +229,17 @@ def check_deformed_fibers(caps=bruteforce.DEFAULT_CAPS) -> CheckResult:
 
 # -- criterion 8 ---------------------------------------------------------------
 
-def check_jet_series(caps=bruteforce.DEFAULT_CAPS) -> CheckResult:
+def check_jet_series() -> CheckResult:
     """Fiber counts over F_q[t]/(t^n) match the zeta-function expansions."""
     t0 = time.time()
     zn, zd = closedforms.gloop_Z(2)
     sym = [N.evaluate(2) for N in kacpoly.poincare_symbolic(zn, zd, 16, 2)]
-    brute = bruteforce.jet_counts(loop_quiver(2), (2,), 2, 2, caps)
+    brute = bruteforce.jet_counts(loop_quiver(2), (2,), 2, 2)
     if sym != brute:
         return _result("jet counts vs zeta expansion", t0, False, "rank-2 loop quiver")
     zn, zd = closedforms.kronecker_Z(3)
     sym = [N.evaluate(2) for N in kacpoly.poincare_symbolic(zn, zd, 12, 3)]
-    brute = bruteforce.jet_counts(kronecker_quiver(3), (1, 2), 2, 3, caps)
+    brute = bruteforce.jet_counts(kronecker_quiver(3), (1, 2), 2, 3)
     if sym != brute:
         return _result("jet counts vs zeta expansion", t0, False, "3-Kronecker rank (1,2)")
     return _result("jet counts = zeta-function expansion", t0, True,
@@ -245,7 +248,7 @@ def check_jet_series(caps=bruteforce.DEFAULT_CAPS) -> CheckResult:
 
 # -- criterion 9 ---------------------------------------------------------------
 
-def check_limits_hilbert(caps=None) -> CheckResult:
+def check_limits_hilbert() -> CheckResult:
     """Limit fractions of the triangle, the Hilbert-series identity, the
     B = A (1-1/q)^(V-1) relation, and stabilization of normalized counts."""
     t0 = time.time()
@@ -280,8 +283,7 @@ def check_limits_hilbert(caps=None) -> CheckResult:
 
 # -- criterion 10 ----------------------------------------------------------------
 
-def plethystic_identity_fixed_q(Q: Quiver, alpha: int, bound, q0: int,
-                                caps=bruteforce.DEFAULT_CAPS) -> bool:
+def plethystic_identity_fixed_q(Q: Quiver, alpha: int, bound, q0: int) -> bool:
     """The counting identity at a fixed prime power: the fiber-count series
     equals the plethystic exponential of the absolutely-indecomposable
     series, with coefficients tracked over F_q and F_{q^2}."""
@@ -305,7 +307,7 @@ def plethystic_identity_fixed_q(Q: Quiver, alpha: int, bound, q0: int,
                 continue
             qn = q0 ** n
             entries.append(Fraction(
-                bruteforce.count_absolutely_indecomposable(Q, alpha, r, qn, caps))
+                bruteforce.count_absolutely_indecomposable(Q, alpha, r, qn))
                 / (1 - Fraction(1, qn)))
         a_coeffs[r] = vseq(entries)
     a_series = TruncatedSeries([f"t{i}" for i in range(n_vars)], bound, a_coeffs,
@@ -313,7 +315,7 @@ def plethystic_identity_fixed_q(Q: Quiver, alpha: int, bound, q0: int,
     m_series = plethystic_exp(a_series)
 
     for r in all_exponents(bound):
-        fiber = bruteforce.moment_fiber_count(Q, alpha, r, q0, None, caps)
+        fiber = bruteforce.moment_fiber_count(Q, alpha, r, q0)
         gl = 1
         for ri in r:
             gl *= gl_order(q0, alpha, ri)
@@ -323,7 +325,7 @@ def plethystic_identity_fixed_q(Q: Quiver, alpha: int, bound, q0: int,
     return True
 
 
-def check_plethystic_fixed_q(caps=bruteforce.DEFAULT_CAPS) -> CheckResult:
+def check_plethystic_fixed_q() -> CheckResult:
     """The counting identity at q=2 on the one-vertex quivers up to rank 2
     and the two-vertex quiver up to rank (2,1)."""
     t0 = time.time()
@@ -334,7 +336,7 @@ def check_plethystic_fixed_q(caps=bruteforce.DEFAULT_CAPS) -> CheckResult:
         (a2_quiver(), 1, (2, 1)), (a2_quiver(), 2, (2, 1)),
     ]
     for Q, alpha, bound in cases:
-        if not plethystic_identity_fixed_q(Q, alpha, bound, 2, caps):
+        if not plethystic_identity_fixed_q(Q, alpha, bound, 2):
             return _result("counting identity at fixed q", t0, False,
                            f"{Q!r} alpha={alpha} bound={bound}")
     return _result("fiber counts = Exp of indecomposable counts at q=2", t0, True,
@@ -343,7 +345,7 @@ def check_plethystic_fixed_q(caps=bruteforce.DEFAULT_CAPS) -> CheckResult:
 
 # -- criterion 11 -----------------------------------------------------------------
 
-def check_hall(caps=None) -> CheckResult:
+def check_hall() -> CheckResult:
     """The Hall algebra of the two-vertex quiver over O_alpha, alpha <= 2.
 
     At q = 2, 3 the product is associative and [e1, e2] is the sum of the

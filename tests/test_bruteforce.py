@@ -18,7 +18,8 @@ from quivercount.bruteforce import (Caps, _find, _hook, _orbit_labels, _walk, as
                                     moment_matrix, moment_theta_basis,
                                     rep_space_dim, group_order)
 from quivercount.errors import (CapExceeded, CharacteristicTooSmall,
-                                DimensionMismatch, NonGenericLambda)
+                                DimensionMismatch, NonGenericLambda,
+                                UnsupportedParameter)
 from quivercount.localring import Fq, ORing, gl_order
 from quivercount.quiver import (Quiver, _union_find, a2_quiver, cyclic_quiver,
                                 jordan_quiver, kronecker_quiver, loop_quiver)
@@ -395,6 +396,17 @@ class TestMomentFibers:
             moment_fiber_count(cyclic_quiver(3), 1, (1, 1, 1), 7, (1, -1, 0))
         with pytest.raises(CharacteristicTooSmall):
             moment_fiber_count(a2_quiver(), 1, (1, 1), 2, (1, -1))
+
+
+@pytest.mark.parametrize("count", [count_iso_classes, count_absolutely_indecomposable,
+                                   enumerate_orbits, moment_fiber_count],
+                         ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("r,error", [((1, 1, 1), DimensionMismatch), ((2,), DimensionMismatch),
+                                     ((1, -1), UnsupportedParameter)])
+def test_bad_rank_vector_is_refused(count, r, error):
+    # one entry per vertex, none negative, whichever count is asked
+    with pytest.raises(error):
+        count(a2_quiver(), 1, r, 3)
 
 
 class TestAsk:

@@ -13,7 +13,6 @@ def c3_file(tmp_path):
     path.write_text(json.dumps({
         "vertices": ["1", "2", "3"],
         "arrows": [{"src": 0, "dst": 1}, {"src": 1, "dst": 2}, {"src": 2, "dst": 0}],
-        "multiplicities": [1, 1, 1],
     }))
     return str(path)
 
@@ -24,7 +23,6 @@ def a2_file(tmp_path):
     path.write_text(json.dumps({
         "vertices": ["1", "2"],
         "arrows": [{"src": 0, "dst": 1}],
-        "multiplicities": [1, 1],
     }))
     return str(path)
 
@@ -35,7 +33,6 @@ def gloop2_file(tmp_path):
     path.write_text(json.dumps({
         "vertices": ["v"],
         "arrows": [{"src": 0, "dst": 0}, {"src": 0, "dst": 0}],
-        "multiplicities": [1],
     }))
     return str(path)
 
@@ -53,6 +50,17 @@ class TestCommands:
         code, out, _ = run_cli(["kac", "--quiver", c3_file, "--alpha", "1",
                                 "--method", "tree"])
         assert code == 0 and out.strip() == "q + 2"
+
+    def test_kac_ignores_multiplicities(self, tmp_path):
+        # counts take --alpha; a "multiplicities" key in the file is ignored
+        a2 = {"vertices": ["1", "2"], "arrows": [{"src": 0, "dst": 1}]}
+        runs = []
+        for name, data in (("plain", a2), ("mult", {**a2, "multiplicities": [2, 3]})):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(data))
+            runs.append(run_cli(["kac", "--quiver", str(path), "--alpha", "2"]))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and runs[0][1].strip() == "2"
 
     def test_kac_gloop(self):
         code, out, _ = run_cli(["kac-gloop", "--g", "1", "--alpha", "3", "--rank", "3"])
@@ -161,8 +169,7 @@ class TestErrorPaths:
 
     def test_disconnected_kac(self, tmp_path):
         path = tmp_path / "disc.json"
-        path.write_text(json.dumps({"vertices": ["1", "2"], "arrows": [],
-                                    "multiplicities": [1, 1]}))
+        path.write_text(json.dumps({"vertices": ["1", "2"], "arrows": []}))
         code, _, err = run_cli(["kac", "--quiver", str(path), "--alpha", "1"])
         assert code == 2 and "connected" in err
 

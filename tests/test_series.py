@@ -7,11 +7,20 @@ from hypothesis import given, settings, strategies as st
 from quivercount.errors import ConstantTermNotOne, NonzeroConstantTerm
 from quivercount.qpolynomial import QPolynomial, RationalFunction
 from quivercount.series import (TruncatedSeries, VolumeSequence, all_exponents,
-                                geometric_series, moebius, plethystic_exp,
-                                plethystic_log, series_to_json)
+                                moebius, plethystic_exp, plethystic_log)
 
 q = RationalFunction.q
 one = RationalFunction.one()
+
+
+def geometric_series(variables, bound, var_index: int, ratio) -> TruncatedSeries:
+    """1 + c t + c^2 t^2 + ... in the chosen variable."""
+    coeffs = {}
+    n = len(bound)
+    for k in range(bound[var_index] + 1):
+        r = tuple(k if i == var_index else 0 for i in range(n))
+        coeffs[r] = ratio ** k
+    return TruncatedSeries(variables, bound, coeffs)
 
 
 def t_series(bound, coeffs):
@@ -128,10 +137,6 @@ class TestVolumeSequence:
         assert (v + w).values == (Fraction(3), None)
         assert (v * w).values == (Fraction(2), None)
 
-    def test_from_rf(self):
-        f = RationalFunction(QPolynomial({1: 1}))
-        assert VolumeSequence.from_rf(f, 2, 3).values == (2, 4, 8)
-
     def test_series_with_volume_coefficients(self):
         length = 2
         zero = VolumeSequence.const(0, length)
@@ -141,11 +146,3 @@ class TestVolumeSequence:
         G = plethystic_exp(F)
         # Exp(q t) at q=2: t^2 coefficient is q^2 = 4 over F_q
         assert G.coefficient((2,)).entry(1) == 4
-
-
-def test_series_json():
-    F = t_series((1, 1), {(1, 0): q(1), (1, 1): one})
-    data = series_to_json(F)
-    assert data == {"bound": [1, 1],
-                    "terms": [{"r": [1, 0], "coeff": "q"},
-                              {"r": [1, 1], "coeff": "1"}]}
