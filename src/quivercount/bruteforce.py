@@ -623,7 +623,7 @@ def moment_fiber_count(Q: Quiver, alpha: int, r, q: int, lam=None,
     check_space_cap(Q, alpha, r, q, caps)
     ring = ORing(q, alpha)
     if any(lam):
-        _check_generic(Q, r, q, lam)
+        _check_generic(r, q, lam)
     if rep_space_dim(Q, r) == 0:
         # mu is the zero map; the fiber is a point iff the target vanishes
         # inside gl_r (vertices of rank zero impose nothing)
@@ -661,7 +661,7 @@ def _char(q: int) -> int:
     return _factor_prime_power(q)[0]
 
 
-def _check_generic(Q: Quiver, r, q: int, lam) -> None:
+def _check_generic(r, q: int, lam) -> None:
     if sum(l * x for l, x in zip(lam, r)) != 0:
         raise NonGenericLambda("lambda does not pair to zero with the rank vector")
     for sub in product(*(range(x + 1) for x in r)):
