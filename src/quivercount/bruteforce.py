@@ -6,8 +6,13 @@ the graph of a few generators.  The first generator's orbits are its
 cycles.  Each later generator adds edges from orbit roots only: from the
 roots of the orbits so far while it normalizes the group generated before
 it, and from those of a normal subgroup after that (see _orbit_labels).
-On the Jordan quiver the census lists the conjugacy classes of GL_r(O_alpha),
-over whose tuples count_iso_classes sums Burnside's lemma.
+On the Jordan quiver the census lists the adjoint orbits of GL_r(O_alpha)
+on M_r(O_alpha) (_adjoint_orbits).  count_iso_classes sums Burnside's lemma
+over tuples of its invertible orbits, the conjugacy classes, and
+moment_fiber_count sums a Fourier inversion over tuples of all of them
+whenever the censuses cost less than the x-space, sum_i q^(alpha r_i^2) <
+q^(alpha dim R); otherwise it walks every point x (_walk).  Either way the
+space cap bounds the x-space.
 All higher-level identities in the package are checked against these
 counts.  Correctness first; caps keep the instances at desk scale.
 
@@ -40,7 +45,10 @@ class Caps:
     census holds int32 arrays: at 2^20 points it peaks at 24 bytes a point
     in rank all-one and 29 on a 2 x 2 loop, some 0.4 and 0.45 GiB at 2^24).
     count_iso_classes walks no x-space: the cap bounds its Jordan census
-    of M_{r_i}(O_alpha) at each vertex and its grid of class tuples."""
+    of M_{r_i}(O_alpha) at each vertex and its grid of class tuples.
+    moment_fiber_count is capped by its x-space whichever route it takes;
+    its adjoint-orbit route runs Jordan censuses and a tuple grid smaller
+    than that x-space."""
     max_space_log2: int = 24
 
 
@@ -82,7 +90,7 @@ def check_space_cap(Q: Quiver, alpha: int, r, q: int, caps: Caps) -> None:
             f"representation space has 2^{log2_size:.1f} points, cap 2^{caps.max_space_log2}")
 
 
-def group_order(Q: Quiver, alpha: int, r, q: int) -> int:
+def group_order(alpha: int, r, q: int) -> int:
     order = 1
     for ri in r:
         order *= gl_order(q, alpha, ri)
@@ -161,7 +169,7 @@ def enumerate_orbits(Q: Quiver, alpha: int, r, q: int,
     ends = np.concatenate([
         _kernel_exponents(ring.field, _combine(ring.field, basis, coords[i:i + step]))
         for i in range(0, len(reps), step)])
-    gl_size = group_order(Q, alpha, r, q)
+    gl_size = group_order(alpha, r, q)
     records = []
     for point, orbit_size, e in zip(coords.tolist(), sizes.tolist(), ends.tolist()):
         entries = iter(map(tuple, point))
@@ -291,8 +299,12 @@ def _orbit_labels(Q: Quiver, ring: ORing, r):
     add, mul = ring.field.arrays[:2]
     coeff_places = q ** np.arange(alpha - 1, -1, -1, dtype=np.int32)
     digits = _digits(np.arange(size), q, alpha).astype(np.int16)
-    plus = ((add[digits[:, None] * q + digits] @ coeff_places).ravel()
-            if any(rows * cols > 1 for rows, cols in shapes) else None)
+    plus = None
+    if any(rows * cols > 1 for rows, cols in shapes):
+        # the sums of all pairs of values, one coefficient at a time
+        plus = np.zeros(size * size, dtype=np.int32)
+        for j in range(alpha):
+            plus += add[(digits[:, j, None] * q + digits[:, j]).ravel()] * coeff_places[j]
     entry_places = [size ** np.arange(rows * cols - 1, -1, -1, dtype=np.int32).reshape(rows, cols)
                     for rows, cols in shapes]
     products = {}
@@ -481,14 +493,15 @@ def _walk(field, basis: np.ndarray, alpha: int, target=None) -> int:
     return total
 
 
-# -- Burnside count ------------------------------------------------------------
+# -- sums over adjoint orbits: Burnside counts --------------------------------
 
 def _conjugation_exponents(field, g_t, g_s, loop: bool) -> np.ndarray:
-    """Fixed-point exponents of x -> g_t x g_s^{-1} for every pair of
-    elements of the stacks g_t and g_s (shape (G, r, r, alpha)): an array
-    of shape (G_t, G_s), or (G,) over the diagonal pairs of a loop.  They
-    form the kernel of x -> g_t x - x g_s: the end system of one arrow,
-    with the entries of g_s and then of g_t as its coordinates."""
+    """Kernel exponents of x -> g_t x - x g_s for every pair of elements of
+    the stacks g_t and g_s (shape (G, r, r, alpha)): an array of shape
+    (G_t, G_s), or (G,) over the diagonal pairs of a loop.  The map is the
+    end system of one arrow, with the entries of g_s and then of g_t as its
+    coordinates; for invertible g its kernel is the fixed points of
+    x -> g_t x g_s^{-1}."""
     n_t, rows, _, alpha = g_t.shape
     n_s, cols = g_s.shape[:2]
     basis = _integer_basis(end_system_matrix, ((0, 1),), 2, (cols, rows)).reshape(
@@ -507,18 +520,52 @@ def _conjugation_exponents(field, g_t, g_s, loop: bool) -> np.ndarray:
 
 
 @functools.cache
-def _conjugacy_classes(ring: ORing, r: int):
-    """The conjugacy classes of GL_r(O_alpha): a (C, r, r, alpha) int16
-    stack of representatives and their sizes, read-only.  They are the
-    invertible orbits of the Jordan-quiver census in rank r; the cache runs
-    one census per (q, alpha, r), as ORing(q, alpha) is one instance."""
+def _adjoint_orbits(ring: ORing, r: int):
+    """The orbits of GL_r(O_alpha) on M_r(O_alpha) by conjugation: a
+    (C, r, r, alpha) int16 stack of representatives, their sizes and which
+    of them are invertible, read-only.  They are the orbits of the
+    Jordan-quiver census in rank r, and the invertible ones are the
+    conjugacy classes of GL_r(O_alpha); the cache runs one census per
+    (q, alpha, r), as ORing(q, alpha) is one instance."""
     alpha = ring.alpha
     reps, sizes = _orbit_labels(jordan_quiver(), ring, (r,))
     stack = _digits(reps, ring.q, r * r * alpha).reshape(len(reps), r, r, alpha).astype(np.int16)
     invertible = _kernel_exponents(ring.field, stack) == 0
-    stack, sizes = stack[invertible], sizes[invertible]
-    stack.flags.writeable = sizes.flags.writeable = False
-    return stack, sizes
+    for array in (stack, sizes, invertible):
+        array.flags.writeable = False
+    return stack, sizes, invertible
+
+
+def _tuple_sums(Q: Quiver, field, orbits, caps: Caps, masks=(True,)) -> list:
+    """Sums over tuples (c_i) of orbit representatives, one per vertex, of
+    prod_i |c_i| q^(sum_a ke_a), ke_a the kernel exponent of x -> c_t x - x c_s
+    on the arrow a; orbits[i] = (representatives, sizes) at vertex i.  One
+    exact sum per boolean mask over the tuple grid (one axis per vertex),
+    which keeps the tuples it is true on.  The space cap bounds the grid."""
+    shape = [len(sizes) for _, sizes in orbits]
+    log2_grid = math.log2(math.prod(shape))
+    if log2_grid > caps.max_space_log2:
+        raise CapExceeded(f"class-tuple grid has 2^{log2_grid:.1f} tuples ({math.prod(shape)}), "
+                          f"cap 2^{caps.max_space_log2}")
+    # the exponent of every tuple, one axis per vertex; parallel arrows
+    # share their exponents
+    n = Q.num_vertices
+    fix_exp = np.zeros(shape, dtype=np.int64)
+    per_arrow = {}
+    for s, t in Q.arrows:
+        if (s, t) not in per_arrow:
+            e = _conjugation_exponents(field, orbits[t][0], orbits[s][0], s == t)
+            per_arrow[s, t] = np.expand_dims(e.T if t > s else e,
+                                             tuple(i for i in range(n) if i not in (s, t)))
+        fix_exp += per_arrow[s, t]
+    # weights and their sums are at most prod_i sum |c_i|: Python integers beyond int64
+    dtype = np.int64 if math.prod(int(sizes.sum()) for _, sizes in orbits) < 2 ** 63 else object
+    weights = np.ones((), dtype=dtype)
+    for _, sizes in orbits:
+        weights = np.multiply.outer(weights, sizes.astype(dtype))
+    exps = np.flatnonzero(np.bincount(fix_exp.ravel()))
+    return [sum(int(weights[(fix_exp == e) & mask].sum()) * field.q ** int(e) for e in exps)
+            for mask in masks]
 
 
 def count_iso_classes(Q: Quiver, alpha: int, r, q: int,
@@ -534,32 +581,12 @@ def count_iso_classes(Q: Quiver, alpha: int, r, q: int,
     for ri in r:
         check_space_cap(jordan_quiver(), alpha, (ri,), q, caps)
     ring = ORing(q, alpha)
-    classes = [_conjugacy_classes(ring, ri) for ri in r]
-    shape = [len(sizes) for _, sizes in classes]
-    log2_grid = math.log2(math.prod(shape))
-    if log2_grid > caps.max_space_log2:
-        raise CapExceeded(f"class-tuple grid has 2^{log2_grid:.1f} tuples ({math.prod(shape)}), "
-                          f"cap 2^{caps.max_space_log2}")
-    # fixed-point exponent of every class tuple, one axis per vertex;
-    # parallel arrows share their exponents
-    n = Q.num_vertices
-    fix_exp = np.zeros(shape, dtype=np.int64)
-    per_arrow = {}
-    for s, t in Q.arrows:
-        if (s, t) not in per_arrow:
-            e = _conjugation_exponents(ring.field, classes[t][0], classes[s][0], s == t)
-            per_arrow[s, t] = np.expand_dims(e.T if t > s else e,
-                                             tuple(i for i in range(n) if i not in (s, t)))
-        fix_exp += per_arrow[s, t]
-    # weights and their sums are at most |GL|: Python integers beyond int64
-    order = group_order(Q, alpha, r, q)
-    dtype = np.int64 if order < 2 ** 63 else object
-    weights = np.ones((), dtype=dtype)
-    for _, sizes in classes:
-        weights = np.multiply.outer(weights, sizes.astype(dtype))
-    total = sum(int(weights[fix_exp == e].sum()) * q ** int(e)
-                for e in np.flatnonzero(np.bincount(fix_exp.ravel())))
-    count, rem = divmod(total, order)
+    classes = []
+    for ri in r:
+        stack, sizes, invertible = _adjoint_orbits(ring, ri)
+        classes.append((stack[invertible], sizes[invertible]))
+    total, = _tuple_sums(Q, ring.field, classes, caps)
+    count, rem = divmod(total, group_order(alpha, r, q))
     if rem:
         raise AssertionError("orbit-count average is not an integer")
     return count
@@ -610,10 +637,15 @@ def moment_fiber_count(Q: Quiver, alpha: int, r, q: int, lam=None,
 
     lambda = None or all zero counts the zero fiber; a nonzero lambda must
     pair to zero with r, to nonzero with every intermediate rank vector,
-    and needs characteristic larger than sum |lambda_i| r_i.  Rank all-one
-    zero fibers sum over valuation patterns; every other fiber walks all
-    points x, each contributing |Ker A(x)| for the moment matrix A(x) of
-    moment_theta_basis (see _walk).
+    and needs characteristic larger than sum |lambda_i| r_i.  The space cap
+    bounds the x-space, whichever route counts:
+    - rank all-one zero fibers sum over valuation patterns;
+    - every other fiber sums over the adjoint orbits of gl_r(O_alpha) (see
+      _orbit_fiber) when the Jordan censuses cost less than the x-space,
+      sum_i q^(alpha r_i^2) < q^(alpha dim R), and their orbit-tuple grid
+      is smaller than the x-space too;
+    - otherwise it walks all points x, each contributing |Ker A(x)| for the
+      moment matrix A(x) of moment_theta_basis (see _walk).
     """
     n = Q.num_vertices
     r = _rank_vector(Q, r)
@@ -624,7 +656,8 @@ def moment_fiber_count(Q: Quiver, alpha: int, r, q: int, lam=None,
     ring = ORing(q, alpha)
     if any(lam):
         _check_generic(r, q, lam)
-    if rep_space_dim(Q, r) == 0:
+    dim = rep_space_dim(Q, r)
+    if dim == 0:
         # mu is the zero map; the fiber is a point iff the target vanishes
         # inside gl_r (vertices of rank zero impose nothing)
         p = _char(q)
@@ -644,6 +677,11 @@ def moment_fiber_count(Q: Quiver, alpha: int, r, q: int, lam=None,
                 mult *= counts_per_val[v]
             total += mult * q ** ke
         return total
+    space = q ** (alpha * dim)
+    if sum(q ** (alpha * ri * ri) for ri in r) < space:
+        orbits = [_adjoint_orbits(ring, ri)[:2] for ri in r]
+        if math.prod(len(sizes) for _, sizes in orbits) < space:
+            return _orbit_fiber(Q, ring, r, lam, orbits, caps)
     basis = _integer_basis(moment_matrix, Q.arrows, n, r)
     target = None
     if any(lam):
@@ -654,6 +692,42 @@ def moment_fiber_count(Q: Quiver, alpha: int, r, q: int, lam=None,
                 target[offset + u * ri + u, 0, alpha - 1] = ring.field.from_int(lam[i])
             offset += ri * ri
     return _walk(ring.field, basis, alpha, target)
+
+
+def _orbit_fiber(Q: Quiver, ring: ORing, r, lam, orbits, caps: Caps) -> int:
+    """#mu^-1(t^(alpha-1) lambda) by Fourier inversion on gl_r(O_alpha).
+
+    psi(c) = chi(coefficient of t^(alpha-1) in c), chi a nontrivial additive
+    character of F_q, generates the characters of the Frobenius ring O_alpha.
+    Summing psi(<xi, mu(x, y)>) over y leaves |R| for each x with
+    xi_t x_a = x_a xi_s on every arrow, so
+        #mu^-1(c) = |R| / |gl_r| sum_xi psi(-<xi, c>) q^(sum_a ke_a(xi)),
+    ke_a the kernel exponent of x -> xi_t x - x xi_s, which depends only on
+    the adjoint orbits of the xi_i: the sum runs over orbit tuples weighted
+    by their sizes (_tuple_sums).  For lambda = 0 every character is 1 and
+    the sum is the total weight W.  Otherwise psi(-<xi, c>) = chi(-s(xi)),
+    s(xi) = sum_i lambda_i tr(xi_i)_0 in F_q, a class function; scaling xi
+    by u in F_q^* scales s by u and keeps every kernel, so each nonzero
+    value of s carries (W - W_0) / (q - 1) of the weight, W_0 that of
+    s = 0, and the sum is (q W_0 - W) / (q - 1)."""
+    field, q, alpha = ring.field, ring.q, ring.alpha
+    if any(lam):
+        add, mul = field.arrays[:2]
+        s = np.zeros((), dtype=np.int16)  # s(xi) over the grid, one axis per vertex
+        for i, (stack, _) in enumerate(orbits):
+            trace = np.zeros(len(stack), dtype=np.int16)
+            for k in range(r[i]):
+                trace = add[trace * q + stack[:, k, k, 0]]
+            s = add[np.add.outer(s * q, mul[field.from_int(lam[i]) * q + trace])]
+        total, total_0 = _tuple_sums(Q, field, orbits, caps, (True, s == 0))
+        total, den = q * total_0 - total, q - 1
+    else:
+        (total,), den = _tuple_sums(Q, field, orbits, caps), 1
+    shift = alpha * (rep_space_dim(Q, r) - sum(ri * ri for ri in r))  # |R| / |gl_r| = q^shift
+    count, rem = divmod(total * q ** max(shift, 0), den * q ** max(-shift, 0))
+    if rem:
+        raise AssertionError("Fourier sum over adjoint orbits is not an integer")
+    return count
 
 
 def _char(q: int) -> int:

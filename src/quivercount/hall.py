@@ -63,7 +63,7 @@ def orbit_label_of(x: OMatrix, alpha: int):
     return tuple(label)
 
 
-def is_indecomposable_label(rank, label, alpha: int) -> bool:
+def is_indecomposable_label(rank, label) -> bool:
     """The module of a label splits into t^i-blocks and vertex simples;
     it is indecomposable iff there is exactly one summand."""
     r1, r2 = rank
@@ -300,7 +300,7 @@ def primitive_space_dim(rank, alpha: int) -> int:
     """Dimension of the primitive subspace in one degree: the number of
     indecomposable orbits."""
     return sum(1 for lab in all_orbit_labels(rank, alpha)
-               if is_indecomposable_label(rank, lab, alpha))
+               if is_indecomposable_label(rank, lab))
 
 
 def bracket(f1: HallFunction, f2: HallFunction, q: int) -> HallFunction:

@@ -181,7 +181,8 @@ def check_moment_fibers() -> CheckResult:
     """Zero-fiber counts: rank-2 loop-quiver closed form and the rank-one
     partition formula, both against brute force."""
     t0 = time.time()
-    for (g, alpha, q) in [(2, 1, 2), (2, 2, 2), (2, 1, 3)]:
+    for (g, alpha, q) in [(2, 1, 2), (2, 2, 2), (2, 1, 3), (2, 3, 2), (3, 2, 2), (2, 1, 5),
+                          (2, 1, 7)]:
         closed = closedforms.gloop_fiber(g, alpha).evaluate(q)
         brute = bruteforce.moment_fiber_count(loop_quiver(g), alpha, (2,), q)
         if closed != brute:
@@ -197,7 +198,7 @@ def check_moment_fibers() -> CheckResult:
                     return _result("moment-map zero fibers", t0, False,
                                    f"{Q!r} alpha={alpha} q={q}")
     return _result("moment-map zero fibers: closed forms = brute force", t0, True,
-                   "rank-2 loops and rank-one partition formula")
+                   "rank-2 loops at 7 (g, alpha, q) and rank-one partition formula")
 
 
 # -- criterion 7 ---------------------------------------------------------------
@@ -233,17 +234,17 @@ def check_jet_series() -> CheckResult:
     """Fiber counts over F_q[t]/(t^n) match the zeta-function expansions."""
     t0 = time.time()
     zn, zd = closedforms.gloop_Z(2)
-    sym = [N.evaluate(2) for N in kacpoly.poincare_symbolic(zn, zd, 16, 2)]
-    brute = bruteforce.jet_counts(loop_quiver(2), (2,), 2, 2)
+    sym = [N.evaluate(2) for N in kacpoly.poincare_symbolic(zn, zd, 16, 3)]
+    brute = bruteforce.jet_counts(loop_quiver(2), (2,), 2, 3)
     if sym != brute:
         return _result("jet counts vs zeta expansion", t0, False, "rank-2 loop quiver")
     zn, zd = closedforms.kronecker_Z(3)
-    sym = [N.evaluate(2) for N in kacpoly.poincare_symbolic(zn, zd, 12, 3)]
-    brute = bruteforce.jet_counts(kronecker_quiver(3), (1, 2), 2, 3)
+    sym = [N.evaluate(2) for N in kacpoly.poincare_symbolic(zn, zd, 12, 4)]
+    brute = bruteforce.jet_counts(kronecker_quiver(3), (1, 2), 2, 4)
     if sym != brute:
         return _result("jet counts vs zeta expansion", t0, False, "3-Kronecker rank (1,2)")
     return _result("jet counts = zeta-function expansion", t0, True,
-                   "2-loop rank 2 (n <= 2) and 3-Kronecker rank (1,2) (n <= 3) at q=2")
+                   "2-loop rank 2 (n <= 3) and 3-Kronecker rank (1,2) (n <= 4) at q=2")
 
 
 # -- criterion 9 ---------------------------------------------------------------

@@ -326,7 +326,7 @@ def iso_classes(Q, alpha, r, q):
                                                          r[t], r[s])
             fix_exp += cache[key]
         total += q ** fix_exp
-    count, rem = divmod(total, group_order(Q, alpha, r, q))
+    count, rem = divmod(total, group_order(alpha, r, q))
     assert rem == 0
     return count
 

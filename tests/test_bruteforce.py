@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import sys
 import tracemalloc
@@ -11,8 +12,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
-from quivercount.bruteforce import (Caps, _find, _hook, _orbit_labels, _walk, ask_counts,
-                                    count_absolutely_indecomposable,
+from quivercount.bruteforce import (DEFAULT_CAPS, Caps, _adjoint_orbits, _check_generic,
+                                    _find, _hook, _orbit_fiber, _orbit_labels, _walk,
+                                    ask_counts, count_absolutely_indecomposable,
                                     count_iso_classes, enumerate_orbits,
                                     jet_counts, moment_fiber_count,
                                     moment_matrix, moment_theta_basis,
@@ -47,7 +49,7 @@ class TestEnumerateOrbits:
     def test_stabilizer_orbit_product(self):
         for Q, alpha, r, q in [(jordan_quiver(), 2, (2,), 2),
                                (a2_quiver(), 2, (1, 1), 3)]:
-            gl = group_order(Q, alpha, r, q)
+            gl = group_order(alpha, r, q)
             for rec in enumerate_orbits(Q, alpha, r, q):
                 assert rec.orbit_size * rec.aut_size == gl
 
@@ -168,7 +170,7 @@ def small_instances(draw):
     alpha = draw(st.integers(1, 2))
     q = draw(st.sampled_from([2, 3]))
     Q = Quiver([str(i) for i in range(n)], arrows)
-    assume(q ** (alpha * rep_space_dim(Q, r)) * group_order(Q, alpha, r, q) <= 30000)
+    assume(q ** (alpha * rep_space_dim(Q, r)) * group_order(alpha, r, q) <= 30000)
     assume(q ** (alpha * sum(ri * ri for ri in r)) <= 2 ** 10)  # bounds |End|
     return Q, alpha, r, q
 
@@ -184,7 +186,7 @@ def burnside_instances(draw):
     alpha = draw(st.integers(1, 3))
     q = draw(st.sampled_from([2, 3, 4]))
     Q = Quiver([str(i) for i in range(n)], arrows)
-    assume(group_order(Q, alpha, r, q) <= 4000)  # under about 1 s of oracle
+    assume(group_order(alpha, r, q) <= 4000)  # under about 1 s of oracle
     return Q, alpha, r, q
 
 
@@ -355,6 +357,64 @@ class TestBurnside:
                 assert series.get(r, 0) == count_iso_classes(Q, alpha, r, q), (r,)
 
 
+def _walked_fiber(Q, alpha, r, q, lam):
+    """The fiber by the point walk over the moment basis, with the target
+    column t^(alpha-1) lambda for a nonzero lambda."""
+    field = Fq(q)
+    basis = np.array(moment_theta_basis(Q, r), dtype=np.int64)
+    target = None
+    if any(lam):
+        target = np.zeros((basis.shape[1], 1, alpha), dtype=np.int16)
+        diagonal = [(i, ri, u) for i, ri in enumerate(r) for u in range(ri * ri)]
+        for row, (i, ri, u) in enumerate(diagonal):
+            if u % (ri + 1) == 0:
+                target[row, 0, alpha - 1] = field.from_int(lam[i])
+    return _walk(field, basis, alpha, target)
+
+
+@functools.cache
+def _generic_lambdas(r, q) -> list:
+    """The generic lambda for r at q with entries in [-3, 3]."""
+    out = []
+    for lam in product(range(-3, 4), repeat=len(r)):
+        try:
+            _check_generic(r, q, lam)
+        except (NonGenericLambda, CharacteristicTooSmall):
+            continue
+        if any(lam):
+            out.append(lam)
+    return out
+
+
+@st.composite
+def fiber_instances(draw):
+    """(Q, alpha, r, q, lambda) with one to three vertices, one to four
+    arrows (loops too), ranks at most 2, an x-space of more than one point
+    and, about half the time, a generic lambda (else lambda = 0).  alpha is
+    lowered until every Jordan census has at most 2^13 points, and arrows
+    are dropped from the end until the x-space has at most 2^14, so that
+    the point walk stays small."""
+    n = draw(st.integers(1, 3))
+    q = draw(st.sampled_from([2, 3, 4, 5, 7]))
+    ranks = list(product(range(3), repeat=n))
+    deformed = [r for r in ranks if _generic_lambdas(r, q)]
+    if deformed and draw(st.booleans()):
+        r = draw(st.sampled_from(deformed))
+        lam = draw(st.sampled_from(_generic_lambdas(r, q)))
+    else:
+        r, lam = draw(st.sampled_from(ranks)), (0,) * n
+    arrows = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           min_size=1, max_size=4))
+    alpha = draw(st.integers(1, 3))
+    while alpha > 1 and q ** (alpha * max(r) ** 2) > 2 ** 13:
+        alpha -= 1
+    while q ** (alpha * sum(r[s] * r[t] for s, t in arrows)) > 2 ** 14:
+        arrows.pop()
+    Q = Quiver([str(i) for i in range(n)], arrows)
+    assume(rep_space_dim(Q, r) > 0)
+    return Q, alpha, r, q, lam
+
+
 class TestMomentFibers:
     def test_spec_examples(self):
         assert moment_fiber_count(a2_quiver(), 1, (1, 1), 3, (1, -1)) == 2
@@ -396,6 +456,46 @@ class TestMomentFibers:
             moment_fiber_count(cyclic_quiver(3), 1, (1, 1, 1), 7, (1, -1, 0))
         with pytest.raises(CharacteristicTooSmall):
             moment_fiber_count(a2_quiver(), 1, (1, 1), 2, (1, -1))
+
+    @settings(max_examples=80, deadline=None)
+    @given(fiber_instances())
+    def test_matches_point_walk(self, instance):
+        # whichever route moment_fiber_count takes, and the sum over
+        # adjoint orbits on its own where its grid is small, equal the walk
+        # over every point x
+        Q, alpha, r, q, lam = instance
+        walk = _walked_fiber(Q, alpha, r, q, lam)
+        assert moment_fiber_count(Q, alpha, r, q, lam) == walk
+        ring = ORing(q, alpha)
+        orbits = [_adjoint_orbits(ring, ri)[:2] for ri in r]
+        if np.prod([len(sizes) for _, sizes in orbits]) <= 2 ** 14:
+            assert _orbit_fiber(Q, ring, r, lam, orbits, DEFAULT_CAPS) == walk
+
+    @pytest.mark.parametrize("Q,alpha,r,q,lam,want", [
+        (a2_quiver(), 2, (2, 1), 5, (-1, 2), 0),
+        (kronecker_quiver(3), 1, (1, 2), 5, (2, -1), 372000),
+        (loop_quiver(2), 1, (2,), 2, (0,), 11776),
+        (loop_quiver(2), 2, (2,), 2, (0,), 111149056)])
+    def test_orbit_sum_probes(self, Q, alpha, r, q, lam, want):
+        # the adjoint-orbit sum against the point walk, on instances on
+        # either side of the cost rule
+        ring = ORing(q, alpha)
+        orbits = [_adjoint_orbits(ring, ri)[:2] for ri in r]
+        assert _orbit_fiber(Q, ring, r, lam, orbits, DEFAULT_CAPS) == want
+        assert moment_fiber_count(Q, alpha, r, q, lam) == want
+        assert _walked_fiber(Q, alpha, r, q, lam) == want
+
+    def test_orbit_tuple_grid_larger_than_the_x_space_is_walked(self):
+        # 6 adjoint orbits of M_2(F_2) times 2^22 points at the isolated
+        # vertices: past the grid cap, while the x-space has 2^8 points
+        Q = Quiver([str(i) for i in range(23)], [(0, 0), (0, 0)])
+        r = (2,) + (1,) * 22
+        assert moment_fiber_count(Q, 1, r, 2) == moment_fiber_count(loop_quiver(2), 1, (2,), 2)
+
+    def test_space_cap_bounds_the_x_space(self):
+        # 7^16 points: refused although the Jordan census has only 7^8
+        with pytest.raises(CapExceeded, match="representation space has 2"):
+            moment_fiber_count(loop_quiver(2), 2, (2,), 7)
 
 
 @pytest.mark.parametrize("count", [count_iso_classes, count_absolutely_indecomposable,

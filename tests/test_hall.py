@@ -182,9 +182,9 @@ class TestStructure:
         assert primitive_space_dim((2, 2), 2) == 0
 
     def test_indecomposable_labels(self):
-        assert is_indecomposable_label((1, 1), (0, 1), 2)
-        assert not is_indecomposable_label((1, 1), (0, 0), 2)
-        assert is_indecomposable_label((1, 0), (0, 0), 2)
+        assert is_indecomposable_label((1, 1), (0, 1))
+        assert not is_indecomposable_label((1, 1), (0, 0))
+        assert is_indecomposable_label((1, 0), (0, 0))
 
     def test_structure_constants_polynomial_fit(self):
         # constants sampled at q = 2, 3, 4, 5 determine a cubic that also
