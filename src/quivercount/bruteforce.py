@@ -536,13 +536,28 @@ def _adjoint_orbits(ring: ORing, r: int):
     return stack, sizes, invertible
 
 
-def _tuple_sums(Q: Quiver, field, orbits, caps: Caps, masks=(True,)) -> list:
-    """Sums over tuples (c_i) of orbit representatives, one per vertex, of
-    prod_i |c_i| q^(sum_a ke_a), ke_a the kernel exponent of x -> c_t x - x c_s
-    on the arrow a; orbits[i] = (representatives, sizes) at vertex i.  One
-    exact sum per boolean mask over the tuple grid (one axis per vertex),
-    which keeps the tuples it is true on.  The space cap bounds the grid."""
-    shape = [len(sizes) for _, sizes in orbits]
+@functools.cache
+def _exponent_table(ring: ORing, r_t: int, r_s: int, loop: bool, invertible: bool) -> np.ndarray:
+    """_conjugation_exponents over the adjoint orbits in ranks r_t and r_s,
+    or over the invertible ones only, read-only; the cache computes each
+    table once per (q, alpha, r_t, r_s, loop, invertible)."""
+    stacks = [stack[inv] if invertible else stack
+              for stack, _, inv in (_adjoint_orbits(ring, r_t), _adjoint_orbits(ring, r_s))]
+    table = _conjugation_exponents(ring.field, *stacks, loop)
+    table.flags.writeable = False
+    return table
+
+
+def _tuple_sums(Q: Quiver, ring: ORing, r, invertible: bool, caps: Caps, masks=(True,)) -> list:
+    """Sums over tuples (c_i) of adjoint-orbit representatives in rank r_i,
+    one per vertex (only the invertible ones, the conjugacy classes, when
+    invertible is true), of prod_i |c_i| q^(sum_a ke_a), ke_a the kernel
+    exponent of x -> c_t x - x c_s on the arrow a.  One exact sum per
+    boolean mask over the tuple grid (one axis per vertex), which keeps the
+    tuples it is true on.  The space cap bounds the grid."""
+    sizes = [size[inv] if invertible else size
+             for _, size, inv in (_adjoint_orbits(ring, ri) for ri in r)]
+    shape = [len(size) for size in sizes]
     log2_grid = math.log2(math.prod(shape))
     if log2_grid > caps.max_space_log2:
         raise CapExceeded(f"class-tuple grid has 2^{log2_grid:.1f} tuples ({math.prod(shape)}), "
@@ -551,20 +566,17 @@ def _tuple_sums(Q: Quiver, field, orbits, caps: Caps, masks=(True,)) -> list:
     # share their exponents
     n = Q.num_vertices
     fix_exp = np.zeros(shape, dtype=np.int64)
-    per_arrow = {}
     for s, t in Q.arrows:
-        if (s, t) not in per_arrow:
-            e = _conjugation_exponents(field, orbits[t][0], orbits[s][0], s == t)
-            per_arrow[s, t] = np.expand_dims(e.T if t > s else e,
-                                             tuple(i for i in range(n) if i not in (s, t)))
-        fix_exp += per_arrow[s, t]
+        e = _exponent_table(ring, r[t], r[s], s == t, invertible)
+        fix_exp += np.expand_dims(e.T if t > s else e,
+                                  tuple(i for i in range(n) if i not in (s, t)))
     # weights and their sums are at most prod_i sum |c_i|: Python integers beyond int64
-    dtype = np.int64 if math.prod(int(sizes.sum()) for _, sizes in orbits) < 2 ** 63 else object
+    dtype = np.int64 if math.prod(int(size.sum()) for size in sizes) < 2 ** 63 else object
     weights = np.ones((), dtype=dtype)
-    for _, sizes in orbits:
-        weights = np.multiply.outer(weights, sizes.astype(dtype))
+    for size in sizes:
+        weights = np.multiply.outer(weights, size.astype(dtype))
     exps = np.flatnonzero(np.bincount(fix_exp.ravel()))
-    return [sum(int(weights[(fix_exp == e) & mask].sum()) * field.q ** int(e) for e in exps)
+    return [sum(int(weights[(fix_exp == e) & mask].sum()) * ring.q ** int(e) for e in exps)
             for mask in masks]
 
 
@@ -580,12 +592,7 @@ def count_iso_classes(Q: Quiver, alpha: int, r, q: int,
     r = _rank_vector(Q, r)
     for ri in r:
         check_space_cap(jordan_quiver(), alpha, (ri,), q, caps)
-    ring = ORing(q, alpha)
-    classes = []
-    for ri in r:
-        stack, sizes, invertible = _adjoint_orbits(ring, ri)
-        classes.append((stack[invertible], sizes[invertible]))
-    total, = _tuple_sums(Q, ring.field, classes, caps)
+    total, = _tuple_sums(Q, ORing(q, alpha), r, True, caps)
     count, rem = divmod(total, group_order(alpha, r, q))
     if rem:
         raise AssertionError("orbit-count average is not an integer")
@@ -678,10 +685,9 @@ def moment_fiber_count(Q: Quiver, alpha: int, r, q: int, lam=None,
             total += mult * q ** ke
         return total
     space = q ** (alpha * dim)
-    if sum(q ** (alpha * ri * ri) for ri in r) < space:
-        orbits = [_adjoint_orbits(ring, ri)[:2] for ri in r]
-        if math.prod(len(sizes) for _, sizes in orbits) < space:
-            return _orbit_fiber(Q, ring, r, lam, orbits, caps)
+    if (sum(q ** (alpha * ri * ri) for ri in r) < space
+            and math.prod(len(_adjoint_orbits(ring, ri)[1]) for ri in r) < space):
+        return _orbit_fiber(Q, ring, r, lam, caps)
     basis = _integer_basis(moment_matrix, Q.arrows, n, r)
     target = None
     if any(lam):
@@ -694,7 +700,7 @@ def moment_fiber_count(Q: Quiver, alpha: int, r, q: int, lam=None,
     return _walk(ring.field, basis, alpha, target)
 
 
-def _orbit_fiber(Q: Quiver, ring: ORing, r, lam, orbits, caps: Caps) -> int:
+def _orbit_fiber(Q: Quiver, ring: ORing, r, lam, caps: Caps) -> int:
     """#mu^-1(t^(alpha-1) lambda) by Fourier inversion on gl_r(O_alpha).
 
     psi(c) = chi(coefficient of t^(alpha-1) in c), chi a nontrivial additive
@@ -714,15 +720,16 @@ def _orbit_fiber(Q: Quiver, ring: ORing, r, lam, orbits, caps: Caps) -> int:
     if any(lam):
         add, mul = field.arrays[:2]
         s = np.zeros((), dtype=np.int16)  # s(xi) over the grid, one axis per vertex
-        for i, (stack, _) in enumerate(orbits):
+        for i, ri in enumerate(r):
+            stack = _adjoint_orbits(ring, ri)[0]
             trace = np.zeros(len(stack), dtype=np.int16)
-            for k in range(r[i]):
+            for k in range(ri):
                 trace = add[trace * q + stack[:, k, k, 0]]
             s = add[np.add.outer(s * q, mul[field.from_int(lam[i]) * q + trace])]
-        total, total_0 = _tuple_sums(Q, field, orbits, caps, (True, s == 0))
+        total, total_0 = _tuple_sums(Q, ring, r, False, caps, (True, s == 0))
         total, den = q * total_0 - total, q - 1
     else:
-        (total,), den = _tuple_sums(Q, field, orbits, caps), 1
+        (total,), den = _tuple_sums(Q, ring, r, False, caps), 1
     shift = alpha * (rep_space_dim(Q, r) - sum(ri * ri for ri in r))  # |R| / |gl_r| = q^shift
     count, rem = divmod(total * q ** max(shift, 0), den * q ** max(-shift, 0))
     if rem:
@@ -786,8 +793,10 @@ def ask_counts(theta_basis, q: int, n_max: int,
     field = Fq(q)
     out = []
     for n in range(1, n_max + 1):
-        if r_a * n * math.log2(q) > caps.max_space_log2:
-            raise CapExceeded(f"coefficient space exceeds cap at level {n}")
+        log2_size = r_a * n * math.log2(q)
+        if log2_size > caps.max_space_log2:
+            raise CapExceeded(f"coefficient space at level {n} has 2^{log2_size:.1f} points, "
+                              f"cap 2^{caps.max_space_log2}")
         out.append(Fraction(_walk(field, basis, n), q ** (n * r_a)))
     return out
 

@@ -7,6 +7,11 @@ order is the total order the tree-formula count depends on.  Counts take
 the multiplicity of O_alpha from --alpha, the same at every vertex; a
 "multiplicities" key in a quiver file is ignored.
 
+Every command, verify included, honours --format and --out.  verify writes
+one text line per criterion as each finishes, or one JSON record
+{"passed", "criteria": [{"criterion", "name", "passed", "detail",
+"seconds"}, ...]} once all have run.
+
 --max-space-log2 caps the brute-force walks of fiber-count, jet-series and
 ask.  verify runs at its own fixed caps, whatever --max-space-log2 is.
 
@@ -16,6 +21,8 @@ Exit codes: 2 usage error, 3 resource cap exceeded, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import functools
 import json
 import sys
@@ -48,20 +55,27 @@ def _caps(args) -> Caps:
     return Caps(max_space_log2=args.max_space_log2)
 
 
-def _emit(args, text: str, payload) -> None:
+@contextlib.contextmanager
+def _output(args):
+    """The --out file, opened for writing and closed on exit, or stdout."""
+    if not args.out:
+        yield sys.stdout
+        return
     try:
-        out = open(args.out, "w") if args.out else sys.stdout
+        out = open(args.out, "w")
     except OSError as exc:
         raise SystemExit(f"cannot write output file {args.out}: {exc}")
-    try:
+    with out:
+        yield out
+
+
+def _emit(args, text: str, payload) -> None:
+    with _output(args) as out:
         if args.format == "json":
             json.dump(payload, out, indent=2, sort_keys=True)
             out.write("\n")
         else:
             out.write(text + "\n")
-    finally:
-        if args.out:
-            out.close()
 
 
 def _parse_ints(text: str):
@@ -182,7 +196,13 @@ def cmd_hall(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results, ok = verify.run_checks(args.suite, out=sys.stdout)
+    if args.format == "text":
+        with _output(args) as out:
+            _, ok = verify.run_checks(args.suite, out)
+    else:
+        results, ok = verify.run_checks(args.suite)
+        _emit(args, "", {"passed": ok, "criteria": [
+            {"criterion": key, **dataclasses.asdict(res)} for key, res in results]})
     return 0 if ok else 4
 
 
@@ -262,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_hall)
 
     p = sub.add_parser("verify", help="run the verification suite")
-    p.add_argument("--suite", choices=("all", "symbolic", "brute", "cross", "hall"),
-                   default="all")
+    p.add_argument("--suite", default="all",
+                   choices=("all", *dict.fromkeys(suite for _, suite, _ in verify.CRITERIA)))
     p.set_defaults(fn=cmd_verify)
 
     return parser

@@ -348,7 +348,8 @@ def hall_product_euler(f1: HallFunction, f2: HallFunction) -> HallFunction:
     read off by interpolation through the sample points.
     """
     if f1.alpha > 2:
-        raise CapExceeded("Euler-shadow products implemented for alpha <= 2")
+        raise CapExceeded("Euler-shadow products capped at alpha 2; "
+                          f"this product needs alpha {f1.alpha}")
     sampled = [hall_product(f1, f2, p) for p in EULER_SAMPLE_POINTS]
     rank = sampled[0].rank
     alpha = f1.alpha

@@ -230,7 +230,7 @@ def one_vertex_m_series(g: int, alpha: int, rank_bound: int) -> TruncatedSeries:
     if rank_bound >= 3:
         coeffs[(3,)] = gloop_rank3_recurrence(g, alpha)
     if rank_bound >= 4:
-        raise CapExceeded("all-class counts implemented up to rank 3")
+        raise CapExceeded(f"all-class counts capped at rank 3; this series needs rank {rank_bound}")
     return TruncatedSeries(("t",), (rank_bound,), coeffs)
 
 
@@ -319,7 +319,7 @@ def limit_A(Q: Quiver) -> RationalFunction:
     if not is_2_connected(Q):
         raise Not2Connected("the limit exists only for 2-connected quivers")
     if Q.num_arrows > 10:
-        raise CapExceeded("chain sum capped at 10 arrows")
+        raise CapExceeded(f"chain sum capped at 10 arrows; this quiver has {Q.num_arrows} arrows")
     h, b = _subset_chain_dp(Q)
     total = sum(h.values(), RationalFunction.zero())
     return (RationalFunction.one() - RationalFunction.q(-1)) ** b * total
@@ -344,7 +344,7 @@ def order_complex_hilbert(Q: Quiver) -> RationalFunction:
         raise Not2Connected("needs a 2-connected quiver")
     E = Q.num_arrows
     if E > 10:
-        raise CapExceeded("face sum capped at 10 arrows")
+        raise CapExceeded(f"face sum capped at 10 arrows; this quiver has {E} arrows")
     b_of, _ = _betti_by_subset(Q)
     full = (1 << E) - 1
     b = b_of[full]

@@ -1,26 +1,31 @@
 """The acceptance suite: every top-level identity the package claims,
 checked end to end at its stated scale.
 
-Each check returns a CheckResult; run_checks prints one line per check.
-Suites group the checks by flavor: purely symbolic identities, brute-force
-anchored counts, symbolic-vs-brute cross checks, and the Hall algebra.
+Each check_* function states one criterion: it returns a summary of what it
+checked and raises Mismatch, through expect, at the first counterexample.
+The decorator criterion(name) names it once, for PASS and FAIL alike, and
+makes it return a CheckResult timed with time.perf_counter().  CRITERIA
+holds the rows (key, suite, check) in order; the suites group the checks by
+flavor: purely symbolic identities, brute-force anchored counts,
+symbolic-vs-brute cross checks, and the Hall algebra.  run_checks runs one
+suite, or all of them, writing one line per check as it goes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bruteforce, closedforms, hall, kacpoly
-from .bruteforce import Caps
-from .localring import gl_order
+from .bruteforce import Caps, group_order
 from .qpolynomial import QPolynomial, RationalFunction
 from .quiver import (Quiver, a2_quiver, betti, connected_quiver_corpus,
                      cyclic_quiver, euler_form, is_2_connected, jordan_quiver,
                      kronecker_quiver, loop_quiver)
-from .series import TruncatedSeries, VolumeSequence, plethystic_exp
+from .series import TruncatedSeries, VolumeSequence, all_exponents, plethystic_exp
 
 
 @dataclass
@@ -35,38 +40,50 @@ class CheckResult:
         return f"{status}  {self.name}  ({self.seconds:.1f}s){': ' + self.detail if self.detail else ''}"
 
 
-def _result(name, t0, passed, detail=""):
-    return CheckResult(name, passed, detail, time.time() - t0)
+class Mismatch(Exception):
+    """A counterexample; its message is the detail of the failed CheckResult."""
 
 
-_CORPUS = None
+def expect(holds: bool, detail: str) -> None:
+    """Raise Mismatch(detail) unless holds."""
+    if not holds:
+        raise Mismatch(detail)
 
 
+def criterion(name: str):
+    """Make a check that returns its summary or raises Mismatch into the
+    criterion called name, which returns a timed CheckResult."""
+    def decorate(check):
+        @functools.wraps(check)
+        def run() -> CheckResult:
+            t0 = time.perf_counter()
+            try:
+                passed, detail = True, check()
+            except Mismatch as exc:
+                passed, detail = False, str(exc)
+            return CheckResult(name, passed, detail, time.perf_counter() - t0)
+        return run
+    return decorate
+
+
+@functools.cache
 def corpus():
-    global _CORPUS
-    if _CORPUS is None:
-        _CORPUS = connected_quiver_corpus(4, 6)
-    return _CORPUS
+    return connected_quiver_corpus(4, 6)
 
 
 # -- criterion 1 --------------------------------------------------------------
 
-def check_toric_tables() -> CheckResult:
+@criterion("toric count: chain formula = tree formula, coefficients >= 0")
+def check_toric_tables() -> str:
     """Chain formula = tree formula, with nonnegative coefficients, on the
     whole corpus for alpha <= 3."""
-    t0 = time.time()
     for Q in corpus():
         for alpha in (1, 2, 3):
-            w = kacpoly.toric_kac_wyss(Q, alpha)
             tr = kacpoly.toric_kac_trees(Q, alpha)
-            if w != tr:
-                return _result("toric count: chain formula = tree formula", t0, False,
-                               f"mismatch on {Q!r} at alpha={alpha}")
-            if any(c < 0 for c in tr.coeffs.values()):
-                return _result("toric count: chain formula = tree formula", t0, False,
-                               f"negative coefficient on {Q!r} at alpha={alpha}")
-    return _result("toric count: chain formula = tree formula, coefficients >= 0", t0, True,
-                   f"{len(corpus())} quivers, alpha <= 3")
+            expect(kacpoly.toric_kac_wyss(Q, alpha) == tr, f"mismatch on {Q!r} at alpha={alpha}")
+            expect(all(c >= 0 for c in tr.coeffs.values()),
+                   f"negative coefficient on {Q!r} at alpha={alpha}")
+    return f"{len(corpus())} quivers, alpha <= 3"
 
 
 # -- criterion 2 --------------------------------------------------------------
@@ -75,10 +92,10 @@ def check_toric_tables() -> CheckResult:
 CENSUS_CAPS = Caps(max_space_log2=20)
 
 
-def check_toric_brute_anchor() -> CheckResult:
+@criterion("toric count anchored by orbit census")
+def check_toric_brute_anchor() -> str:
     """Toric count evaluated at q equals the orbit-census count of
     absolutely indecomposable classes, across the corpus."""
-    t0 = time.time()
     checked = 0
     for Q in corpus():
         ones = (1,) * Q.num_vertices
@@ -88,12 +105,9 @@ def check_toric_brute_anchor() -> CheckResult:
                     continue
                 cnt = bruteforce.count_absolutely_indecomposable(Q, alpha, ones, q, CENSUS_CAPS)
                 val = kacpoly.toric_kac_wyss(Q, alpha).evaluate(q)
-                if cnt != val:
-                    return _result("toric count anchored by orbit census", t0, False,
-                                   f"{Q!r} alpha={alpha} q={q}: census {cnt} vs {val}")
+                expect(cnt == val, f"{Q!r} alpha={alpha} q={q}: census {cnt} vs {val}")
                 checked += 1
-    return _result("toric count anchored by orbit census", t0, True,
-                   f"{checked} instances at q in {{2,3}}, alpha <= 2")
+    return f"{checked} instances at q in {{2,3}}, alpha <= 2"
 
 
 # -- criteria 3 and 4 ----------------------------------------------------------
@@ -118,146 +132,116 @@ def _burnside_anchor_holds(g: int, alpha: int, q: int, rank: int) -> bool:
     return a == (closedforms.gloop_A2 if rank == 2 else closedforms.gloop_A3)(g, alpha).evaluate(q)
 
 
-def check_gloop_rank2() -> CheckResult:
+@criterion("rank-2 loop-quiver count: recurrence = closed form, census anchors")
+def check_gloop_rank2() -> str:
     """Rank-2 recurrence = closed form for g <= 4, alpha <= 6; anchored by
     the orbit census over F_2 and, through the class-count series, by
     Burnside counts at GLOOP_A2_ANCHORS."""
-    t0 = time.time()
     for g in (1, 2, 3, 4):
         for alpha in range(1, 7):
-            if kacpoly.gloop_kac_rank2(g, alpha) != closedforms.gloop_A2(g, alpha):
-                return _result("rank-2 loop-quiver count", t0, False,
-                               f"recurrence vs closed form at g={g}, alpha={alpha}")
+            expect(kacpoly.gloop_kac_rank2(g, alpha) == closedforms.gloop_A2(g, alpha),
+                   f"recurrence vs closed form at g={g}, alpha={alpha}")
     # absolute-indecomposable census over F_2 at (g, alpha) = (2, 1)
     census = bruteforce.count_absolutely_indecomposable(loop_quiver(2), 1, (2,), 2)
-    if census != closedforms.gloop_A2(2, 1).evaluate(2):
-        return _result("rank-2 loop-quiver count", t0, False, "F_2 census mismatch")
+    expect(census == closedforms.gloop_A2(2, 1).evaluate(2), "F_2 census mismatch")
     miss = [x for x in GLOOP_A2_ANCHORS if not _burnside_anchor_holds(*x, 2)]
-    if miss:
-        return _result("rank-2 loop-quiver count", t0, False, f"Burnside anchors {miss} mismatch")
-    return _result("rank-2 loop-quiver count: recurrence = closed form, census anchors", t0, True,
-                   f"g <= 4, alpha <= 6; F_2 census, {len(GLOOP_A2_ANCHORS)} Burnside anchors")
+    expect(not miss, f"Burnside anchors {miss} mismatch")
+    return f"g <= 4, alpha <= 6; F_2 census, {len(GLOOP_A2_ANCHORS)} Burnside anchors"
 
 
-def check_gloop_rank3() -> CheckResult:
+@criterion("rank-3 loop-quiver count: recurrence = 15 tables = closed form")
+def check_gloop_rank3() -> str:
     """Rank-3 recurrence reproduces all 15 tabulated polynomials; the
     closed form is anchored by Burnside counts at GLOOP_A3_ANCHORS."""
-    t0 = time.time()
     for (g, alpha), table in closedforms.GLOOP_RANK3_TABLE.items():
         got = kacpoly.gloop_kac_rank3(g, alpha)
-        if got != RationalFunction(QPolynomial(table)):
-            return _result("rank-3 loop-quiver count vs tables", t0, False,
-                           f"mismatch at g={g}, alpha={alpha}")
-        if got != closedforms.gloop_A3(g, alpha):
-            return _result("rank-3 loop-quiver count vs tables", t0, False,
-                           f"closed-form mismatch at g={g}, alpha={alpha}")
+        expect(got == RationalFunction(QPolynomial(table)), f"mismatch at g={g}, alpha={alpha}")
+        expect(got == closedforms.gloop_A3(g, alpha),
+               f"closed-form mismatch at g={g}, alpha={alpha}")
     miss = [x for x in GLOOP_A3_ANCHORS if not _burnside_anchor_holds(*x, 3)]
-    if miss:
-        return _result("rank-3 loop-quiver count vs tables", t0, False,
-                       f"Burnside anchors {miss} mismatch")
-    return _result("rank-3 loop-quiver count: recurrence = 15 tables = closed form", t0, True,
-                   f"g <= 3, alpha <= 5; {len(GLOOP_A3_ANCHORS)} Burnside anchors")
+    expect(not miss, f"Burnside anchors {miss} mismatch")
+    return f"g <= 3, alpha <= 5; {len(GLOOP_A3_ANCHORS)} Burnside anchors"
 
 
 # -- criterion 5 ---------------------------------------------------------------
 
-def check_kronecker_pipeline() -> CheckResult:
+@criterion("Kronecker rank-(1,2) counts via zeta expansion")
+def check_kronecker_pipeline() -> str:
     """Rank-(1,2) Kronecker counts reconstructed from the zeta function
     match the five closed forms, for r in {3,4}."""
-    t0 = time.time()
     for r in (3, 4):
         for alpha in range(1, 6):
-            got = kacpoly.kronecker_kac_via_zeta(r, alpha)
-            if got != closedforms.kronecker_A(r, alpha):
-                return _result("Kronecker rank-(1,2) zeta pipeline", t0, False,
-                               f"r={r}, alpha={alpha}")
-    return _result("Kronecker rank-(1,2) counts via zeta expansion", t0, True,
-                   "r in {3,4}, alpha <= 5, exact rational functions")
+            expect(kacpoly.kronecker_kac_via_zeta(r, alpha) == closedforms.kronecker_A(r, alpha),
+                   f"r={r}, alpha={alpha}")
+    return "r in {3,4}, alpha <= 5, exact rational functions"
 
 
 # -- criterion 6 ---------------------------------------------------------------
 
-def check_moment_fibers() -> CheckResult:
+@criterion("moment-map zero fibers: closed forms = brute force")
+def check_moment_fibers() -> str:
     """Zero-fiber counts: rank-2 loop-quiver closed form and the rank-one
     partition formula, both against brute force."""
-    t0 = time.time()
     for (g, alpha, q) in [(2, 1, 2), (2, 2, 2), (2, 1, 3), (2, 3, 2), (3, 2, 2), (2, 1, 5),
                           (2, 1, 7)]:
         closed = closedforms.gloop_fiber(g, alpha).evaluate(q)
         brute = bruteforce.moment_fiber_count(loop_quiver(g), alpha, (2,), q)
-        if closed != brute:
-            return _result("moment-map zero fibers", t0, False,
-                           f"loop g={g} alpha={alpha} q={q}: {closed} vs {brute}")
+        expect(closed == brute, f"loop g={g} alpha={alpha} q={q}: {closed} vs {brute}")
     for Q in (cyclic_quiver(3), a2_quiver()):
         ones = (1,) * Q.num_vertices
         for alpha in (1, 2):
             sym = kacpoly.rank1_fiber_count(Q, alpha)
             for q in (2, 3):
-                brute = bruteforce.moment_fiber_count(Q, alpha, ones, q)
-                if sym.evaluate(q) != brute:
-                    return _result("moment-map zero fibers", t0, False,
-                                   f"{Q!r} alpha={alpha} q={q}")
-    return _result("moment-map zero fibers: closed forms = brute force", t0, True,
-                   "rank-2 loops at 7 (g, alpha, q) and rank-one partition formula")
+                expect(sym.evaluate(q) == bruteforce.moment_fiber_count(Q, alpha, ones, q),
+                       f"{Q!r} alpha={alpha} q={q}")
+    return "rank-2 loops at 7 (g, alpha, q) and rank-one partition formula"
 
 
 # -- criterion 7 ---------------------------------------------------------------
 
-def check_deformed_fibers() -> CheckResult:
+def _deformed_fiber_holds(Q, r, lam, alpha, q) -> bool:
+    cnt = bruteforce.moment_fiber_count(Q, alpha, r, q, lam)
+    a_val = kacpoly.toric_kac_wyss(Q, alpha).evaluate(q)
+    lhs = Fraction(cnt, group_order(alpha, r, q))
+    rhs = Fraction(q) ** (-alpha * euler_form(Q, r, r)) * a_val / (1 - Fraction(1, q))
+    return lhs == rhs
+
+
+@criterion("deformed moment fibers = generic-fiber formula")
+def check_deformed_fibers() -> str:
     """Deformed fiber counts match q^(-alpha<r,r>) A/(1-q^-1) exactly."""
-    t0 = time.time()
-
-    def one_case(Q, r, lam, alpha, q):
-        cnt = bruteforce.moment_fiber_count(Q, alpha, r, q, lam)
-        gl = 1
-        for ri in r:
-            gl *= gl_order(q, alpha, ri)
-        a_val = kacpoly.toric_kac_wyss(Q, alpha).evaluate(q)
-        lhs = Fraction(cnt, gl)
-        rhs = Fraction(q) ** (-alpha * euler_form(Q, r, r)) * a_val / (1 - Fraction(1, q))
-        return lhs == rhs
-
     for alpha in (1, 2):
         for q in (3, 5):
-            if not one_case(a2_quiver(), (1, 1), (1, -1), alpha, q):
-                return _result("deformed moment fibers", t0, False,
-                               f"two-vertex quiver alpha={alpha} q={q}")
-    if not one_case(cyclic_quiver(3), (1, 1, 1), (1, 1, -2), 1, 7):
-        return _result("deformed moment fibers", t0, False, "triangle at q=7")
-    return _result("deformed moment fibers = generic-fiber formula", t0, True,
-                   "two cases x {3,5} + triangle at q=7, exact")
+            expect(_deformed_fiber_holds(a2_quiver(), (1, 1), (1, -1), alpha, q),
+                   f"two-vertex quiver alpha={alpha} q={q}")
+    expect(_deformed_fiber_holds(cyclic_quiver(3), (1, 1, 1), (1, 1, -2), 1, 7), "triangle at q=7")
+    return "two cases x {3,5} + triangle at q=7, exact"
 
 
 # -- criterion 8 ---------------------------------------------------------------
 
-def check_jet_series() -> CheckResult:
+@criterion("jet counts = zeta-function expansion")
+def check_jet_series() -> str:
     """Fiber counts over F_q[t]/(t^n) match the zeta-function expansions."""
-    t0 = time.time()
     zn, zd = closedforms.gloop_Z(2)
     sym = [N.evaluate(2) for N in kacpoly.poincare_symbolic(zn, zd, 16, 3)]
-    brute = bruteforce.jet_counts(loop_quiver(2), (2,), 2, 3)
-    if sym != brute:
-        return _result("jet counts vs zeta expansion", t0, False, "rank-2 loop quiver")
+    expect(sym == bruteforce.jet_counts(loop_quiver(2), (2,), 2, 3), "rank-2 loop quiver")
     zn, zd = closedforms.kronecker_Z(3)
     sym = [N.evaluate(2) for N in kacpoly.poincare_symbolic(zn, zd, 12, 4)]
-    brute = bruteforce.jet_counts(kronecker_quiver(3), (1, 2), 2, 4)
-    if sym != brute:
-        return _result("jet counts vs zeta expansion", t0, False, "3-Kronecker rank (1,2)")
-    return _result("jet counts = zeta-function expansion", t0, True,
-                   "2-loop rank 2 (n <= 3) and 3-Kronecker rank (1,2) (n <= 4) at q=2")
+    expect(sym == bruteforce.jet_counts(kronecker_quiver(3), (1, 2), 2, 4),
+           "3-Kronecker rank (1,2)")
+    return "2-loop rank 2 (n <= 3) and 3-Kronecker rank (1,2) (n <= 4) at q=2"
 
 
 # -- criterion 9 ---------------------------------------------------------------
 
-def check_limits_hilbert() -> CheckResult:
+@criterion("limits, A-B relation and Hilbert identity")
+def check_limits_hilbert() -> str:
     """Limit fractions of the triangle, the Hilbert-series identity, the
     B = A (1-1/q)^(V-1) relation, and stabilization of normalized counts."""
-    t0 = time.time()
     c3 = cyclic_quiver(3)
-    if kacpoly.limit_A(c3) != closedforms.cyclic3_limit_A():
-        return _result("limits and Hilbert identity", t0, False, "triangle A limit")
-    if kacpoly.limit_B(c3) != closedforms.cyclic3_limit_B():
-        return _result("limits and Hilbert identity", t0, False, "triangle B limit")
+    expect(kacpoly.limit_A(c3) == closedforms.cyclic3_limit_A(), "triangle A limit")
+    expect(kacpoly.limit_B(c3) == closedforms.cyclic3_limit_B(), "triangle B limit")
     one = RationalFunction.one()
     qinv = RationalFunction.q(-1)
     checked = 0
@@ -266,20 +250,16 @@ def check_limits_hilbert() -> CheckResult:
             continue
         b = betti(Q)
         A, B = kacpoly.limits(Q)
-        if B / (one - qinv) ** Q.num_vertices != A / (one - qinv):
-            return _result("limits and Hilbert identity", t0, False, f"A-B relation on {Q!r}")
+        expect(B / (one - qinv) ** Q.num_vertices == A / (one - qinv), f"A-B relation on {Q!r}")
         hilb = kacpoly.order_complex_hilbert(Q)
-        if (one - qinv) ** b / (one - RationalFunction.q(-b)) * hilb != A:
-            return _result("limits and Hilbert identity", t0, False, f"Hilbert identity on {Q!r}")
+        expect((one - qinv) ** b / (one - RationalFunction.q(-b)) * hilb == A,
+               f"Hilbert identity on {Q!r}")
         target = A.qinv_series(3)
         for alpha in (5, 6):
             f = RationalFunction(kacpoly.toric_kac_wyss(Q, alpha)) * RationalFunction.q(-alpha * b)
-            if f.qinv_series(3) != target:
-                return _result("limits and Hilbert identity", t0, False,
-                               f"stabilization fails on {Q!r} at alpha={alpha}")
+            expect(f.qinv_series(3) == target, f"stabilization fails on {Q!r} at alpha={alpha}")
         checked += 1
-    return _result("limits, A-B relation and Hilbert identity", t0, True,
-                   f"triangle values + {checked} two-connected quivers, <= 5 edges")
+    return f"triangle values + {checked} two-connected quivers, <= 5 edges"
 
 
 # -- criterion 10 ----------------------------------------------------------------
@@ -293,10 +273,6 @@ def plethystic_identity_fixed_q(Q: Quiver, alpha: int, bound, q0: int) -> bool:
     zero = VolumeSequence.const(0, depth)
     one = VolumeSequence.const(1, depth)
 
-    def vseq(values):
-        return VolumeSequence(values)
-
-    from .series import all_exponents
     a_coeffs = {}
     for r in all_exponents(bound):
         if all(x == 0 for x in r):
@@ -310,26 +286,24 @@ def plethystic_identity_fixed_q(Q: Quiver, alpha: int, bound, q0: int) -> bool:
             entries.append(Fraction(
                 bruteforce.count_absolutely_indecomposable(Q, alpha, r, qn))
                 / (1 - Fraction(1, qn)))
-        a_coeffs[r] = vseq(entries)
+        a_coeffs[r] = VolumeSequence(entries)
     a_series = TruncatedSeries([f"t{i}" for i in range(n_vars)], bound, a_coeffs,
                                zero=zero, one=one)
     m_series = plethystic_exp(a_series)
 
     for r in all_exponents(bound):
         fiber = bruteforce.moment_fiber_count(Q, alpha, r, q0)
-        gl = 1
-        for ri in r:
-            gl *= gl_order(q0, alpha, ri)
-        lhs = Fraction(fiber, gl) * Fraction(q0) ** (alpha * euler_form(Q, r, r))
+        lhs = (Fraction(fiber, group_order(alpha, r, q0))
+               * Fraction(q0) ** (alpha * euler_form(Q, r, r)))
         if lhs != m_series.coefficient(r).entry(1):
             return False
     return True
 
 
-def check_plethystic_fixed_q() -> CheckResult:
+@criterion("fiber counts = Exp of indecomposable counts at q=2")
+def check_plethystic_fixed_q() -> str:
     """The counting identity at q=2 on the one-vertex quivers up to rank 2
     and the two-vertex quiver up to rank (2,1)."""
-    t0 = time.time()
     cases = [
         (jordan_quiver(), 1, (2,)), (jordan_quiver(), 2, (2,)),
         (loop_quiver(2), 1, (2,)), (loop_quiver(2), 2, (2,)),
@@ -337,16 +311,15 @@ def check_plethystic_fixed_q() -> CheckResult:
         (a2_quiver(), 1, (2, 1)), (a2_quiver(), 2, (2, 1)),
     ]
     for Q, alpha, bound in cases:
-        if not plethystic_identity_fixed_q(Q, alpha, bound, 2):
-            return _result("counting identity at fixed q", t0, False,
-                           f"{Q!r} alpha={alpha} bound={bound}")
-    return _result("fiber counts = Exp of indecomposable counts at q=2", t0, True,
-                   "one-vertex ranks <= 2 and two-vertex ranks <= (2,1), alpha <= 2")
+        expect(plethystic_identity_fixed_q(Q, alpha, bound, 2),
+               f"{Q!r} alpha={alpha} bound={bound}")
+    return "one-vertex ranks <= 2 and two-vertex ranks <= (2,1), alpha <= 2"
 
 
 # -- criterion 11 -----------------------------------------------------------------
 
-def check_hall() -> CheckResult:
+@criterion("Hall algebra: associative, Euler-shadow bialgebra, expected primitives")
+def check_hall() -> str:
     """The Hall algebra of the two-vertex quiver over O_alpha, alpha <= 2.
 
     At q = 2, 3 the product is associative and [e1, e2] is the sum of the
@@ -358,43 +331,30 @@ def check_hall() -> CheckResult:
     holds: the untwisted coproduct is not multiplicative, and for alpha = 2
     the extra generator does not commute with e1 or e2.
     """
-    t0 = time.time()
     for alpha in (1, 2):
         unit_label = (0,) * alpha
         for q in (2, 3):
             e1 = hall.HallFunction.indicator((1, 0), alpha, unit_label)
             e2 = hall.HallFunction.indicator((0, 1), alpha, unit_label)
-            br = hall.bracket(e1, e2, q)
             want = hall.HallFunction((1, 1), alpha, {
                 tuple(1 if j == i else 0 for j in range(alpha)): 1
                 for i in range(alpha)})
-            if br != want:
-                return _result("Hall algebra structure", t0, False,
-                               f"[e1,e2] alpha={alpha} q={q}")
-            if not _hall_associativity(alpha, q):
-                return _result("Hall algebra structure", t0, False,
-                               f"associativity alpha={alpha} q={q}")
-        if not _hall_bialgebra_euler(alpha):
-            return _result("Hall algebra structure", t0, False,
-                           f"Euler-shadow bialgebra axiom alpha={alpha}")
-        if not _hall_extra_generators_central_euler(alpha):
-            return _result("Hall algebra structure", t0, False,
-                           f"Euler-shadow extra generators alpha={alpha}")
-        if hall.primitive_space_dim((1, 1), alpha) != alpha:
-            return _result("Hall algebra structure", t0, False,
-                           f"primitive dimension at (1,1), alpha={alpha}")
-        if hall.primitive_space_dim((2, 1), alpha) != 0:
-            return _result("Hall algebra structure", t0, False,
-                           f"primitive dimension at (2,1), alpha={alpha}")
-    return _result("Hall algebra: associative, Euler-shadow bialgebra, expected primitives",
-                   t0, True, "alpha <= 2, q in {2,3} and q -> 1, total rank <= (2,2)")
+            expect(hall.bracket(e1, e2, q) == want, f"[e1,e2] alpha={alpha} q={q}")
+            expect(_hall_associativity(alpha, q), f"associativity alpha={alpha} q={q}")
+        expect(_hall_bialgebra_euler(alpha), f"Euler-shadow bialgebra axiom alpha={alpha}")
+        expect(_hall_extra_generators_central_euler(alpha),
+               f"Euler-shadow extra generators alpha={alpha}")
+        expect(hall.primitive_space_dim((1, 1), alpha) == alpha,
+               f"primitive dimension at (1,1), alpha={alpha}")
+        expect(hall.primitive_space_dim((2, 1), alpha) == 0,
+               f"primitive dimension at (2,1), alpha={alpha}")
+    return "alpha <= 2, q in {2,3} and q -> 1, total rank <= (2,2)"
 
 
 def _hall_indicator_basis(alpha):
     """Orbit indicators in the degrees used by the axiom checks."""
-    ranks = [(1, 0), (0, 1), (1, 1)]
     out = []
-    for rk in ranks:
+    for rk in [(1, 0), (0, 1), (1, 1)]:
         for lab in hall.all_orbit_labels(rk, alpha):
             out.append(hall.HallFunction.indicator(rk, alpha, lab))
     return out
@@ -463,43 +423,33 @@ def _hall_extra_generators_central_euler(alpha) -> bool:
     return True
 
 
-# -- suite plumbing ----------------------------------------------------------------
+# -- the table of criteria -------------------------------------------------------
 
 CRITERIA = [
-    ("1", "toric tables", check_toric_tables),
-    ("2", "toric brute anchor", check_toric_brute_anchor),
-    ("3", "rank-2 loop counts", check_gloop_rank2),
-    ("4", "rank-3 loop counts", check_gloop_rank3),
-    ("5", "Kronecker pipeline", check_kronecker_pipeline),
-    ("6", "moment fibers", check_moment_fibers),
-    ("7", "deformed fibers", check_deformed_fibers),
-    ("8", "jet series", check_jet_series),
-    ("9", "limits and Hilbert", check_limits_hilbert),
-    ("10", "fixed-q counting identity", check_plethystic_fixed_q),
-    ("11", "Hall algebra", check_hall),
+    ("1", "symbolic", check_toric_tables),
+    ("2", "brute", check_toric_brute_anchor),
+    ("3", "symbolic", check_gloop_rank2),
+    ("4", "symbolic", check_gloop_rank3),
+    ("5", "symbolic", check_kronecker_pipeline),
+    ("6", "brute", check_moment_fibers),
+    ("7", "brute", check_deformed_fibers),
+    ("8", "brute", check_jet_series),
+    ("9", "symbolic", check_limits_hilbert),
+    ("10", "cross", check_plethystic_fixed_q),
+    ("11", "hall", check_hall),
 ]
-
-SUITES = {
-    "symbolic": ["1", "3", "4", "5", "9"],
-    "brute": ["2", "6", "7", "8"],
-    "cross": ["10"],
-    "hall": ["11"],
-}
 
 
 def run_checks(suite: str = "all", out=None):
-    """Run a suite (or all criteria); returns (results, all_passed)."""
-    if suite == "all":
-        wanted = [key for key, _, _ in CRITERIA]
-    else:
-        wanted = SUITES[suite]
+    """Run the criteria of a suite, or all of them, writing each result's
+    line to out as it comes; returns ([(key, CheckResult)], all_passed)."""
     results = []
-    for key, _, fn in CRITERIA:
-        if key not in wanted:
+    for key, row_suite, check in CRITERIA:
+        if suite not in ("all", row_suite):
             continue
-        res = fn()
-        results.append(res)
+        res = check()
+        results.append((key, res))
         if out is not None:
             out.write(res.line() + "\n")
             out.flush()
-    return results, all(r.passed for r in results)
+    return results, all(res.passed for _, res in results)

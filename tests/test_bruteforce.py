@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
+from quivercount import bruteforce
 from quivercount.bruteforce import (DEFAULT_CAPS, Caps, _adjoint_orbits, _check_generic,
                                     _find, _hook, _orbit_fiber, _orbit_labels, _walk,
                                     ask_counts, count_absolutely_indecomposable,
@@ -22,7 +23,7 @@ from quivercount.bruteforce import (DEFAULT_CAPS, Caps, _adjoint_orbits, _check_
 from quivercount.errors import (CapExceeded, CharacteristicTooSmall,
                                 DimensionMismatch, NonGenericLambda,
                                 UnsupportedParameter)
-from quivercount.localring import Fq, ORing, gl_order
+from quivercount.localring import Fq, ORing, gl_order, smith_invariants_batch
 from quivercount.quiver import (Quiver, _union_find, a2_quiver, cyclic_quiver,
                                 jordan_quiver, kronecker_quiver, loop_quiver)
 
@@ -317,6 +318,16 @@ class TestBurnside:
         Q, alpha, r, q = instance
         assert count_iso_classes(Q, alpha, r, q) == ref.iso_classes(Q, alpha, r, q)
 
+    def test_repeat_count_reuses_the_exponent_tables(self, monkeypatch):
+        # the per-arrow kernel exponents depend only on (q, alpha, r): a
+        # second count at the same instance runs no Smith batch
+        first = count_iso_classes(kronecker_quiver(2), 1, (2, 1), 3)
+        calls = []
+        monkeypatch.setattr(bruteforce, "smith_invariants_batch",
+                            lambda *args: calls.append(args) or smith_invariants_batch(*args))
+        assert count_iso_classes(kronecker_quiver(2), 1, (2, 1), 3) == first
+        assert calls == []
+
     def test_class_tuple_grid_cap(self):
         # 20 classes of GL_1(O_2) over F_5 at each of 8 vertices: 20^8 tuples
         Q = Quiver([str(i) for i in range(8)], [(i, i + 1) for i in range(7)])
@@ -467,9 +478,8 @@ class TestMomentFibers:
         walk = _walked_fiber(Q, alpha, r, q, lam)
         assert moment_fiber_count(Q, alpha, r, q, lam) == walk
         ring = ORing(q, alpha)
-        orbits = [_adjoint_orbits(ring, ri)[:2] for ri in r]
-        if np.prod([len(sizes) for _, sizes in orbits]) <= 2 ** 14:
-            assert _orbit_fiber(Q, ring, r, lam, orbits, DEFAULT_CAPS) == walk
+        if np.prod([len(_adjoint_orbits(ring, ri)[1]) for ri in r]) <= 2 ** 14:
+            assert _orbit_fiber(Q, ring, r, lam, DEFAULT_CAPS) == walk
 
     @pytest.mark.parametrize("Q,alpha,r,q,lam,want", [
         (a2_quiver(), 2, (2, 1), 5, (-1, 2), 0),
@@ -479,9 +489,7 @@ class TestMomentFibers:
     def test_orbit_sum_probes(self, Q, alpha, r, q, lam, want):
         # the adjoint-orbit sum against the point walk, on instances on
         # either side of the cost rule
-        ring = ORing(q, alpha)
-        orbits = [_adjoint_orbits(ring, ri)[:2] for ri in r]
-        assert _orbit_fiber(Q, ring, r, lam, orbits, DEFAULT_CAPS) == want
+        assert _orbit_fiber(Q, ORing(q, alpha), r, lam, DEFAULT_CAPS) == want
         assert moment_fiber_count(Q, alpha, r, q, lam) == want
         assert _walked_fiber(Q, alpha, r, q, lam) == want
 
@@ -529,6 +537,12 @@ class TestAsk:
         assert theta == [[[-1], [1]]]
         # ask_1 = (q + (q-1)) / q
         assert ask_counts(theta, 3, 1) == [Fraction(3 + 2 * 1, 3)]
+
+    def test_cap_names_the_space(self):
+        # two coefficients in F_3 at level one: 9 = 2^3.2 points
+        with pytest.raises(CapExceeded,
+                           match=r"coefficient space at level 1 has 2\^3\.2 points, cap 2\^3$"):
+            ask_counts([[[1]], [[0]]], 3, 1, Caps(max_space_log2=3))
 
     def test_cached_basis_comes_as_a_fresh_list(self):
         theta = moment_theta_basis(a2_quiver(), (1, 1))

@@ -1,9 +1,11 @@
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
+from quivercount import verify
 from quivercount.cli import main
 
 
@@ -306,3 +308,44 @@ def test_one_parser_per_process(gloop2_file, capsys):
         assert (code, out, err) == run_cli(argv)
         codes.append(code)
     assert codes == [2, 0, 0]
+
+
+class TestVerifyOutput:
+    """verify honours --format and --out; run here on two cheap criteria,
+    one passing and one failing."""
+
+    @pytest.fixture(autouse=True)
+    def fake_criteria(self, monkeypatch):
+        @verify.criterion("fake identity")
+        def holds():
+            return "1 instance"
+
+        @verify.criterion("fake counterexample")
+        def fails():
+            verify.expect(False, "at q=2")
+
+        monkeypatch.setattr(verify, "CRITERIA", [("1", "symbolic", holds), ("2", "brute", fails)])
+
+    def test_json_to_out_file(self, tmp_path, capsys):
+        path = tmp_path / "v.json"
+        assert main(["--format", "json", "--out", str(path), "verify"]) == 4
+        assert capsys.readouterr().out == ""
+        record = json.loads(path.read_text())
+        assert record["passed"] is False
+        assert [(c["criterion"], c["name"], c["passed"], c["detail"])
+                for c in record["criteria"]] == [("1", "fake identity", True, "1 instance"),
+                                                 ("2", "fake counterexample", False, "at q=2")]
+        assert all(c["seconds"] >= 0 for c in record["criteria"])
+
+    def test_text_to_out_file(self, tmp_path, capsys):
+        path = tmp_path / "v.txt"
+        assert main(["--out", str(path), "verify"]) == 4
+        assert capsys.readouterr().out == ""
+        assert [re.sub(r" \(\d+\.\ds\)", "", line) for line in path.read_text().splitlines()] == [
+            "PASS  fake identity : 1 instance", "FAIL  fake counterexample : at q=2"]
+
+    def test_suite_runs_its_rows(self, capsys):
+        assert main(["--format", "json", "verify", "--suite", "symbolic"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["passed"] is True
+        assert [c["criterion"] for c in record["criteria"]] == ["1"]

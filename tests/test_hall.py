@@ -7,7 +7,7 @@ import scalar_reference
 from quivercount.errors import CapExceeded
 from quivercount.hall import (HallFunction, _check_caps, _flag_table, _summand_count,
                               all_orbit_labels, bracket, free_summands,
-                              hall_coproduct, hall_product,
+                              hall_coproduct, hall_product, hall_product_euler,
                               is_indecomposable_label, is_primitive,
                               orbit_label_of, orbit_representative,
                               primitive_space_dim, structure_constants)
@@ -143,6 +143,12 @@ class TestProductOracles:
         f, g = (indicator(r, alpha, unit_label(alpha)) for r in ranks)
         with pytest.raises(CapExceeded, match=message):
             hall_product(f, g, q)
+
+    def test_euler_shadow_cap_names_the_alpha(self):
+        f = indicator((1, 0), 3, unit_label(3))
+        with pytest.raises(CapExceeded,
+                           match="Euler-shadow products capped at alpha 2; this product needs alpha 3"):
+            hall_product_euler(f, f)
 
     @pytest.mark.parametrize("alpha,q", [(2, 3), (2, 4), (3, 2)])
     def test_summand_cap_admits_tables_of_seconds(self, alpha, q):

@@ -8,12 +8,13 @@ from quivercount.bruteforce import (count_absolutely_indecomposable,
 from quivercount.closedforms import (GLOOP_RANK3_TABLE, cyclic3_limit_A,
                                      cyclic3_limit_B, gloop_A2, gloop_A3,
                                      gloop_Z, kronecker_A, kronecker_Z)
-from quivercount.errors import Not2Connected, NotConnected
+from quivercount.errors import CapExceeded, Not2Connected, NotConnected
 from quivercount.kacpoly import (gloop_kac_rank2, gloop_kac_rank3,
                                  gloop_rank2_recurrence,
                                  gloop_rank3_recurrence,
                                  kronecker_kac_via_zeta, limit_A, limit_B,
-                                 m_to_a, a_to_m, order_complex_hilbert,
+                                 m_to_a, a_to_m, one_vertex_m_series,
+                                 order_complex_hilbert,
                                  poincare_from_zeta, poincare_symbolic,
                                  rank1_fiber_count, rank3_matrix_checksum,
                                  toric_kac_trees, toric_kac_wyss,
@@ -145,6 +146,10 @@ class TestSeriesConversion:
         direct = m2 - (a1 * a1 + a1.adams(2)) * Fraction(1, 2)
         assert gloop_kac_rank2(g, alpha) == direct == gloop_A2(g, alpha)
 
+    def test_rank_cap_names_the_rank(self):
+        with pytest.raises(CapExceeded, match="capped at rank 3; this series needs rank 4"):
+            one_vertex_m_series(1, 1, 4)
+
 
 class TestRankOneFibers:
     def test_examples(self):
@@ -184,6 +189,14 @@ class TestLimits:
             limit_A(a2_quiver())
         with pytest.raises(Not2Connected):
             order_complex_hilbert(a2_quiver())
+
+    def test_arrow_caps_name_the_arrows(self):
+        # the chain and face sums stop at 10 arrows and say how many there are
+        Q = kronecker_quiver(11)
+        with pytest.raises(CapExceeded, match="chain sum capped at 10 arrows; this quiver has 11"):
+            limit_A(Q)
+        with pytest.raises(CapExceeded, match="face sum capped at 10 arrows; this quiver has 11"):
+            order_complex_hilbert(Q)
 
 
 class TestHilbert:

@@ -1,6 +1,6 @@
 import pytest
 
-from quivercount import verify
+from quivercount import bruteforce, kacpoly, verify
 
 # criteria of `quivercount verify` that tier-1 runs; their seconds are
 # printed with `pytest -s`
@@ -31,3 +31,16 @@ def test_hall_criterion_passes():
     result = verify.check_hall()
     print(result.line())
     assert result.passed, result.detail
+
+
+@pytest.mark.parametrize("module,attr,check,name,detail", [
+    (kacpoly, "kronecker_kac_via_zeta", verify.check_kronecker_pipeline,
+     "Kronecker rank-(1,2) counts via zeta expansion", "r=3, alpha=1"),
+    (bruteforce, "moment_fiber_count", verify.check_deformed_fibers,
+     "deformed moment fibers = generic-fiber formula", "two-vertex quiver alpha=1 q=3"),
+], ids=["kronecker", "deformed"])
+def test_failing_criterion_keeps_its_name(monkeypatch, module, attr, check, name, detail):
+    # a counterexample reports under the name the criterion passes under
+    monkeypatch.setattr(module, attr, lambda *args: 0)
+    result = check()
+    assert (result.name, result.passed, result.detail) == (name, False, detail)
