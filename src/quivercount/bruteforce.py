@@ -155,8 +155,8 @@ def enumerate_orbits(Q: Quiver, alpha: int, r, q: int,
     local iff |End| - |Aut| = q^(e-d) with d >= 1 (see _top_degree).
     """
     r = _rank_vector(Q, r)
-    check_space_cap(Q, alpha, r, q, caps)
     ring = ORing(q, alpha)
+    check_space_cap(Q, alpha, r, q, caps)
     reps, sizes = _orbit_labels(Q, ring, r)
     shapes = [(r[t], r[s]) for s, t in Q.arrows]
     n_coords = sum(rows * cols for rows, cols in shapes)
@@ -188,8 +188,9 @@ def count_absolutely_indecomposable(Q: Quiver, alpha: int, r, q: int,
     if all(ri == 1 for ri in r) and Q.num_arrows > 0:
         # orbit labels alone: in rank all-one an orbit is absolutely
         # indecomposable iff its support subquiver is connected
+        ring = ORing(q, alpha)
         check_space_cap(Q, alpha, r, q, caps)
-        reps, _ = _orbit_labels(Q, ORing(q, alpha), r)
+        reps, _ = _orbit_labels(Q, ring, r)
         support = _digits(reps, q ** alpha, Q.num_arrows) != 0  # one value per arrow
         support_mask = support @ (1 << np.arange(Q.num_arrows))
         connected = np.array(_betti_by_subset(Q)[1]) == 1
@@ -590,9 +591,10 @@ def count_iso_classes(Q: Quiver, alpha: int, r, q: int,
     summed exactly.  No x-space is walked: the space cap bounds the Jordan
     census at each vertex (q^(alpha r_i^2) points) and the class-tuple grid."""
     r = _rank_vector(Q, r)
+    ring = ORing(q, alpha)
     for ri in r:
         check_space_cap(jordan_quiver(), alpha, (ri,), q, caps)
-    total, = _tuple_sums(Q, ORing(q, alpha), r, True, caps)
+    total, = _tuple_sums(Q, ring, r, True, caps)
     count, rem = divmod(total, group_order(alpha, r, q))
     if rem:
         raise AssertionError("orbit-count average is not an integer")
@@ -659,15 +661,15 @@ def moment_fiber_count(Q: Quiver, alpha: int, r, q: int, lam=None,
     lam = tuple(int(v) for v in (lam if lam is not None else (0,) * n))
     if len(lam) != n:
         raise DimensionMismatch(f"lambda needs {n} entries, got {len(lam)}")
-    check_space_cap(Q, alpha, r, q, caps)
     ring = ORing(q, alpha)
+    check_space_cap(Q, alpha, r, q, caps)
     if any(lam):
         _check_generic(r, q, lam)
     dim = rep_space_dim(Q, r)
     if dim == 0:
         # mu is the zero map; the fiber is a point iff the target vanishes
         # inside gl_r (vertices of rank zero impose nothing)
-        p = _char(q)
+        p = ring.field.p
         target_zero = all(lam[i] % p == 0 for i in range(n) if r[i] > 0)
         return 1 if target_zero else 0
 
@@ -737,11 +739,6 @@ def _orbit_fiber(Q: Quiver, ring: ORing, r, lam, caps: Caps) -> int:
     return count
 
 
-def _char(q: int) -> int:
-    from .localring import _factor_prime_power
-    return _factor_prime_power(q)[0]
-
-
 def _check_generic(r, q: int, lam) -> None:
     if sum(l * x for l, x in zip(lam, r)) != 0:
         raise NonGenericLambda("lambda does not pair to zero with the rank vector")
@@ -750,7 +747,7 @@ def _check_generic(r, q: int, lam) -> None:
             continue
         if sum(l * x for l, x in zip(lam, sub)) == 0:
             raise NonGenericLambda(f"lambda pairs to zero with {sub} < r")
-    p = _char(q)
+    p = Fq(q).p
     if p <= sum(abs(l) * x for l, x in zip(lam, r)):
         raise CharacteristicTooSmall(
             f"need characteristic > {sum(abs(l) * x for l, x in zip(lam, r))}, got {p}")

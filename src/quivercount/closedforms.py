@@ -69,10 +69,10 @@ def gloop_Z(g: int):
     """
     if g < 2:
         raise ValueError("need g >= 2")
-    one = RationalFunction.one()
-    num = [RationalFunction((_q(3) - 1) * (_q(2 * g) - 1))]
-    den = _tpoly_mul([RationalFunction.q(3), -one], [RationalFunction.q(2 * g), -one])
-    return num, den
+    a, b = _q(3), _q(2 * g)
+    num = [(a - 1) * (b - 1)]
+    den = [a * b, -(a + b), QPolynomial.one()]
+    return [RationalFunction(p) for p in num], [RationalFunction(p) for p in den]
 
 
 def kronecker_Z(r: int):
@@ -80,21 +80,17 @@ def kronecker_Z(r: int):
 
     (q^2-1)(q^r-1)(q^r(q-1)(q^2+T) + (q^2+1)(q^{2r+1}-T))
     / ((q^4-T)(q^{2r}-T)(q^{r+1}-T)); ambient dimension 4r.
+    The denominator (a - T)(b - T)(c - T) is e_3 - e_2 T + e_1 T^2 - T^3,
+    e_k the elementary symmetric functions of a, b, c.
     """
     if r < 3:
         raise ValueError("need r >= 3")
-    one = RationalFunction.one()
-    c = RationalFunction((_q(2) - 1) * (_q(r) - 1))
-    inner = _tpoly_add(
-        _tpoly_scale([RationalFunction.q(2), one], RationalFunction(_q(r) * (_q(1) - 1))),
-        _tpoly_scale([RationalFunction.q(2 * r + 1), -one], RationalFunction(_q(2) + 1)),
-    )
-    num = _tpoly_scale(inner, c)
-    den = _tpoly_mul(
-        _tpoly_mul([RationalFunction.q(4), -one], [RationalFunction.q(2 * r), -one]),
-        [RationalFunction.q(r + 1), -one],
-    )
-    return num, den
+    scale = (_q(2) - 1) * (_q(r) - 1)
+    u, v = _q(r) * (_q(1) - 1), _q(2) + 1
+    num = [scale * (u * _q(2) + v * _q(2 * r + 1)), scale * (u - v)]
+    a, b, c = _q(4), _q(2 * r), _q(r + 1)
+    den = [a * b * c, -(a * b + a * c + b * c), a + b + c, -QPolynomial.one()]
+    return [RationalFunction(p) for p in num], [RationalFunction(p) for p in den]
 
 
 _KRONECKER_BRACKETS = {
@@ -172,27 +168,3 @@ def cyclic3_limit_A() -> RationalFunction:
 def cyclic3_limit_B() -> RationalFunction:
     """alpha -> infinity limit of q^{-4 alpha} of the zero-fiber count."""
     return RationalFunction(_q(2) + 4 * _q(1) + 1, _q(2))
-
-
-# -- tiny T-polynomial helpers (coefficient lists over Q(q)) -----------------
-
-def _tpoly_add(a, b):
-    n = max(len(a), len(b))
-    zero = RationalFunction.zero()
-    return [(a[i] if i < len(a) else zero) + (b[i] if i < len(b) else zero)
-            for i in range(n)]
-
-
-def _tpoly_scale(a, c):
-    return [x * c for x in a]
-
-
-def _tpoly_mul(a, b):
-    zero = RationalFunction.zero()
-    out = [zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out

@@ -16,12 +16,13 @@ import hashlib
 from fractions import Fraction
 from itertools import product
 
-from .closedforms import _tpoly_add, _tpoly_mul, _tpoly_scale
+from .closedforms import kronecker_Z
 from .errors import CapExceeded, Not2Connected, NotConnected, UnsupportedParameter
-from .qpolynomial import QPolynomial, RationalFunction
+from .localring import gl_order
+from .qpolynomial import QPolynomial, RationalFunction, _long_division
 from .quiver import (Quiver, _betti_by_subset, euler_form, is_2_connected,
-                     is_connected, restrict_vertices, set_partitions,
-                     spanning_trees, tree_path)
+                     is_connected, kronecker_quiver, restrict_vertices,
+                     set_partitions, spanning_trees, tree_path)
 from .series import TruncatedSeries, plethystic_exp, plethystic_log
 
 _q = QPolynomial.q
@@ -364,53 +365,38 @@ def order_complex_hilbert(Q: Quiver) -> RationalFunction:
 
 # -- zeta-function expansion ------------------------------------------------------
 
-def poincare_symbolic(z_num, z_den, ambient_dim: int, n_max: int):
-    """Fiber counts N_1..N_n from a zeta function in T = q^{-s}, symbolically.
+def _fiber_counts(z, q_m):
+    """N_1..N_n from the T-coefficients z_0..z_(n-1) of a zeta function.
 
-    The counting series evaluated at q^(-ambient_dim) T' equals
-    (1 - T Z(T))/(1 - T); substituting T = q^ambient_dim T' and expanding
-    in T' yields the N_n as rational functions of q.
+    The counting series sum_n N_n (q^-m T)^n equals (1 - T Z(T)) / (1 - T),
+    whose T^n coefficient is 1 - z_0 - ... - z_(n-1); so
+    N_n = (q^m)^n (1 - z_0 - ... - z_(n-1)).
     """
-    one = RationalFunction.one()
-    m = ambient_dim
-    sub_num = [c * RationalFunction.q(m * k) for k, c in enumerate(z_num)]
-    sub_den = [c * RationalFunction.q(m * k) for k, c in enumerate(z_den)]
-    # numerator: den(q^m T') - q^m T' num(q^m T'); denominator: (1 - q^m T') den(q^m T')
-    shifted = [RationalFunction.zero()] + _tpoly_scale(sub_num, RationalFunction.q(m))
-    num_poly = _tpoly_add(sub_den, _tpoly_scale(shifted, -one))
-    den_poly = _tpoly_mul([one, -RationalFunction.q(m)], sub_den)
-    coeffs = _tpoly_series_divide(num_poly, den_poly, n_max)
-    return coeffs[1:]
-
-
-def _tpoly_series_divide(num, den, order: int):
-    if den[0].is_zero():
-        raise ZeroDivisionError("series division needs an invertible constant term")
-    inv0 = den[0].inverse()
-    out = []
-    state = list(num) + [RationalFunction.zero()] * max(0, order + 1 - len(num))
-    for k in range(order + 1):
-        ck = state[k] * inv0
-        out.append(ck)
-        for j in range(1, len(den)):
-            if k + j <= order:
-                state[k + j] = state[k + j] - ck * den[j]
+    out, rest, scale = [], 1, 1
+    for zk in z:
+        rest = rest - zk
+        scale = scale * q_m
+        out.append(scale * rest)
     return out
 
 
-def poincare_from_zeta(Z: RationalFunction, q0, ambient_dim: int, n_max: int):
-    """Numeric fiber counts from a zeta function already evaluated at q0.
+def poincare_symbolic(z_num, z_den, ambient_dim: int, n_max: int):
+    """Fiber counts N_1..N_n as rational functions of q, from a zeta
+    function Z = z_num / z_den in T = q^{-s} given by its T-coefficient
+    lists (see _fiber_counts); z_den[0] must be nonzero."""
+    z = _long_division(dict(enumerate(z_num)), dict(enumerate(z_den)), n_max - 1)
+    return _fiber_counts(z, RationalFunction.q(ambient_dim))
 
-    Z is a rational function in the variable T; the result is the list
-    [N_1, ..., N_n] with N_n = q0^(ambient_dim n) times the n-th expansion
-    coefficient of (1 - T Z)/(1 - T).
+
+def poincare_from_zeta(Z: RationalFunction, q0, ambient_dim: int, n_max: int):
+    """Numeric fiber counts [N_1, ..., N_n] from a zeta function already
+    evaluated at q0 (see _fiber_counts), as Fractions.
+
+    Z is a rational function in the variable T and must be regular at T = 0,
+    as every zeta function of the package is.
     """
-    T = RationalFunction.q(1)
-    one = RationalFunction.one()
-    G = (one - T * Z) / (one - T)
-    coeffs = G.taylor_coefficients(n_max)
-    q0 = Fraction(q0)
-    return [q0 ** (ambient_dim * n) * coeffs[n] for n in range(1, n_max + 1)]
+    z = Z.taylor_coefficients(n_max - 1)
+    return _fiber_counts(z, Fraction(q0) ** ambient_dim)
 
 
 def zeta_fixed_q(z_num, z_den, q0) -> RationalFunction:
@@ -420,15 +406,7 @@ def zeta_fixed_q(z_num, z_den, q0) -> RationalFunction:
     return RationalFunction(num, den)
 
 
-# -- symbolic GL order and the Kronecker pipeline -----------------------------------
-
-def gl_order_rf(alpha: int, r: int) -> RationalFunction:
-    """|GL_r(O_alpha)| as a polynomial in q."""
-    poly = _q((alpha - 1) * r * r)
-    for i in range(r):
-        poly = poly * (_q(r) - _q(i))
-    return RationalFunction(poly)
-
+# -- the Kronecker pipeline ------------------------------------------------------------
 
 def kronecker_kac_via_zeta(r: int, alpha: int) -> RationalFunction:
     """Rank-(1,2) absolutely indecomposable count of the r-Kronecker quiver,
@@ -440,9 +418,6 @@ def kronecker_kac_via_zeta(r: int, alpha: int) -> RationalFunction:
     with no arrows); the absolutely indecomposable count then falls out of
     the plethystic logarithm.
     """
-    from .closedforms import kronecker_Z
-    from .quiver import kronecker_quiver
-
     Q = kronecker_quiver(r)
     one = RationalFunction.one()
     z_num, z_den = kronecker_Z(r)
@@ -452,15 +427,16 @@ def kronecker_kac_via_zeta(r: int, alpha: int) -> RationalFunction:
     def euler(v):
         return euler_form(Q, v, v)
 
+    gl1, gl2 = (RationalFunction(gl_order(_q(1), alpha, k)) for k in (1, 2))
     coeffs = {
         (0, 0): one,
-        (1, 0): RationalFunction.q(alpha * 1) / gl_order_rf(alpha, 1),
-        (0, 1): RationalFunction.q(alpha * 1) / gl_order_rf(alpha, 1),
-        (0, 2): RationalFunction.q(alpha * 4) / gl_order_rf(alpha, 2),
+        (1, 0): RationalFunction.q(alpha * 1) / gl1,
+        (0, 1): RationalFunction.q(alpha * 1) / gl1,
+        (0, 2): RationalFunction.q(alpha * 4) / gl2,
         (1, 1): (rank1_fiber_count(Q, alpha) * RationalFunction.q(alpha * euler((1, 1)))
-                 / (gl_order_rf(alpha, 1) * gl_order_rf(alpha, 1))),
+                 / (gl1 * gl1)),
         (1, 2): (n_alpha * RationalFunction.q(alpha * euler((1, 2)))
-                 / (gl_order_rf(alpha, 1) * gl_order_rf(alpha, 2))),
+                 / (gl1 * gl2)),
     }
     series = TruncatedSeries(("t1", "t2"), (1, 2), coeffs)
     a_series = plethystic_log(series)

@@ -44,6 +44,8 @@ _SMALL_PRIMES = (2, 3, 5, 7)
 
 
 def _factor_prime_power(q: int):
+    if q < 2:
+        raise UnsupportedParameter(f"field size must be >= 2, got {q}")
     for p in _SMALL_PRIMES:
         if q % p == 0:
             k = 0

@@ -36,6 +36,7 @@ it is the gcd.  When a few values of xi all fail, the Euclidean gcd over Q
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd as int_gcd, lcm as int_lcm
 
@@ -63,12 +64,15 @@ def _div(a, b):
 
 def _long_division(num: dict, den: dict, order: int) -> list:
     """Coefficients 0..order of the power series num / den, both given as
-    {exponent >= 0: coefficient} with den[0] != 0."""
+    {exponent >= 0: coefficient} with den[0] != 0.  The coefficients are
+    rationals or RationalFunction values; only the division by den[0]
+    depends on which."""
     d0 = den.get(0)
+    divide = _div if isinstance(d0, (int, Fraction)) else operator.truediv
     state = dict(num)
     out = []
     for k in range(order + 1):
-        ck = _div(state.get(k, 0), d0)
+        ck = divide(state.get(k, 0), d0)
         out.append(ck)
         for j, dj in den.items():
             if j == 0:

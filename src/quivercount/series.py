@@ -10,6 +10,9 @@ Coefficients may be RationalFunction values (symbolic work in q) or
 VolumeSequence values (numeric work at a fixed prime power, tracking a
 count over F_q, F_{q^2}, ... simultaneously).  Any coefficient type with
 +, *, scalar Fraction multiplication and an adams(m) method works.
+``inverse`` also needs Fraction(1) / c0 for the constant term c0:
+RationalFunction and rational coefficients support it, VolumeSequence
+does not.
 
 The plethystic exponential is Exp(F) = exp(sum_{m>=1} psi_m(F)/m) where the
 Adams operator psi_m sends a coefficient f to f.adams(m) and t^r to t^{mr};
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
 from .errors import ConstantTermNotOne, NonzeroConstantTerm
 from .qpolynomial import RationalFunction
@@ -216,58 +220,40 @@ class TruncatedSeries:
         d.pop((0,) * len(self.bound), None)
         return self._like(d)
 
-    def exp(self) -> "TruncatedSeries":
-        """exp of a series with zero constant term (finite sum under the box)."""
-        if self.constant_term() != self._zero:
-            raise NonzeroConstantTerm("exp needs zero constant term")
-        zero_key = (0,) * len(self.bound)
-        result = self._like({zero_key: self._one})
-        power = result
-        kfact = 1
+    def _power_sum(self, constant, weight) -> "TruncatedSeries":
+        """constant + sum_{k>=1} weight(k) self^k for self with zero constant
+        term: self^k vanishes under the box once k > sum(bound)."""
+        result = self._like({(0,) * len(self.bound): constant})
+        power = self._like({(0,) * len(self.bound): self._one})
         for k in range(1, sum(self.bound) + 1):
             power = power * self
             if not power.coeffs:
                 break
-            kfact *= k
-            result = result + power.scale(Fraction(1, kfact))
+            result = result + power.scale(weight(k))
         return result
+
+    def exp(self) -> "TruncatedSeries":
+        """exp of a series with zero constant term (finite sum under the box)."""
+        if self.constant_term() != self._zero:
+            raise NonzeroConstantTerm("exp needs zero constant term")
+        return self._power_sum(self._one, lambda k: Fraction(1, factorial(k)))
 
     def log(self) -> "TruncatedSeries":
         """log of a series with constant term one."""
-        zero_key = (0,) * len(self.bound)
-        if self.coefficient(zero_key) != self._one:
+        if self.constant_term() != self._one:
             raise ConstantTermNotOne("log needs constant term one")
-        u = self.drop_constant()
-        result = self._like({})
-        power = self._like({zero_key: self._one})
-        sign = 1
-        for k in range(1, sum(self.bound) + 1):
-            power = power * u
-            if not power.coeffs:
-                break
-            result = result + power.scale(Fraction(sign, k))
-            sign = -sign
-        return result
+        return self.drop_constant()._power_sum(self._zero,
+                                               lambda k: Fraction((-1) ** (k + 1), k))
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; constant term must be invertible."""
+        """Multiplicative inverse; the constant term c0 must support
+        Fraction(1) / c0 (see the module docstring)."""
         c0 = self.constant_term()
         if c0 == self._zero:
             raise ZeroDivisionError("series with zero constant term")
-        if isinstance(c0, RationalFunction):
-            c0_inv = c0.inverse()
-        else:
-            c0_inv = 1 / c0
-        zero_key = (0,) * len(self.bound)
+        c0_inv = Fraction(1) / c0
         u = self.drop_constant().scale(c0_inv)
-        result = self._like({zero_key: self._one})
-        power = result
-        for _ in range(1, sum(self.bound) + 1):
-            power = (-power) * u
-            if not power.coeffs:
-                break
-            result = result + power
-        return result.scale(c0_inv)
+        return u._power_sum(self._one, lambda k: (-1) ** k).scale(c0_inv)
 
     def truncate(self, new_bound) -> "TruncatedSeries":
         out = TruncatedSeries(self.variables, new_bound, zero=self._zero, one=self._one)
@@ -277,36 +263,29 @@ class TruncatedSeries:
         return out
 
 
+def _adams_sum(F: TruncatedSeries, weight) -> TruncatedSeries:
+    """sum_m weight(m) psi_m(F) over m = 1..max(bound); psi_m(F) is built
+    only for the m of nonzero weight."""
+    total = F._like({})
+    for m in range(1, max(F.bound, default=0) + 1):
+        w = weight(m)
+        if w:
+            total = total + F.adams(m).scale(w)
+    return total
+
+
 def plethystic_exp(F: TruncatedSeries) -> TruncatedSeries:
     """Exp(F) = exp(sum_m psi_m(F)/m); F must lie in the augmentation ideal."""
-    zero_key = (0,) * len(F.bound)
-    if F.coefficient(zero_key) != F._zero:
+    if F.constant_term() != F._zero:
         raise NonzeroConstantTerm("plethystic exponential needs zero constant term")
-    total = F._like({})
-    m_max = max(F.bound) if F.bound else 0
-    for m in range(1, m_max + 1):
-        piece = F.adams(m)
-        if piece.coeffs:
-            total = total + piece.scale(Fraction(1, m))
-    return total.exp()
+    return _adams_sum(F, lambda m: Fraction(1, m)).exp()
 
 
 def plethystic_log(G: TruncatedSeries) -> TruncatedSeries:
     """Inverse of plethystic_exp; G must have constant term one."""
-    zero_key = (0,) * len(G.bound)
-    if G.coefficient(zero_key) != G._one:
+    if G.constant_term() != G._one:
         raise ConstantTermNotOne("plethystic logarithm needs constant term one")
-    lg = G.log()
-    total = G._like({})
-    m_max = max(G.bound) if G.bound else 0
-    for m in range(1, m_max + 1):
-        mu = moebius(m)
-        if mu == 0:
-            continue
-        piece = lg.adams(m)
-        if piece.coeffs:
-            total = total + piece.scale(Fraction(mu, m))
-    return total
+    return _adams_sum(G.log(), lambda m: Fraction(moebius(m), m))
 
 
 def all_exponents(bound):

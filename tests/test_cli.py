@@ -1,12 +1,19 @@
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import quivercount
 from quivercount import verify
 from quivercount.cli import main
+
+# the directory the tests import quivercount from, handed to the CLI
+# subprocesses so that they run the same package without an install
+SRC = str(Path(quivercount.__file__).resolve().parents[1])
 
 
 @pytest.fixture
@@ -39,9 +46,11 @@ def gloop2_file(tmp_path):
     return str(path)
 
 
-def run_cli(args):
+def run_cli(args, timeout=None):
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-m", "quivercount.cli"] + args,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout,
+                          env={**os.environ, "PYTHONPATH": path})
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -191,6 +200,23 @@ class TestErrorPaths:
                                   "--rank1", "2,0", "--rank2", "2,0"])
         assert code == 3 and out == "" and len(err.splitlines()) == 1
         assert "200000 summand pairs" in err and "needs 321214632102 summand pairs" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["hall", "--alpha", "1", "--rank1", "1,0", "--rank2", "0,1", "--q", "0"],
+        ["ask", "--theta", "THETA", "--n-max", "2", "--q", "0"],
+        ["fiber-count", "--quiver", "QUIVER", "--alpha", "1", "--q", "0"],
+        ["fiber-count", "--quiver", "QUIVER", "--alpha", "1", "--q", "-3"],
+        ["jet-series", "--quiver", "QUIVER", "--n-max", "2", "--q", "0"],
+    ])
+    def test_field_size_below_two(self, gloop2_file, tmp_path, argv):
+        # q = 0 once sent the prime-power factorisation into an endless loop,
+        # and q <= 0 reached log2(q) in the space cap
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps([[[1, 0], [0, 1]]]))
+        files = {"THETA": str(theta), "QUIVER": gloop2_file}
+        code, out, err = run_cli([files.get(a, a) for a in argv], timeout=60)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert f"field size must be >= 2, got {argv[-1]}" in err
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one(self, gloop2_file, jobs):

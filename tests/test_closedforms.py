@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from quivercount.bruteforce import (count_absolutely_indecomposable,
@@ -69,6 +71,35 @@ def test_kronecker_A_matches_census(alpha, q_val, expected):
 def test_kronecker_Z_degrees():
     zn, zd = kronecker_Z(3)
     assert len(zn) == 2 and len(zd) == 4
+
+
+# rational points (q, T) off the poles of both zeta families
+_QT_GRID = [(Fraction(q0), Fraction(t0)) for q0 in (2, 3, -2, Fraction(1, 2), Fraction(5, 3))
+            for t0 in (0, 1, Fraction(-1, 2), Fraction(7, 3))]
+
+
+def _at(coeffs, q0, t0):
+    """A T-coefficient list over Q(q), evaluated at (q0, t0)."""
+    return sum(c.evaluate(q0) * t0 ** k for k, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_gloop_Z_factored_form(g):
+    zn, zd = gloop_Z(g)
+    for q0, t0 in _QT_GRID:
+        assert _at(zn, q0, t0) == (q0 ** 3 - 1) * (q0 ** (2 * g) - 1)
+        assert _at(zd, q0, t0) == (q0 ** 3 - t0) * (q0 ** (2 * g) - t0)
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6])
+def test_kronecker_Z_factored_form(r):
+    zn, zd = kronecker_Z(r)
+    for q0, t0 in _QT_GRID:
+        assert _at(zn, q0, t0) == ((q0 ** 2 - 1) * (q0 ** r - 1)
+                                   * (q0 ** r * (q0 - 1) * (q0 ** 2 + t0)
+                                      + (q0 ** 2 + 1) * (q0 ** (2 * r + 1) - t0)))
+        assert _at(zd, q0, t0) == ((q0 ** 4 - t0) * (q0 ** (2 * r) - t0)
+                                   * (q0 ** (r + 1) - t0))
 
 
 def test_cyclic3_limits():

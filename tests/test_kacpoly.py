@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quivercount.bruteforce import (count_absolutely_indecomposable,
                                     count_iso_classes, jet_counts,
@@ -242,6 +243,17 @@ class TestZetaExpansion:
         zn, zd = kronecker_Z(3)
         sym = [N.evaluate(2) for N in poincare_symbolic(zn, zd, 12, 2)]
         assert sym == jet_counts(kronecker_quiver(3), (1, 2), 2, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(gloop_Z, g) for g in range(2, 6)]
+                           + [(kronecker_Z, r) for r in range(3, 7)]),
+           st.integers(0, 32), st.integers(0, 5), st.sampled_from([2, 3, 4, 5, 7]))
+    def test_symbolic_expansion_at_q0_is_the_numeric_one(self, zeta, m, n, q0):
+        family, k = zeta
+        zn, zd = family(k)
+        sym = [N.evaluate(q0) for N in poincare_symbolic(zn, zd, m, n)]
+        assert sym == poincare_from_zeta(zeta_fixed_q(zn, zd, q0), q0, m, n)
+        assert len(sym) == n
 
 
 class TestKroneckerPipeline:

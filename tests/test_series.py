@@ -124,6 +124,22 @@ class TestPlethystic:
         H = G.inverse()
         assert (G * H) == t_series((4,), {(0,): one})
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.booleans())
+    def test_series_times_its_inverse_is_one(self, data, symbolic):
+        # RationalFunction coefficients, or plain rationals
+        bound = data.draw(st.sampled_from([(3,), (2, 1), (1, 1, 1)]))
+        zero_key = (0,) * len(bound)
+        values = _coefficients if symbolic else st.fractions(-4, 4, max_denominator=5)
+        monomials = list(all_exponents(bound))
+        coeffs = dict(zip(monomials, data.draw(st.lists(values, min_size=len(monomials),
+                                                        max_size=len(monomials)))))
+        coeffs[zero_key] = data.draw(values.filter(bool))
+        names = [f"t{i}" for i in range(len(bound))]
+        zero, unit = (RationalFunction.zero(), one) if symbolic else (Fraction(0), Fraction(1))
+        S = TruncatedSeries(names, bound, coeffs, zero, unit)
+        assert S * S.inverse() == TruncatedSeries(names, bound, {zero_key: unit}, zero, unit)
+
 
 class TestVolumeSequence:
     def test_adams_shift(self):

@@ -37,6 +37,11 @@ def test_every_hooked_function_exists():
 
 
 def test_install_and_uninstall_restore_every_name():
+    # install() imports every layer module; importing them first keeps the
+    # snapshots comparable whichever tests ran before this one
+    for layer in tracing.LAYERS:
+        importlib.import_module(f"{tracing.PACKAGE}.{layer}")
+
     def snapshot():
         modules = {name: dict(vars(module)) for name, module in sys.modules.items()
                    if name.startswith(tracing.PACKAGE)}
