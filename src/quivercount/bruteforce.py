@@ -1,11 +1,15 @@
 """Exhaustive enumeration oracles over O_alpha = F_q[t]/(t^alpha).
 
 Everything here counts by brute force: points are integer indices whose
-base-q digits are their coordinates, and group orbits are the components of
-the graph of a few generators.  The first generator's orbits are its
-cycles.  Each later generator adds edges from orbit roots only: from the
-roots of the orbits so far while it normalizes the group generated before
-it, and from those of a normal subgroup after that (see _orbit_labels).
+base-q digits are their coordinates, and the orbit census labels each point
+with the least point of its orbit under a few generators (_orbit_labels).
+While a generator g normalizes the group H generated before it, the least
+point of an orbit of <H, g> is the minimum of the H-labels over the powers
+of g: a streaming minimum over all points.  Once a generator's tables hold
+more values than there are orbits left, or past the normal part of the
+group, generators add edges from orbit roots only.  Arrows that no
+generator moves (1 x 1 loops, arrows of one value) stay out of the labelled
+points: every orbit is a labelled orbit times one value of each of them.
 On the Jordan quiver the census lists the adjoint orbits of GL_r(O_alpha)
 on M_r(O_alpha) (_adjoint_orbits).  count_iso_classes sums Burnside's lemma
 over tuples of its invertible orbits, the conjugacy classes, and
@@ -42,8 +46,9 @@ from .quiver import Quiver, _betti_by_subset, _union_find, jordan_quiver
 class Caps:
     """Resource limits; defaults sized so the verification suite finishes
     in minutes.  max_space_log2 caps the points of every walk and census (a
-    census holds int32 arrays: at 2^20 points it peaks at 24 bytes a point
-    in rank all-one and 29 on a 2 x 2 loop, some 0.4 and 0.45 GiB at 2^24).
+    census holds int32 arrays: at 2^20 points it peaks at 23 bytes a point
+    in rank all-one without loops and 32 on a 2 x 2 loop, some 0.4 and 0.5
+    GiB at 2^24).
     count_iso_classes walks no x-space: the cap bounds its Jordan census
     of M_{r_i}(O_alpha) at each vertex and its grid of class tuples.
     moment_fiber_count is capped by its x-space whichever route it takes;
@@ -169,16 +174,28 @@ def enumerate_orbits(Q: Quiver, alpha: int, r, q: int,
     ends = np.concatenate([
         _kernel_exponents(ring.field, _combine(ring.field, basis, coords[i:i + step]))
         for i in range(0, len(reps), step)])
+    # one OMatrix per distinct value of each arrow, shared by the records
+    # that hold it, and one top degree per (orbit size, End exponent)
+    radices = [q ** (alpha * rows * cols) for rows, cols in shapes]
+    columns = []
+    for a, (rows, cols) in enumerate(shapes):
+        values, inverse = np.unique(reps // math.prod(radices[a + 1:]) % radices[a],
+                                    return_inverse=True)
+        mats = [OMatrix(ring, [list(map(tuple, row)) for row in value] if rows and cols else [],
+                        shape=(rows, cols))
+                for value in _digits(values, q, rows * cols * alpha).reshape(
+                    len(values), rows, cols, alpha).tolist()]
+        columns.append([mats[k] for k in inverse.ravel().tolist()])
     gl_size = group_order(alpha, r, q)
+    kinds = {}
     records = []
-    for point, orbit_size, e in zip(coords.tolist(), sizes.tolist(), ends.tolist()):
-        entries = iter(map(tuple, point))
-        x = tuple(OMatrix(ring, [[next(entries) for _ in range(cols)] for _ in range(rows)]
-                          if rows and cols else [], shape=(rows, cols))
-                  for rows, cols in shapes)
-        aut_size = gl_size // orbit_size
-        d = _top_degree(q ** e, aut_size, q)
-        records.append(OrbitRecord(x, orbit_size, e, aut_size, d is not None, d, d == 1))
+    points = list(zip(*columns)) or [()] * len(reps)  # () for a quiver without arrows
+    for x, orbit_size, e in zip(points, sizes.tolist(), ends.tolist()):
+        if (orbit_size, e) not in kinds:
+            aut_size = gl_size // orbit_size
+            d = _top_degree(q ** e, aut_size, q)
+            kinds[orbit_size, e] = aut_size, d is not None, d, d == 1
+        records.append(OrbitRecord(x, orbit_size, e, *kinds[orbit_size, e]))
     return records
 
 
@@ -191,8 +208,10 @@ def count_absolutely_indecomposable(Q: Quiver, alpha: int, r, q: int,
         ring = ORing(q, alpha)
         check_space_cap(Q, alpha, r, q, caps)
         reps, _ = _orbit_labels(Q, ring, r)
-        support = _digits(reps, q ** alpha, Q.num_arrows) != 0  # one value per arrow
-        support_mask = support @ (1 << np.arange(Q.num_arrows))
+        size, n_arrows = q ** alpha, Q.num_arrows
+        support_mask = np.zeros(len(reps), dtype=np.int64)  # bit a: x_a != 0
+        for a in range(n_arrows):
+            support_mask |= (reps // size ** (n_arrows - 1 - a) % size != 0) << a
         connected = np.array(_betti_by_subset(Q)[1]) == 1
         return int(connected[support_mask].sum())
     return sum(1 for rec in enumerate_orbits(Q, alpha, r, q, caps)
@@ -230,7 +249,8 @@ def _find(labels: np.ndarray, points: np.ndarray) -> np.ndarray:
     """The roots of points in the forest labels (labels[x] <= x, and a root
     labels itself), climbing one parent per pass over the points only; the
     points are then hung on them.  The trees stay shallow: on the census
-    instances of the benchmark no call takes more than five passes."""
+    menus of the benchmark no call took more than five passes, on the
+    Jordan censuses of up to 2^21 points eleven."""
     roots = points
     while True:
         up = labels[roots]
@@ -268,35 +288,50 @@ def _orbit_labels(Q: Quiver, ring: ORing, r):
     coordinates (arrow by arrow, entries row-major, t^0 first), so index
     order is lexicographic order.  In mixed radix an index has one digit per
     arrow a, the value of x_a, of radix R_a = (q^alpha)^(r_t r_s) and place
-    P_a.  A generator maps each x_a by a table T_a over its R_a values, so
-    it moves an index by the sum over arrows of (T_a - id)[x_a] P_a.
+    P_a.  A generator g maps each x_a by a table T_a over its R_a values.
 
-    Orbits are the trees of a forest, labels, whose roots are least points:
-    - The orbits of the first generator g are its cycles: each point hangs
-      on the least of its images under g^0, ..., g^(m-1).
-    - A later generator g is hooked (_hook) along the edges x -> g x from
-      the current roots x only.  That suffices while g normalizes the group
-      H generated before it, for g then maps H-orbits onto H-orbits.  The
-      generators come by falling level (see _generators), and within level
-      0 the rank-one vertices first.  K_j = I + t^j M_r(O) is normal, and
-      for j >= 1 the commutators [K_j, K_j] lie in K_2j, within K_(j+1);
-      scalars constant on a component act trivially, and a level-0
-      generator at a rank-one vertex is central.  So each of these
-      generators normalizes H.
-    - From the first level-0 generator at a vertex of rank >= 2 on, the
-      edges come from the roots of that moment: the orbits of K_1 times the
-      central part, a normal subgroup.
-    An orbit's size is the sum of the lengths of the cycles of g in it,
-    carried on the cycle roots: no pass over all points follows the hooks.
+    No generator moves a 1 x 1 loop (g x g^-1 = x) or an arrow with R_a = 1,
+    so the census labels only the points of the moved arrows, indexed in
+    their own mixed radix; each orbit of the whole space is a moved orbit
+    times one value of every unmoved arrow, and its size is the moved one.
+
+    labels maps each point to a lesser or equal point of its orbit:
+    - The generators come by falling level (see _generators), and within
+      level 0 the rank-one vertices first.  K_j = I + t^j M_r(O) is normal,
+      and for j >= 1 the commutators [K_j, K_j] lie in K_2j, within
+      K_(j+1); scalars constant on a component act trivially, and a level-0
+      generator at a rank-one vertex is central.  So each generator before
+      the first level-0 one at a vertex of rank >= 2 (the cut) normalizes
+      the group H generated before it, and the orbit of x under <H, g> is
+      the union of the H-orbits of the g^k x.
+    - While labels is the least point L(x) of each H-orbit, min_k L(g^k x)
+      is then the least point of the <H, g>-orbit: a streaming minimum
+      (stream).  L read at g^k x is a gather along the axis of each arrow
+      that g moves, by the table of T_a^k, and doubling takes the minimum
+      over all k in ceil(log2 m) such steps, m the order of g.  The first
+      generator is always streamed, from L = identity: its orbits are its
+      cycles.
+    - Streaming costs passes over all points; hooking (_hook) the edges
+      x -> g x from orbit roots only costs passes over those roots and the
+      tables of g.  So a generator is streamed only while its tables hold
+      no more values than there are live roots (sum_a R_a <= #roots); from
+      the first that fails this size test, or the first past the cut, every
+      generator is hooked.  In rank all-one every generator comes before
+      the cut; the Jordan quiver in rank >= 2 hooks all but its first.
+    - A hooked generator before the cut takes its edges from the current
+      roots; past the cut, from the roots of that moment: the orbits of
+      K_1 times the central part, a normal subgroup.
+    The size of an orbit is the number of points labelled with its root
+    when streaming stops, summed along the hooks: no pass over all points
+    follows them.
     """
     q, alpha = ring.q, ring.alpha
     size = q ** alpha
     shapes = [(r[t], r[s]) for s, t in Q.arrows]
     radices = [size ** (rows * cols) for rows, cols in shapes]
-    places = [math.prod(radices[a + 1:]) for a in range(len(radices))]
-    n_points = math.prod(radices)
-    if n_points > np.iinfo(np.int32).max:  # every value below is under n_points: int32 is exact
-        raise CapExceeded(f"census capped at 2^31 - 1 points (int32); this space has {n_points}")
+    n_all = math.prod(radices)
+    if n_all > np.iinfo(np.int32).max:  # every value below is under n_all: int32 is exact
+        raise CapExceeded(f"census capped at 2^31 - 1 points (int32); this space has {n_all}")
     add, mul = ring.field.arrays[:2]
     coeff_places = q ** np.arange(alpha - 1, -1, -1, dtype=np.int32)
     digits = _digits(np.arange(size), q, alpha).astype(np.int16)
@@ -346,83 +381,112 @@ def _orbit_labels(Q: Quiver, ring: ORing, r):
         return delta
 
     def table(a, gen):
-        """T_a - id over all values of x_a, built in chunks so that the
-        lines of one chunk stay small."""
-        return np.concatenate([
-            move(a, gen, np.arange(start, min(start + _CHUNK_ENTRIES, radices[a]), dtype=np.int32))
-            for start in range(0, radices[a], _CHUNK_ENTRIES)])
+        """T_a over all values of x_a, built in chunks so that the lines of
+        one chunk stay small."""
+        chunks = []
+        for start in range(0, radices[a], _CHUNK_ENTRIES):
+            value = np.arange(start, min(start + _CHUNK_ENTRIES, radices[a]), dtype=np.int32)
+            chunks.append(value + move(a, gen, value))
+        return np.concatenate(chunks)
 
-    def permutation(deltas):
-        """The image of every point when each x_a moves by its delta_a."""
-        out = np.arange(n_points, dtype=np.int32)
-        for a, delta in deltas:
-            view = out.reshape(-1, radices[a], places[a])
-            view += delta[:, None] * places[a]
-        return out
-
-    def image(gen, arrows, points):
-        """gen applied to points.  Few points go through their values of
-        x_a (a division, a remainder and a gather per point), each moved by
-        the table of T_a or, when the points are fewer than its values,
-        directly; from an eighth of all points on, the whole permutation
-        (one streaming add over all points per arrow) and one gather cost
-        less.  That is where the two crossed on the census instances of
-        the benchmark and of verify criterion 2, at 2^12 points and more."""
-        if 8 * len(points) >= n_points:
-            return permutation([(a, table(a, gen)) for a in arrows])[points]
-        out = points.copy()
-        for a in arrows:
-            value = points // places[a] % radices[a]
-            out += (table(a, gen)[value] if radices[a] <= len(points)
-                    else move(a, gen, value)) * places[a]
-        return out
-
-    def cycles(gen, arrows):
-        """Hang every point on the least point of its cycle under g; return
-        the cycle roots and their cycle lengths, m / #{k < m : g^k x = x}
-        for the order m of g (below 256 for every field and cap here)."""
-        index = np.arange(n_points, dtype=np.int32)
-        ident = [np.arange(radices[a], dtype=np.int32) for a in arrows]
-        maps = [table(a, gen) + e for a, e in zip(arrows, ident)]
-        powers, order = maps, 1
-        returns = np.zeros(n_points, dtype=np.uint8)
-        while not all(np.array_equal(power, e) for power, e in zip(powers, ident)):
-            step = permutation([(a, power - e) for a, power, e in zip(arrows, powers, ident)])
-            np.minimum(labels, step, out=labels)
-            returns += step == index
-            powers = [m[power] for m, power in zip(maps, powers)]
-            order += 1
-        roots = index[labels == index]
-        return roots, order // (1 + returns[roots])
-
-    labels = np.arange(n_points, dtype=np.int32)
     roots, _ = _union_find(len(r), [(s, t) for s, t in Q.arrows if r[s] and r[t]])
     scalar_free = {v for v, root in enumerate(roots) if v == root}
     # g x g^-1 = x on a 1 x 1 loop; R_a = 1 leaves nothing to move
     moving = [[a for a, (s, t) in enumerate(Q.arrows)
                if v in (s, t) and not (s == t and r[v] == 1) and radices[a] > 1]
               for v in range(len(r))]
-    gens = sorted(_generators(ring, r, scalar_free), key=lambda g: (-g[0], r[g[1]] > 1))
+    gens = sorted((g for g in _generators(ring, r, scalar_free) if moving[g[1]]),
+                  key=lambda g: (-g[0], r[g[1]] > 1))
     cut = next((i for i, g in enumerate(gens) if g[0] == 0 and r[g[1]] > 1), len(gens))
-    cycle_roots = None
+    moved = sorted({a for _, v, *_ in gens for a in moving[v]})
+    places = [0] * len(radices)  # within the points of the moved arrows
+    n_points = 1
+    for a in reversed(moved):
+        places[a] = n_points
+        n_points *= radices[a]
+    index = np.arange(n_points, dtype=np.int32)
+
+    def gather(values, arrows, maps):
+        """values read at g x for every point x, g mapping each x_a by its
+        table: one gather along the axis of each arrow."""
+        for a, m in zip(arrows, maps):
+            values = np.take(values.reshape(-1, radices[a], places[a]), m, axis=1)
+        return values.reshape(-1)
+
+    def image(gen, arrows, points):
+        """gen applied to points.  Few points go through their values of
+        x_a (a division, a remainder and a gather per point), each moved by
+        the table of T_a or, when the points are fewer than its values,
+        directly; from an eighth of all points on, gathering the whole
+        permutation costs less."""
+        if 8 * len(points) >= n_points:
+            return gather(index, arrows, [table(a, gen) for a in arrows])[points]
+        out = points.copy()
+        for a in arrows:
+            value = points // places[a] % radices[a]
+            out += (table(a, gen)[value] - value if radices[a] <= len(points)
+                    else move(a, gen, value)) * places[a]
+        return out
+
+    def stream(gen, arrows):
+        """labels <- min over k of labels at g^k x, in place, by doubling:
+        after step i labels holds the minimum over k < 2^i.  Returns the
+        order of g."""
+        maps = [table(a, gen) for a in arrows]
+        order, power = 1, maps
+        while True:
+            power = [m[p] for m, p in zip(maps, power)]
+            if all(map(np.array_equal, power, maps)):  # g^(order + 1) = g
+                break
+            order += 1
+        for step in range((order - 1).bit_length()):
+            if step:
+                maps = [m[m] for m in maps]
+            np.minimum(labels, gather(labels, arrows, maps), out=labels)
+        return order
+
+    labels = index.copy()
+    ends = None  # the points hooked from, once hooking starts
+    live = n_points  # while streaming, a lower bound on the live roots, counted when short
     for i, (_, *gen) in enumerate(gens):
         arrows = moving[gen[0]]
-        if not arrows:
-            continue
-        if cycle_roots is None:
-            cycle_roots, cycle_sizes = cycles(gen, arrows)
-            # past the cut, edges come from the orbits of the trivial group
-            ends = cycle_roots if i < cut else np.arange(n_points, dtype=np.int32)
-        else:
-            _hook(labels, ends, image(gen, arrows, ends))
-            if i < cut:
-                ends = ends[labels[ends] == ends]
-    if cycle_roots is None:  # no generator moves a point
-        return labels, np.ones(n_points, dtype=np.int64)
-    final = _find(labels, cycle_roots)
-    reps = cycle_roots[final == cycle_roots]
-    labels[reps] = np.arange(len(reps))  # the forest is done with: number the orbits
-    return reps, np.bincount(labels[final], cycle_sizes, len(reps)).astype(np.int64)
+        if ends is None:
+            need = sum(radices[a] for a in arrows)
+            if 0 < i < cut and need > live:
+                live = int(np.count_nonzero(labels == index))
+            if i == 0 or i < cut and need <= live:
+                # streaming g joins at most its order of orbits into one
+                live = -(-live // stream(gen, arrows))
+                continue
+            roots = index[labels == index]
+            sizes = np.bincount(labels)[roots].astype(np.int32)
+            # past the cut, edges come from the roots of that moment
+            ends = roots if cut else index
+        _hook(labels, ends, image(gen, arrows, ends))
+        if i < cut:
+            ends = ends[labels[ends] == ends]
+    if ends is None:
+        reps = index[labels == index]
+        sizes = np.bincount(labels)[reps]
+    else:
+        final = _find(labels, roots)
+        reps = roots[final == roots]
+        labels[reps] = np.arange(len(reps))  # the forest is done with: number the orbits
+        sizes = np.bincount(labels[final], sizes, len(reps)).astype(np.int64)
+    unmoved = [a for a in range(len(radices)) if not places[a] and radices[a] > 1]
+    if not unmoved:  # moved and full indices agree
+        return reps, sizes
+    # each moved orbit times every value of the unmoved arrows, re-sorted
+    full_places = [math.prod(radices[a + 1:]) for a in range(len(radices))]
+    moved_part = np.zeros(len(reps), dtype=np.int32)
+    for a in moved:
+        moved_part += reps // places[a] % radices[a] * full_places[a]
+    offsets = np.zeros(1, dtype=np.int32)
+    for a in unmoved:
+        offsets = np.add.outer(offsets, np.arange(radices[a], dtype=np.int32) * full_places[a]).ravel()
+    reps = np.add.outer(moved_part, offsets).ravel()
+    order = np.argsort(reps, kind="stable")
+    return reps[order], np.repeat(sizes, len(offsets))[order]
 
 
 # -- batched point walks -------------------------------------------------------

@@ -64,11 +64,7 @@ class Fq:
     _cache: dict = {}
 
     def __new__(cls, q: int):
-        if q in cls._cache:
-            return cls._cache[q]
-        self = super().__new__(cls)
-        cls._cache[q] = self
-        return self
+        return cls._cache.get(q) or super().__new__(cls)
 
     def __init__(self, q: int):
         if hasattr(self, "q"):
@@ -83,6 +79,7 @@ class Fq:
         else:
             self.modulus = None
         self._build_tables()
+        Fq._cache[q] = self  # only once valid: a rejected q leaves no instance behind
 
     def _build_tables(self):
         q, p, k = self.q, self.p, self.k
@@ -160,12 +157,7 @@ class ORing:
     _cache: dict = {}
 
     def __new__(cls, q: int, alpha: int):
-        key = (q, alpha)
-        if key in cls._cache:
-            return cls._cache[key]
-        self = super().__new__(cls)
-        cls._cache[key] = self
-        return self
+        return cls._cache.get((q, alpha)) or super().__new__(cls)
 
     def __init__(self, q: int, alpha: int):
         if hasattr(self, "alpha"):
@@ -178,6 +170,7 @@ class ORing:
         self.zero = (0,) * alpha
         self.one = (1,) + (0,) * (alpha - 1)
         self.t = tuple(1 if i == 1 else 0 for i in range(alpha)) if alpha > 1 else (0,)
+        ORing._cache[q, alpha] = self  # only once valid, as in Fq
 
     def size(self) -> int:
         return self.q ** self.alpha

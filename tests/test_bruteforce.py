@@ -287,8 +287,35 @@ class TestOrbitsMatchFullHook:
         (Quiver(["0", "1"], [(0, 1), (1, 1)]), 1, (1, 2), 5),
         # the Jordan quiver in ranks 2 and 3
         (jordan_quiver(), 2, (2,), 3), (jordan_quiver(), 1, (3,), 2),
-        (jordan_quiver(), 1, (3,), 3)])
+        (jordan_quiver(), 1, (3,), 3),
+        # 1 x 1 loops at two vertices: no generator moves them
+        (Quiver(["0", "1"], [(0, 0), (0, 1), (1, 1), (1, 0)]), 2, (1, 1), 3),
+        # a loop between moved arrows: the representatives expanded over its
+        # values must be re-sorted
+        (Quiver(["0", "1"], [(0, 1), (1, 1), (1, 0)]), 2, (1, 1), 2),
+        (Quiver(["0", "1"], [(0, 1), (1, 1), (1, 0)]), 1, (1, 1), 5),
+        # an arrow into a vertex of rank zero between moved arrows, and a loop
+        (Quiver(["0", "1", "2"], [(0, 1), (1, 2), (1, 1), (1, 0)]), 2, (1, 1, 0), 3),
+        # rank 2: the size test stops streaming five generators in, before
+        # the cut
+        (Quiver(["0", "1", "2"], [(0, 1), (1, 2)]), 2, (2, 1, 1), 3),
+        (Quiver(["0", "1", "2"], [(0, 1), (1, 1), (2, 1)]), 3, (2, 1, 1), 2)])
     def test_every_ordering_branch(self, Q, alpha, r, q):
+        self.check(Q, alpha, r, q)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_random_quivers_with_loops(self, data):
+        # loops of every shape among other arrows, ranks 0 to 2
+        n = data.draw(st.integers(1, 3))
+        vertex = st.integers(0, n - 1)
+        loops = data.draw(st.lists(vertex, min_size=1, max_size=2))
+        arrows = data.draw(st.lists(st.tuples(vertex, vertex), max_size=3))
+        order = data.draw(st.permutations([(v, v) for v in loops] + arrows))
+        r = tuple(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+        alpha, q = data.draw(st.integers(1, 2)), data.draw(st.sampled_from([2, 3, 4]))
+        Q = Quiver([str(i) for i in range(n)], order)
+        assume(q ** (alpha * rep_space_dim(Q, r)) <= 2 ** 12)
         self.check(Q, alpha, r, q)
 
 

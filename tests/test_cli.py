@@ -318,6 +318,16 @@ class TestErrorPaths:
         assert code == 2
 
 
+def test_package_runs_as_a_module():
+    # python -m quivercount runs cli.main and exits with its return code
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    for argv, code in ((["--help"], 0), (["kac-gloop", "--g", "2", "--alpha", "0", "--rank", "2"], 2)):
+        proc = subprocess.run([sys.executable, "-m", "quivercount"] + argv, capture_output=True,
+                              text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == code
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(argv)
+
+
 def test_one_parser_per_process(gloop2_file, capsys):
     """main reuses one parser; a failed parse, a good call and another
     subcommand, run in one process, match separate fresh processes."""

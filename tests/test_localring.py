@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quivercount.errors import UnsupportedParameter
 from quivercount.localring import (Fq, OMatrix, ORing, gl_order, kernel_size_exponent,
                                    smith_invariants, smith_invariants_batch,
                                    smith_normal_form)
@@ -59,6 +60,27 @@ class TestORing:
         assert R.divide_exact(a, b) == R.from_coeffs([1, 1])
         with pytest.raises(ValueError):
             R.divide_exact(R.one, R.t)
+
+
+class TestInstanceCaches:
+    @pytest.mark.parametrize("q,alpha", [(0, 1), (1, 2), (6, 1), (11, 2), (3, 0), (3, -1)])
+    def test_rejected_parameters_leave_no_instance(self, q, alpha):
+        # Fq and ORing keep one instance per parameter set, cached only
+        # once __init__ has accepted it
+        fields, rings = dict(Fq._cache), dict(ORing._cache)
+        with pytest.raises(UnsupportedParameter):
+            ORing(q, alpha)
+        with pytest.raises(UnsupportedParameter):
+            ORing(q, alpha)  # a second call fails the same way
+        if alpha >= 1:
+            with pytest.raises(UnsupportedParameter):
+                Fq(q)
+        assert Fq._cache == fields and ORing._cache == rings
+
+    def test_one_instance_per_parameter_set(self):
+        assert Fq(9) is Fq(9) and ORing(9, 2) is ORing(9, 2)
+        assert ORing(9, 2).field is Fq(9) and Fq._cache[9] is Fq(9)
+        assert ORing._cache[9, 2] is ORing(9, 2)
 
 
 _RINGS = [(2, 1), (2, 3), (3, 2), (4, 2), (5, 1), (7, 3), (9, 2)]

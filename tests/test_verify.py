@@ -25,6 +25,15 @@ def test_symbolic_criterion_passes(check):
     assert result.passed, result.detail
 
 
+def test_toric_brute_anchor_passes():
+    # criterion 2: the rank-one orbit census against toric_kac_wyss on
+    # every corpus instance within the census cap
+    result = verify.check_toric_brute_anchor()
+    print(result.line())
+    assert result.passed, result.detail
+    assert result.detail.startswith("1132 instances")
+
+
 def test_hall_criterion_passes():
     # criterion 11: fixed-q associativity and [e1, e2], Euler-shadow
     # bialgebra identity and centrality
