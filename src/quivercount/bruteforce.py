@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
@@ -712,7 +713,9 @@ def moment_fiber_count(Q: Quiver, alpha: int, r, q: int, lam=None,
     pair to zero with r, to nonzero with every intermediate rank vector,
     and needs characteristic larger than sum |lambda_i| r_i.  The space cap
     bounds the x-space, whichever route counts:
-    - rank all-one zero fibers sum over valuation patterns;
+    - rank all-one zero fibers sum over the valuation patterns of the
+      underlying simple graph: loops and the extra arrows of each parallel
+      class contribute closed-form powers of q;
     - every other fiber sums over the adjoint orbits of gl_r(O_alpha) (see
       _orbit_fiber) when the Jordan censuses cost less than the x-space,
       sum_i q^(alpha r_i^2) < q^(alpha dim R), and their orbit-tuple grid
@@ -738,18 +741,27 @@ def moment_fiber_count(Q: Quiver, alpha: int, r, q: int, lam=None,
         return 1 if target_zero else 0
 
     if not any(lam) and all(ri == 1 for ri in r):
-        # stratify by valuation pattern: fiber size only depends on it
-        counts_per_val = [(q - 1) * q ** (alpha - 1 - v) if v < alpha else 1
-                          for v in range(alpha + 1)]
+        # the y-column of arrow a is +-x_a (e_t - e_s), and zero on a loop:
+        # |Ker| depends only on valuations, and k arrows joining s and t, in
+        # either direction, reduce by column operations to one column at
+        # their least valuation m plus k - 1 zero columns.  So sum over the
+        # valuation patterns of the simple graph, an edge standing for the
+        # N_k(m) k-tuples of least valuation m; each loop adds q^(2 alpha).
+        classes = Counter(tuple(sorted(arrow)) for arrow in Q.arrows if arrow[0] != arrow[1])
+        simple = Quiver(Q.vertices, sorted(classes))
+        loops = Q.num_arrows - sum(classes.values())
+        # N_k(m) = #{all valuations >= m} - #{all >= m + 1}
+        least = {k: [q ** (k * (alpha - m)) - q ** (k * (alpha - m - 1)) if m < alpha else 1
+                     for m in range(alpha + 1)] for k in set(classes.values())}
         total = 0
-        for pattern in product(range(alpha + 1), repeat=Q.num_arrows):
-            x = tuple(OMatrix(ring, [[ring.t_power(v)]]) for v in pattern)
-            ke = kernel_size_exponent(moment_matrix(Q, ring, r, x))
+        for pattern in product(range(alpha + 1), repeat=simple.num_arrows):
+            x = tuple(OMatrix(ring, [[ring.t_power(m)]]) for m in pattern)
+            ke = kernel_size_exponent(moment_matrix(simple, ring, r, x))
             mult = 1
-            for v in pattern:
-                mult *= counts_per_val[v]
+            for edge, m in zip(simple.arrows, pattern):
+                mult *= least[classes[edge]][m]
             total += mult * q ** ke
-        return total
+        return q ** (alpha * (sum(classes.values()) - len(classes) + 2 * loops)) * total
     space = q ** (alpha * dim)
     if (sum(q ** (alpha * ri * ri) for ri in r) < space
             and math.prod(len(_adjoint_orbits(ring, ri)[1]) for ri in r) < space):

@@ -439,26 +439,29 @@ def connected_quiver_corpus(max_vertices: int = 4, max_edges: int = 6):
 
     Every quantity this package verifies on the corpus is orientation
     independent, so arrows run from the lower vertex index to the higher.
+    Each class is kept at its first edge list in combination order, in the
+    canonical form min over its images under the vertex permutations; a
+    layer of fixed size (n, e) holds those images, so a later member of the
+    class is recognised without being permuted again.  An edge list is held
+    as the bytes of its sorted slot indices, which order as the edge lists
+    do: slots are numbered in lexicographic order.
     """
     corpus = []
-    seen = set()
     for n in range(1, max_vertices + 1):
+        labels = [str(v + 1) for v in range(n)]
         slots = [(i, j) for i in range(n) for j in range(i, n)]
+        index = {}
+        for k, (i, j) in enumerate(slots):
+            index[i, j] = index[j, i] = k
+        perms = list(permutations(range(n)))
         for e in range(n - 1, max_edges + 1):
+            images = set()
             for combo in combinations_with_replacement(range(len(slots)), e):
-                edges = tuple(slots[k] for k in combo)
-                Q = Quiver([str(v + 1) for v in range(n)], edges)
-                if not is_connected(Q):
+                edges = [slots[k] for k in combo]
+                if bytes(combo) in images or not is_connected(Quiver(labels, edges)):
                     continue
-                canon = None
-                for perm in permutations(range(n)):
-                    mapped = tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in edges))
-                    if canon is None or mapped < canon:
-                        canon = mapped
-                key = (n, canon)
-                if key in seen:
-                    continue
-                seen.add(key)
-                corpus.append(Quiver([str(v + 1) for v in range(n)],
-                                     sorted(canon)))
+                found = {bytes(sorted(index[perm[a], perm[b]] for a, b in edges))
+                         for perm in perms}
+                images |= found
+                corpus.append(Quiver(labels, [slots[k] for k in min(found)]))
     return corpus

@@ -6,14 +6,16 @@ Euclidean gcd over Q; it works on plain {exponent: coefficient} dicts so
 that it shares no code with ``quivercount.qpolynomial``.
 ``toric_kac_levels`` is the chain-sum toric count that enumerates all
 (alpha+1)^E level vectors of a quiver with E arrows.
+``connected_quiver_corpus`` lists the corpus by canonicalising every
+connected edge combination under all n! vertex relabellings.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, permutations, product
 from math import gcd
 
 from quivercount.qpolynomial import QPolynomial
-from quivercount.quiver import _betti_by_subset
+from quivercount.quiver import Quiver, _betti_by_subset, is_connected
 
 
 def _clean(d):
@@ -107,3 +109,29 @@ def toric_kac_levels(Q, alpha):
     for (b_top, s), count in sorted(weights.items()):
         poly = poly + count * (q(1) - 1) ** b_top * q(s)
     return poly
+
+
+def connected_quiver_corpus(max_vertices, max_edges):
+    """quiver.connected_quiver_corpus, one canonical form per combination."""
+    corpus = []
+    seen = set()
+    for n in range(1, max_vertices + 1):
+        slots = [(i, j) for i in range(n) for j in range(i, n)]
+        for e in range(n - 1, max_edges + 1):
+            for combo in combinations_with_replacement(range(len(slots)), e):
+                edges = tuple(slots[k] for k in combo)
+                Q = Quiver([str(v + 1) for v in range(n)], edges)
+                if not is_connected(Q):
+                    continue
+                canon = None
+                for perm in permutations(range(n)):
+                    mapped = tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in edges))
+                    if canon is None or mapped < canon:
+                        canon = mapped
+                key = (n, canon)
+                if key in seen:
+                    continue
+                seen.add(key)
+                corpus.append(Quiver([str(v + 1) for v in range(n)],
+                                     sorted(canon)))
+    return corpus

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
-from quivercount import bruteforce
+from quivercount import bruteforce, kacpoly
 from quivercount.bruteforce import (DEFAULT_CAPS, Caps, _adjoint_orbits, _check_generic,
                                     _find, _hook, _orbit_fiber, _orbit_labels, _walk,
                                     ask_counts, count_absolutely_indecomposable,
@@ -233,16 +233,16 @@ class TestGeneratorGraphProperties:
             assert rec.indecomposable == ref.is_indecomposable(Q, ring, r, x)
 
 
-def _bench_census_instances():
-    """(Q, alpha, r, q) of every census, orbits-rank1 and orbits-rank2 menu
-    item of the benchmark workloads."""
+def _bench_instances(*kinds):
+    """(Q, alpha, r, q) of every menu item of the given kinds in the
+    benchmark workloads."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     out = []
     for stratum in workloads._orbits_strata() + workloads._brute_strata():
-        if stratum.kind in ("census", "orbits-rank1", "orbits-rank2"):
+        if stratum.kind in kinds:
             for item in stratum.menu:
                 Q = item.get("quiver") or workloads.named_quiver(item["family"], item["n"])
                 out.append((Q, item["alpha"], tuple(item.get("rank", (1,) * Q.num_vertices)),
@@ -262,7 +262,8 @@ class TestOrbitsMatchFullHook:
         assert sizes.tolist() == want_sizes.tolist()
         assert reps.dtype == np.int32
 
-    @pytest.mark.parametrize("Q,alpha,r,q", _bench_census_instances())
+    @pytest.mark.parametrize("Q,alpha,r,q", _bench_instances("census", "orbits-rank1",
+                                                             "orbits-rank2"))
     def test_bench_menus(self, Q, alpha, r, q):
         self.check(Q, alpha, r, q)
 
@@ -611,17 +612,22 @@ def _named(instances):
     return [pytest.param(Q, alpha, q, id=f"{name}-{alpha}-{q}") for name, Q, alpha, q in instances]
 
 
-# Rank all-one zero fibers, which moment_fiber_count sums over valuation
-# patterns: loops, parallel arrows, one to five vertices.
+# Rank all-one zero fibers, which moment_fiber_count sums over the valuation
+# patterns of the underlying simple graph, with loops and the extra arrows of
+# each parallel class in closed form: loops, parallel and antiparallel
+# arrows, a disconnected quiver with an isolated vertex, one to five vertices.
 K2_LOOP = Quiver(["0", "1"], [(0, 1), (0, 1), (1, 1)])
 TREE4_LOOP = Quiver(["0", "1", "2", "3"], [(0, 1), (1, 2), (1, 3), (3, 3)])
+ANTIPARALLEL = Quiver(["0", "1"], [(0, 1), (1, 0), (0, 1)])
+DISCONNECTED = Quiver(["0", "1", "2", "3", "4"], [(0, 1), (1, 0), (2, 2), (3, 2)])
 RANK_ONE_FIBERS = [
     ("jordan", jordan_quiver(), 3, 3), ("loop2", loop_quiver(2), 2, 4),
     ("a2", a2_quiver(), 3, 5), ("a2", a2_quiver(), 5, 2),
     ("kronecker2", kronecker_quiver(2), 3, 2), ("kronecker3", kronecker_quiver(3), 2, 3),
     ("cyclic3", cyclic_quiver(3), 1, 5), ("cyclic3", cyclic_quiver(3), 2, 3),
     ("cyclic4", cyclic_quiver(4), 1, 4), ("k2loop", K2_LOOP, 2, 3),
-    ("tree4loop", TREE4_LOOP, 2, 2), ("tree4loop", TREE4_LOOP, 1, 3)]
+    ("tree4loop", TREE4_LOOP, 2, 2), ("tree4loop", TREE4_LOOP, 1, 3),
+    ("antiparallel", ANTIPARALLEL, 2, 3), ("disconnected", DISCONNECTED, 2, 2)]
 RANK_ONE_FIBERS_LARGE = [
     ("kronecker3", kronecker_quiver(3), 3, 3), ("cyclic4", cyclic_quiver(4), 2, 4),
     ("cyclic5", cyclic_quiver(5), 2, 3), ("k2loop", K2_LOOP, 4, 3),
@@ -647,6 +653,38 @@ class TestBatchedWalksMatchScalar:
         r = (1,) * Q.num_vertices
         walk = _walk(Fq(q), np.array(moment_theta_basis(Q, r), dtype=np.int64), alpha)
         assert moment_fiber_count(Q, alpha, r, q) == walk
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_random_rank_one_zero_fibers(self, data):
+        # loops at several vertices, antiparallel pairs, isolated vertices and
+        # disconnected quivers, against the walk over every point
+        n = data.draw(st.integers(1, 4))
+        vertex = st.integers(0, n - 1)
+        pieces = data.draw(st.lists(st.one_of(
+            vertex.map(lambda v: [(v, v)]),
+            st.tuples(vertex, vertex).map(lambda e: [e]),
+            st.tuples(vertex, vertex).map(lambda e: [e, e[::-1]])), max_size=6))
+        Q = Quiver([str(v) for v in range(n)], [a for piece in pieces for a in piece][:6])
+        alpha = data.draw(st.integers(1, 3))
+        q = data.draw(st.sampled_from([2, 3, 4]))
+        assume(q ** (alpha * Q.num_arrows) <= 2 ** 14)
+        r = (1,) * n
+        # an arrowless quiver has one point, whose fiber is everything
+        want = (_walk(Fq(q), np.array(moment_theta_basis(Q, r), dtype=np.int64), alpha)
+                if Q.arrows else 1)
+        assert moment_fiber_count(Q, alpha, r, q) == want
+
+    @pytest.mark.parametrize("Q,alpha,r,q", _bench_instances("fiber-rank1"))
+    def test_rank_one_zero_fiber_bench_menu(self, Q, alpha, r, q):
+        # the symbolic count from toric counts of vertex-subset restrictions
+        want = kacpoly.rank1_fiber_count(Q, alpha).evaluate(q)
+        assert moment_fiber_count(Q, alpha, r, q) == want
+
+    def test_rank_one_loops_in_closed_form(self):
+        # one pattern: q^(2 alpha) per loop, where the walk would take
+        # 2^10 and 3^10 valuation patterns
+        assert jet_counts(loop_quiver(10), (1,), 2, 2) == [2 ** 20, 2 ** 40]
 
     @pytest.mark.parametrize("family,r,q,n_max", JETS, ids=_ident)
     def test_jets(self, family, r, q, n_max):

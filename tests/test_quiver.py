@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import symbolic_reference
+
 from quivercount.errors import (ContractLoop, DimensionMismatch,
                                 ReflectionAtImaginaryVertex)
 from quivercount.quiver import (Quiver, SemisimpleType, _betti_by_subset, _subset_tables,
@@ -250,6 +252,13 @@ def test_corpus_shape():
     assert len(corpus) == 283
     assert all(is_connected(Q) for Q in corpus)
     assert all(Q.num_vertices <= 4 and Q.num_arrows <= 6 for Q in corpus)
+
+
+@pytest.mark.parametrize("max_vertices,max_edges", [(4, 6), (3, 7), (5, 5)])
+def test_corpus_matches_per_combination_canonicaliser(max_vertices, max_edges):
+    got = connected_quiver_corpus(max_vertices, max_edges)
+    want = symbolic_reference.connected_quiver_corpus(max_vertices, max_edges)
+    assert [(Q.vertices, Q.arrows) for Q in got] == [(Q.vertices, Q.arrows) for Q in want]
 
 
 def test_cached_subset_tables_equal_fresh_ones():
