@@ -19,7 +19,7 @@ from itertools import product
 from .closedforms import kronecker_Z
 from .errors import CapExceeded, Not2Connected, NotConnected, UnsupportedParameter
 from .localring import gl_order
-from .qpolynomial import QPolynomial, RationalFunction, _long_division
+from .qpolynomial import QPolynomial, RationalFunction, _long_division, rf_sum
 from .quiver import (Quiver, _betti_by_subset, euler_form, is_2_connected,
                      is_connected, kronecker_quiver, restrict_vertices,
                      set_partitions, spanning_trees, tree_path)
@@ -182,27 +182,46 @@ def _rank3_initial(g: int):
     ]
 
 
-def _iterate_recurrence(matrix, vec, steps: int):
+def _over_common_denominator(entries):
+    """Polynomials w and one polynomial l with entries[i] = w[i] / l."""
+    dens = dict.fromkeys(f.den for f in entries)
+    l = QPolynomial.one()
+    for d in dens:
+        # l times d / gcd(l, d): a multiple of both in Z[q]
+        l = l * RationalFunction(l, d).den
+    for d in dens:
+        dens[d] = RationalFunction(l, d).as_polynomial()
+    return [f.num * dens[f.den] for f in entries], l
+
+
+def _iterate_recurrence(matrix, vec, steps: int) -> RationalFunction:
+    """Sum of the entries of matrix^steps vec.
+
+    With matrix = P / lm and vec = w / lv for polynomial P and w, the sum is
+    sum(P^steps w) / (lv lm^steps): the steps run on polynomials, and the
+    quotient is reduced once.
+    """
+    n = len(vec)
+    flat, lm = _over_common_denominator([e for row in matrix for e in row])
+    rows = [[(j, p) for j, p in enumerate(flat[i * n:(i + 1) * n]) if p] for i in range(n)]
+    w, lv = _over_common_denominator(vec)
     for _ in range(steps):
-        vec = [sum((matrix[i][j] * vec[j] for j in range(len(vec))),
-                   RationalFunction.zero()) for i in range(len(vec))]
-    return vec
+        w = [sum((p * w[j] for j, p in row), QPolynomial.zero()) for row in rows]
+    return RationalFunction(sum(w, QPolynomial.zero()), lv * lm ** steps)
 
 
 def gloop_rank2_recurrence(g: int, alpha: int) -> RationalFunction:
     """All-class count M in rank 2 for the g-loop quiver over O_alpha."""
     _check_at_least("alpha", alpha, 1)
     _check_at_least("g", g, 0)
-    vec = _iterate_recurrence(_rank2_matrix(g), _rank2_initial(g), alpha - 1)
-    return sum(vec, RationalFunction.zero())
+    return _iterate_recurrence(_rank2_matrix(g), _rank2_initial(g), alpha - 1)
 
 
 def gloop_rank3_recurrence(g: int, alpha: int) -> RationalFunction:
     """All-class count M in rank 3 for the g-loop quiver over O_alpha."""
     _check_at_least("alpha", alpha, 1)
     _check_at_least("g", g, 0)
-    vec = _iterate_recurrence(_rank3_matrix(g), _rank3_initial(g), alpha - 1)
-    return sum(vec, RationalFunction.zero())
+    return _iterate_recurrence(_rank3_matrix(g), _rank3_initial(g), alpha - 1)
 
 
 def rank3_matrix_checksum(g: int = 2) -> str:
@@ -258,7 +277,7 @@ def rank1_fiber_count(Q: Quiver, alpha: int) -> RationalFunction:
     _check_at_least("alpha", alpha, 0)
     V = Q.num_vertices
     E = Q.num_arrows
-    total = RationalFunction.zero()
+    terms = []
     for partition in set_partitions(range(V)):
         parts = []
         ok = True
@@ -276,8 +295,8 @@ def rank1_fiber_count(Q: Quiver, alpha: int) -> RationalFunction:
         s = len(partition)
         factor = (RationalFunction.one()
                   - RationalFunction.q(-1)) ** (V - s)
-        total = total + term * factor
-    return RationalFunction.q(alpha * E) * total
+        terms.append(term * factor)
+    return RationalFunction.q(alpha * E) * rf_sum(terms)
 
 
 # -- limits and Hilbert series ---------------------------------------------------
@@ -293,6 +312,13 @@ def _proper_supersets(mask: int, E: int):
         yield sup
 
 
+def _gap_weights(b: int):
+    """1/(q^k - 1) for each gap k = 1..b between the top Betti number b and
+    a subset's: the chain weight of _subset_chain_dp, and u/(1 - u) at
+    u = q^-k in order_complex_hilbert."""
+    return {k: RationalFunction(1, _q(k) - 1) for k in range(1, b + 1)}
+
+
 def _subset_chain_dp(Q: Quiver):
     """h(S) over subsets S of arrows: sum over strictly increasing chains
     from S to the full set of prod 1/(q^(b - b_j) - 1) over proper terms."""
@@ -300,6 +326,7 @@ def _subset_chain_dp(Q: Quiver):
     b_of, _ = _betti_by_subset(Q)
     b = b_of[(1 << E) - 1]
     full = (1 << E) - 1
+    weight = _gap_weights(b)
     h = {full: RationalFunction.one()}
     # iterate subsets by decreasing popcount
     by_size = {}
@@ -307,10 +334,8 @@ def _subset_chain_dp(Q: Quiver):
         by_size.setdefault(bin(mask).count("1"), []).append(mask)
     for size in range(E - 1, -1, -1):
         for mask in by_size.get(size, []):
-            acc = sum((h[sup] for sup in _proper_supersets(mask, E)),
-                      RationalFunction.zero())
-            weight = RationalFunction.one() / RationalFunction(_q(b - b_of[mask]) - 1)
-            h[mask] = weight * acc
+            acc = rf_sum(h[sup] for sup in _proper_supersets(mask, E))
+            h[mask] = weight[b - b_of[mask]] * acc
     return h, b
 
 
@@ -322,7 +347,7 @@ def limit_A(Q: Quiver) -> RationalFunction:
     if Q.num_arrows > 10:
         raise CapExceeded(f"chain sum capped at 10 arrows; this quiver has {Q.num_arrows} arrows")
     h, b = _subset_chain_dp(Q)
-    total = sum(h.values(), RationalFunction.zero())
+    total = rf_sum(h.values())
     return (RationalFunction.one() - RationalFunction.q(-1)) ** b * total
 
 
@@ -350,17 +375,14 @@ def order_complex_hilbert(Q: Quiver) -> RationalFunction:
     full = (1 << E) - 1
     b = b_of[full]
     # z(S) = u_S/(1 - u_S); G(S) = z(S)(1 + sum over proper supersets G)
-    z = {}
-    for mask in range(1, full):
-        u = RationalFunction.q(-(b - b_of[mask]))
-        z[mask] = u / (RationalFunction.one() - u)
+    z = _gap_weights(b)
     G = {}
     masks = sorted(range(1, full), key=lambda m: -bin(m).count("1"))
     for mask in masks:
-        acc = sum((G[sup] for sup in _proper_supersets(mask, E) if sup != full),
-                  RationalFunction.one())
-        G[mask] = z[mask] * acc
-    return sum(G.values(), RationalFunction.one())
+        acc = rf_sum((G[sup] for sup in _proper_supersets(mask, E) if sup != full),
+                     RationalFunction.one())
+        G[mask] = z[b - b_of[mask]] * acc
+    return rf_sum(G.values(), RationalFunction.one())
 
 
 # -- zeta-function expansion ------------------------------------------------------

@@ -32,12 +32,33 @@ into symmetric base-xi digits, and the primitive part of that polynomial
 is accepted only if it divides both sides exactly, which at this xi proves
 it is the gcd.  When a few values of xi all fail, the Euclidean gcd over Q
 (``poly_gcd``) gives the answer instead.
+
+Arithmetic on canonical forms runs ``_reduce`` only where a common factor
+can survive (Henrici's rational arithmetic; Knuth, TAOCP vol. 2, 4.5.1).
+Write f_i = n_i/d_i.  A sum over two denominators 1 is the sum of the
+numerators.  A sum with d2 = 1 is (n1 + n2 d1)/d1, already canonical:
+gcd(n1 + n2 d1, d1) = gcd(n1, d1) = 1, and a common integer factor of its
+coefficients would divide the content of d1 and so that of n1 too.  Equal
+denominators reduce (n1 + n2, d); other sums take the cofactors c_i of
+d_i / gcd(d1, d2) from one ``_reduce`` and reduce (n1 c2 + n2 c1, d1 c2)
+over the lcm instead of over d1 d2.  A product cancels n1 against d2 and
+n2 against d1, two smaller gcds, the one against a denominator 1 skipped;
+the products of the two cancelled pairs are coprime, with coprime
+contents (Gauss's lemma) and a positive leading denominator, so they are
+canonical.  Division multiplies by the inverse, which swaps num and den
+and fixes the sign.  Powers and q -> q^m (``adams``) need no reduction:
+coprime polynomials stay coprime under both.  ``rf_sum`` adds the
+numerators of equal denominators as polynomials, brings the sums over
+the lcm of the distinct denominators and reduces once.  Negation, powers, inverses, ``adams`` and these
+fast paths, and the integer constants and monomials c q^k, build their
+results without ``__init__``, which is the full reduction.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import chain
 from math import gcd as int_gcd, lcm as int_lcm
 
 from .errors import PoleAtEvaluationPoint
@@ -335,19 +356,25 @@ class RationalFunction:
 
     @staticmethod
     def zero() -> "RationalFunction":
-        return RationalFunction(QPolynomial.zero())
+        return _canonical(QPolynomial.zero(), QPolynomial.one())
 
     @staticmethod
     def one() -> "RationalFunction":
-        return RationalFunction(QPolynomial.one())
+        return _canonical(QPolynomial.one(), QPolynomial.one())
 
     @staticmethod
     def const(c) -> "RationalFunction":
+        if type(c) is int:
+            return _canonical(QPolynomial.const(c), QPolynomial.one())
         return RationalFunction(QPolynomial.const(c))
 
     @staticmethod
     def q(exp: int = 1, coeff=1) -> "RationalFunction":
-        return RationalFunction(QPolynomial.q(exp, coeff))
+        if type(coeff) is not int or not coeff:
+            return RationalFunction(QPolynomial.q(exp, coeff))
+        if exp < 0:
+            return _canonical(QPolynomial.const(coeff), QPolynomial.q(-exp))
+        return _canonical(QPolynomial.q(exp, coeff), QPolynomial.one())
 
     # -- predicates ---------------------------------------------------
 
@@ -355,7 +382,7 @@ class RationalFunction:
         return self.num.is_zero()
 
     def is_polynomial(self) -> bool:
-        return self.den == QPolynomial.one()
+        return self.den.coeffs == _UNIT
 
     def as_polynomial(self) -> QPolynomial:
         if not self.is_polynomial():
@@ -379,15 +406,23 @@ class RationalFunction:
 
     def __add__(self, other):
         other = _as_rf(other)
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if d1.coeffs == _UNIT and d2.coeffs == _UNIT:
+            return _canonical(n1 + n2, d1)
+        if d2.coeffs == _UNIT:
+            return _canonical(n1 + n2 * d1, d1)
+        if d1.coeffs == _UNIT:
+            return _canonical(n1 * d2 + n2, d2)
+        if d1 == d2:
+            return RationalFunction(n1 + n2, d1)
+        # d1 c2 = d2 c1 is the lcm of the denominators
+        c1, c2 = _reduce(d1, d2)
+        return RationalFunction(n1 * c2 + n2 * c1, d1 * c2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = RationalFunction.__new__(RationalFunction)
-        out.num, out.den = -self.num, self.den
-        return out
+        return _canonical(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-_as_rf(other))
@@ -397,37 +432,35 @@ class RationalFunction:
 
     def __mul__(self, other):
         other = _as_rf(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        if self.is_zero() or other.is_zero():
+            return RationalFunction.zero()
+        a1, b2 = _cancel(self.num, other.den)
+        a2, b1 = _cancel(other.num, self.den)
+        return _canonical(a1 * a2, b1 * b2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _as_rf(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return self * _as_rf(other).inverse()
 
     def __rtruediv__(self, other):
-        return _as_rf(other) / self
+        return _as_rf(other) * self.inverse()
 
     def __pow__(self, n: int):
         if n < 0:
-            return RationalFunction.one() / self ** (-n)
-        out = RationalFunction.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+            return self.inverse() ** (-n)
+        return _canonical(self.num ** n, self.den ** n)
 
     def inverse(self) -> "RationalFunction":
-        return RationalFunction.one() / self
+        if self.is_zero():
+            raise ZeroDivisionError("division by the zero rational function")
+        if self.num.leading_coeff() < 0:
+            return _canonical(-self.den, -self.num)
+        return _canonical(self.den, self.num)
 
     def adams(self, m: int) -> "RationalFunction":
         """q -> q^m, reduced."""
-        return RationalFunction(self.num.adams(m), self.den.adams(m))
+        return _canonical(self.num.adams(m), self.den.adams(m))
 
     def evaluate(self, q0) -> Fraction:
         """Exact evaluation at a rational point; raises at poles."""
@@ -472,12 +505,61 @@ class RationalFunction:
         return f"RationalFunction({self.to_string()!r})"
 
 
+# the coefficient dict of the polynomial 1
+_UNIT = {0: 1}
+
+
+def _canonical(num: QPolynomial, den: QPolynomial) -> RationalFunction:
+    """The RationalFunction num/den of a pair already in canonical form."""
+    out = RationalFunction.__new__(RationalFunction)
+    out.num, out.den = num, den
+    return out
+
+
+def _cancel(num: QPolynomial, den: QPolynomial):
+    """num/den reduced, for the numerator of one canonical form and the
+    denominator of another; a pair with num = 1 or den = 1 is reduced
+    already."""
+    if num.coeffs == _UNIT or den.coeffs == _UNIT:
+        return num, den
+    return _reduce(num, den)
+
+
 def _as_rf(x) -> RationalFunction:
     if isinstance(x, RationalFunction):
         return x
-    if isinstance(x, (int, Fraction, QPolynomial)):
-        return RationalFunction(x if isinstance(x, QPolynomial) else QPolynomial.const(x))
+    if isinstance(x, (int, Fraction)):
+        return RationalFunction.const(x)
+    if isinstance(x, QPolynomial):
+        return RationalFunction(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to RationalFunction")
+
+
+def rf_sum(terms, start=None) -> RationalFunction:
+    """start (default 0) plus the sum of the terms.
+
+    Numerators over the same denominator are added as polynomials, and the
+    sums are brought over the lcm of the distinct denominators as ``+``
+    does; the quotient is reduced once at the end."""
+    by_den = {}
+    for f in chain((RationalFunction.zero() if start is None else start,), terms):
+        acc = by_den.setdefault(f.den, {})
+        for e, c in f.num.coeffs.items():
+            acc[e] = acc.get(e, 0) + c
+    num, den = QPolynomial.zero(), QPolynomial.one()
+    for d, acc in by_den.items():
+        part = QPolynomial(acc)
+        if d.coeffs == _UNIT:
+            num = num + part * den
+        elif den.coeffs == _UNIT:
+            num, den = num * d + part, d
+        else:
+            # den c_d = d c_den is the lcm of the two
+            c_den, c_d = _reduce(den, d)
+            num, den = num * c_d + part * c_den, den * c_d
+    if den.coeffs == _UNIT:
+        return _canonical(num, den)
+    return RationalFunction(num, den)
 
 
 def _reduce(num: QPolynomial, den: QPolynomial):

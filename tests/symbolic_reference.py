@@ -8,13 +8,15 @@ that it shares no code with ``quivercount.qpolynomial``.
 (alpha+1)^E level vectors of a quiver with E arrows.
 ``connected_quiver_corpus`` lists the corpus by canonicalising every
 connected edge combination under all n! vertex relabellings.
+``iterate_recurrence`` runs the g-loop recurrences in rational-function
+arithmetic, reducing every entry at every step.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 from math import gcd
 
-from quivercount.qpolynomial import QPolynomial
+from quivercount.qpolynomial import QPolynomial, RationalFunction
 from quivercount.quiver import Quiver, _betti_by_subset, is_connected
 
 
@@ -135,3 +137,11 @@ def connected_quiver_corpus(max_vertices, max_edges):
                 corpus.append(Quiver([str(v + 1) for v in range(n)],
                                      sorted(canon)))
     return corpus
+
+
+def iterate_recurrence(matrix, vec, steps):
+    """matrix^steps vec for a RationalFunction matrix and vector."""
+    for _ in range(steps):
+        vec = [sum((matrix[i][j] * vec[j] for j in range(len(vec))),
+                   RationalFunction.zero()) for i in range(len(vec))]
+    return vec

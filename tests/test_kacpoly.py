@@ -19,13 +19,14 @@ from quivercount.kacpoly import (gloop_kac_rank2, gloop_kac_rank3,
                                  poincare_from_zeta, poincare_symbolic,
                                  rank1_fiber_count, rank3_matrix_checksum,
                                  toric_kac_trees, toric_kac_wyss,
-                                 zeta_fixed_q, _rank3_matrix)
+                                 zeta_fixed_q, _rank2_initial, _rank2_matrix,
+                                 _rank3_initial, _rank3_matrix)
 from quivercount.qpolynomial import QPolynomial, RationalFunction
 from quivercount.quiver import (Quiver, a2_quiver, connected_quiver_corpus,
                                 cyclic_quiver, jordan_quiver, kronecker_quiver,
                                 loop_quiver)
 from quivercount.series import TruncatedSeries
-from symbolic_reference import toric_kac_levels
+from symbolic_reference import iterate_recurrence, toric_kac_levels
 
 q = QPolynomial.q
 one = RationalFunction.one()
@@ -116,9 +117,22 @@ class TestGloopRecurrences:
         assert gloop_rank3_recurrence(2, 1).evaluate(2) == \
             count_iso_classes(loop_quiver(2), 1, (3,), 2)
 
+    @pytest.mark.parametrize("g", range(7))
+    def test_recurrences_match_rational_function_iteration(self, g):
+        # g = 0 puts the Laurent entries q^(2g-3) and q^(5g-8) in the matrices
+        for matrix, initial, recurrence in ((_rank2_matrix, _rank2_initial,
+                                             gloop_rank2_recurrence),
+                                            (_rank3_matrix, _rank3_initial,
+                                             gloop_rank3_recurrence)):
+            M, v = matrix(g), initial(g)
+            for alpha in range(1, 9):
+                expect = sum(iterate_recurrence(M, v, alpha - 1), RationalFunction.zero())
+                assert recurrence(g, alpha) == expect
+
     def test_matrix_transcription(self):
         # frozen checksum plus three independently re-typed entries at g=2
-        assert rank3_matrix_checksum(2) == rank3_matrix_checksum(2)
+        assert rank3_matrix_checksum(2) == \
+            "011c4b8d47367a216ee709c3b4f83aa3428571982c45406f06faaeee1b9a0dca"
         M = _rank3_matrix(2)
         qm = RationalFunction.q
         assert M[0][0] == qm(10)                                  # q^(9g-8)

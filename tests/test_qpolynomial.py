@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from quivercount import qpolynomial
 from quivercount.closedforms import gloop_Z
 from quivercount.errors import PoleAtEvaluationPoint
 from quivercount.kacpoly import poincare_from_zeta, zeta_fixed_q
-from quivercount.qpolynomial import QPolynomial, RationalFunction
+from quivercount.qpolynomial import QPolynomial, RationalFunction, rf_sum
 from symbolic_reference import reduce_euclid
 
 q = QPolynomial.q
@@ -226,6 +227,105 @@ class TestCanonicalForm:
         s_num, s_den = sympy.fraction(sympy.cancel(expr(num) / expr(den)))
         assert sympy.expand(expr(f.num) * s_den - expr(f.den) * s_num) == 0
         assert sympy.degree(expr(f.den), x) == sympy.degree(s_den, x)
+
+
+# -- arithmetic on canonical forms against the reduced cross product ----------
+
+@st.composite
+def _operands(draw):
+    """A rational function of a shape the arithmetic treats apart: a
+    quotient, a (Laurent) polynomial, a monomial c q^k or a scalar."""
+    kind = draw(st.sampled_from(("quotient", "polynomial", "monomial", "scalar")))
+    if kind == "quotient":
+        return rf(*draw(_quotients()))
+    if kind == "polynomial":
+        return rf(draw(_quotients())[0])
+    if kind == "monomial":
+        return rf(q(draw(st.integers(-3, 3)), draw(_rational.filter(bool))))
+    return rf(QPolynomial.const(draw(_rational)))
+
+
+@st.composite
+def _operand_pairs(draw):
+    """(f, g) with g an operand, an int or Fraction, or a function over the
+    same denominator as f."""
+    f = draw(_operands())
+    kind = draw(st.sampled_from(("operand", "number", "same denominator")))
+    if kind == "operand":
+        return f, draw(_operands())
+    if kind == "number":
+        return f, draw(_rational)
+    p = QPolynomial(draw(st.dictionaries(st.integers(0, 4), st.integers(-6, 6), max_size=3)))
+    g = rf(draw(st.sampled_from((1, -1))) * f.num + p * f.den, f.den)
+    assert g.is_zero() or g.den == f.den
+    return f, g
+
+
+def _parts(x):
+    if isinstance(x, RationalFunction):
+        return x.num, x.den
+    return QPolynomial.const(x), QPolynomial.one()
+
+
+def _assert_reduces(result, num, den):
+    """result is the canonical form of num/den, with integer coefficients."""
+    ref_num, ref_den = reduce_euclid(num.coeffs, den.coeffs)
+    assert result.num.coeffs == ref_num and result.den.coeffs == ref_den
+    for c in (*result.num.coeffs.values(), *result.den.coeffs.values()):
+        assert type(c) is int
+
+
+_CROSS = {
+    operator.add: lambda n1, d1, n2, d2: (n1 * d2 + n2 * d1, d1 * d2),
+    operator.sub: lambda n1, d1, n2, d2: (n1 * d2 - n2 * d1, d1 * d2),
+    operator.mul: lambda n1, d1, n2, d2: (n1 * n2, d1 * d2),
+    operator.truediv: lambda n1, d1, n2, d2: (n1 * d2, d1 * n2),
+}
+
+
+class TestArithmetic:
+    @settings(max_examples=300, deadline=None)
+    @given(_operand_pairs(), st.sampled_from(sorted(_CROSS, key=lambda op: op.__name__)))
+    def test_matches_reduced_cross_product(self, pair, op):
+        f, g = pair
+        for x, y in ((f, g), (g, f)):
+            num, den = _CROSS[op](*_parts(x), *_parts(y))
+            if den.is_zero():
+                with pytest.raises(ZeroDivisionError):
+                    op(x, y)
+                continue
+            _assert_reduces(op(x, y), num, den)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_operands(), st.integers(-3, 3), st.integers(1, 3))
+    def test_powers_and_adams(self, f, k, m):
+        num, den = (f.num ** k, f.den ** k) if k >= 0 else (f.den ** -k, f.num ** -k)
+        if den.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                f ** k
+        else:
+            _assert_reduces(f ** k, num, den)
+        _assert_reduces(f.adams(m), f.num.adams(m), f.den.adams(m))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_operands(), max_size=6), _operands())
+    def test_rf_sum_is_the_plain_sum(self, terms, start):
+        assert rf_sum(terms, start) == sum(terms, start)
+        assert rf_sum(terms) == sum(terms, RationalFunction.zero())
+
+    def test_rf_sum(self):
+        f = rf(q(2) + 1, (q(1) - 1) * (q(1) + 2))
+        assert rf_sum([]) == RationalFunction.zero()
+        assert rf_sum([], f) == f
+        # two terms over each of three denominators, one of them 1, and
+        # a pair that cancels to a smaller denominator
+        terms = [f, rf(q(1)), rf(1, q(1) - 1), rf(3 * q(1), (q(1) - 1) * (q(1) + 2)),
+                 rf(q(3) - 2), rf(-1, q(1) - 1), rf(Fraction(1, 2))]
+        expect = RationalFunction.one()
+        for t in terms:
+            expect = expect + t
+        assert rf_sum(terms, RationalFunction.one()) == expect
+        assert rf_sum([rf(1, q(1) - 1), rf(-1, q(1) - 1)]) == RationalFunction.zero()
 
 
 # -- exact results: an int or a Fraction, never a float ------------------------
