@@ -12,7 +12,7 @@ of local zeta functions into fiber counts.
 
 from __future__ import annotations
 
-import hashlib
+import functools
 from fractions import Fraction
 from itertools import product
 
@@ -194,17 +194,28 @@ def _over_common_denominator(entries):
     return [f.num * dens[f.den] for f in entries], l
 
 
-def _iterate_recurrence(matrix, vec, steps: int) -> RationalFunction:
-    """Sum of the entries of matrix^steps vec.
-
-    With matrix = P / lm and vec = w / lv for polynomial P and w, the sum is
-    sum(P^steps w) / (lv lm^steps): the steps run on polynomials, and the
-    quotient is reduced once.
-    """
+@functools.cache
+def _recurrence_data(rank: int, g: int):
+    """The rank-2 or rank-3 recurrence of the g-loop quiver over polynomials:
+    (rows, lm, w, lv) with matrix = P / lm and initial vector = w / lv, the
+    nonzero entries (j, P[i][j]) of each row i of P kept as rows[i]."""
+    if rank == 2:
+        matrix, vec = _rank2_matrix(g), _rank2_initial(g)
+    else:
+        matrix, vec = _rank3_matrix(g), _rank3_initial(g)
     n = len(vec)
     flat, lm = _over_common_denominator([e for row in matrix for e in row])
-    rows = [[(j, p) for j, p in enumerate(flat[i * n:(i + 1) * n]) if p] for i in range(n)]
+    rows = tuple(tuple((j, p) for j, p in enumerate(flat[i * n:(i + 1) * n]) if p)
+                 for i in range(n))
     w, lv = _over_common_denominator(vec)
+    return rows, lm, tuple(w), lv
+
+
+def _iterate_recurrence(rank: int, g: int, steps: int) -> RationalFunction:
+    """Sum of the entries of matrix^steps vec for the recurrence of
+    _recurrence_data: sum(P^steps w) / (lv lm^steps).  The steps run on
+    polynomials, and the quotient is reduced once."""
+    rows, lm, w, lv = _recurrence_data(rank, g)
     for _ in range(steps):
         w = [sum((p * w[j] for j, p in row), QPolynomial.zero()) for row in rows]
     return RationalFunction(sum(w, QPolynomial.zero()), lv * lm ** steps)
@@ -214,20 +225,14 @@ def gloop_rank2_recurrence(g: int, alpha: int) -> RationalFunction:
     """All-class count M in rank 2 for the g-loop quiver over O_alpha."""
     _check_at_least("alpha", alpha, 1)
     _check_at_least("g", g, 0)
-    return _iterate_recurrence(_rank2_matrix(g), _rank2_initial(g), alpha - 1)
+    return _iterate_recurrence(2, g, alpha - 1)
 
 
 def gloop_rank3_recurrence(g: int, alpha: int) -> RationalFunction:
     """All-class count M in rank 3 for the g-loop quiver over O_alpha."""
     _check_at_least("alpha", alpha, 1)
     _check_at_least("g", g, 0)
-    return _iterate_recurrence(_rank3_matrix(g), _rank3_initial(g), alpha - 1)
-
-
-def rank3_matrix_checksum(g: int = 2) -> str:
-    """Checksum of the frozen transition matrix (transcription guard)."""
-    text = ";".join(e.to_string() for row in _rank3_matrix(g) for e in row)
-    return hashlib.sha256(text.encode()).hexdigest()
+    return _iterate_recurrence(3, g, alpha - 1)
 
 
 def gloop_kac_rank2(g: int, alpha: int) -> RationalFunction:

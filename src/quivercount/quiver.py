@@ -136,8 +136,9 @@ def connected_components(Q: Quiver) -> int:
 def _union_find(n: int, pairs):
     """Join the endpoints of each pair among vertices 0..n-1.
 
-    Returns (root of each vertex, number of merges): the graph has
-    n - merges components, and its cycle rank is len(pairs) - merges.
+    Returns (root of each vertex, positions of the pairs that merged two
+    parts): those pairs span a forest, so with m of them the graph has
+    n - m components, and its cycle rank is len(pairs) - m.
     """
     parent = list(range(n))
 
@@ -147,13 +148,13 @@ def _union_find(n: int, pairs):
             x = parent[x]
         return x
 
-    merges = 0
-    for s, t in pairs:
+    forest = []
+    for k, (s, t) in enumerate(pairs):
         rs, rt = find(s), find(t)
         if rs != rt:
             parent[rs] = rt
-            merges += 1
-    return [find(v) for v in range(n)], merges
+            forest.append(k)
+    return [find(v) for v in range(n)], forest
 
 
 def component_sets(Q: Quiver):
@@ -187,22 +188,25 @@ def _subset_tables(n: int, arrows: tuple):
     betti_of, comps = [], []
     for mask in range(1 << len(arrows)):
         edges = [arrow for a, arrow in enumerate(arrows) if mask >> a & 1]
-        _, merges = _union_find(n, edges)
+        merges = len(_union_find(n, edges)[1])
         comps.append(n - merges)
         betti_of.append(len(edges) - merges)
     return tuple(betti_of), tuple(comps)
 
 
 def is_2_connected(Q: Quiver) -> bool:
-    """Connected and bridgeless; loops never disconnect anything."""
-    if not is_connected(Q):
+    """Connected and bridgeless; loops never disconnect anything.
+
+    A bridge lies on every spanning forest, so the bridges are looked for
+    among the arrows of the one that a union-find pass over the arrows
+    builds: each of those is left out in turn and the rest joined again.
+    """
+    n, arrows = Q.num_vertices, Q.arrows
+    forest = _union_find(n, arrows)[1]
+    if len(forest) != n - 1:
         return False
-    for a in range(Q.num_arrows):
-        if Q.is_loop(a):
-            continue
-        if connected_components(delete(Q, a)) > 1:
-            return False
-    return True
+    return all(len(_union_find(n, arrows[:a] + arrows[a + 1:])[1]) == n - 1
+               for a in forest)
 
 
 # -- subquivers and edge operations ----------------------------------------
@@ -267,7 +271,7 @@ def spanning_trees(Q: Quiver):
     trees = []
     for subset in combinations(non_loops, n - 1):
         # n - 1 edges form a tree exactly when every one merges two parts
-        if _union_find(n, [Q.arrows[a] for a in subset])[1] == n - 1:
+        if len(_union_find(n, [Q.arrows[a] for a in subset])[1]) == n - 1:
             trees.append(subset)
     return trees
 
@@ -439,12 +443,16 @@ def connected_quiver_corpus(max_vertices: int = 4, max_edges: int = 6):
 
     Every quantity this package verifies on the corpus is orientation
     independent, so arrows run from the lower vertex index to the higher.
-    Each class is kept at its first edge list in combination order, in the
-    canonical form min over its images under the vertex permutations; a
-    layer of fixed size (n, e) holds those images, so a later member of the
-    class is recognised without being permuted again.  An edge list is held
-    as the bytes of its sorted slot indices, which order as the edge lists
-    do: slots are numbered in lexicographic order.
+    An edge list is held as the bytes of its sorted slot indices, which
+    order as the edge lists do: slots are numbered in lexicographic order.
+    A vertex permutation acts on those bytes through one translation table,
+    built once per permutation for each vertex count.  Each layer of fixed
+    size (n, e) visits every class once, connected or not, at its first
+    edge list in combination order: it records all the images of that list
+    under the vertex permutations, so a later member of the class is
+    recognised without being permuted again.  The class is tested for
+    connectivity once, by a union-find over its edges, and a connected one
+    is kept in its canonical form, the least of those images.
     """
     corpus = []
     for n in range(1, max_vertices + 1):
@@ -453,15 +461,17 @@ def connected_quiver_corpus(max_vertices: int = 4, max_edges: int = 6):
         index = {}
         for k, (i, j) in enumerate(slots):
             index[i, j] = index[j, i] = k
-        perms = list(permutations(range(n)))
+        unused = bytes(range(len(slots), 256))
+        tables = [bytes(index[perm[i], perm[j]] for i, j in slots) + unused
+                  for perm in permutations(range(n))]
         for e in range(n - 1, max_edges + 1):
             images = set()
             for combo in combinations_with_replacement(range(len(slots)), e):
-                edges = [slots[k] for k in combo]
-                if bytes(combo) in images or not is_connected(Quiver(labels, edges)):
+                key = bytes(combo)
+                if key in images:
                     continue
-                found = {bytes(sorted(index[perm[a], perm[b]] for a, b in edges))
-                         for perm in perms}
+                found = {bytes(sorted(key.translate(table))) for table in tables}
                 images |= found
-                corpus.append(Quiver(labels, [slots[k] for k in min(found)]))
+                if len(_union_find(n, [slots[k] for k in combo])[1]) == n - 1:
+                    corpus.append(Quiver(labels, [slots[k] for k in min(found)]))
     return corpus

@@ -10,14 +10,21 @@ that it shares no code with ``quivercount.qpolynomial``.
 connected edge combination under all n! vertex relabellings.
 ``iterate_recurrence`` runs the g-loop recurrences in rational-function
 arithmetic, reducing every entry at every step.
+``is_2_connected`` deletes each non-loop arrow in turn and counts the
+components of what is left.
+``rank3_matrix_checksum`` guards the transcription of the rank-3
+recurrence matrix.
 """
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 from math import gcd
 
+from quivercount.kacpoly import _rank3_matrix
 from quivercount.qpolynomial import QPolynomial, RationalFunction
-from quivercount.quiver import Quiver, _betti_by_subset, is_connected
+from quivercount.quiver import (Quiver, _betti_by_subset, connected_components,
+                                delete, is_connected)
 
 
 def _clean(d):
@@ -145,3 +152,21 @@ def iterate_recurrence(matrix, vec, steps):
         vec = [sum((matrix[i][j] * vec[j] for j in range(len(vec))),
                    RationalFunction.zero()) for i in range(len(vec))]
     return vec
+
+
+def is_2_connected(Q):
+    """Connected and bridgeless; loops never disconnect anything."""
+    if not is_connected(Q):
+        return False
+    for a in range(Q.num_arrows):
+        if Q.is_loop(a):
+            continue
+        if connected_components(delete(Q, a)) > 1:
+            return False
+    return True
+
+
+def rank3_matrix_checksum(g=2):
+    """Checksum of the frozen transition matrix (transcription guard)."""
+    text = ";".join(e.to_string() for row in _rank3_matrix(g) for e in row)
+    return hashlib.sha256(text.encode()).hexdigest()

@@ -328,6 +328,16 @@ def test_package_runs_as_a_module():
         assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(argv)
 
 
+def test_package_import_leaves_libcrypto_unloaded():
+    # hashlib maps libcrypto into every process that imports it, through
+    # _hashlib; nothing the package imports needs it
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    code = "import sys, quivercount; print('_hashlib' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
 def test_one_parser_per_process(gloop2_file, capsys):
     """main reuses one parser; a failed parse, a good call and another
     subcommand, run in one process, match separate fresh processes."""

@@ -17,7 +17,7 @@ from quivercount.kacpoly import (gloop_kac_rank2, gloop_kac_rank3,
                                  m_to_a, a_to_m, one_vertex_m_series,
                                  order_complex_hilbert,
                                  poincare_from_zeta, poincare_symbolic,
-                                 rank1_fiber_count, rank3_matrix_checksum,
+                                 rank1_fiber_count,
                                  toric_kac_trees, toric_kac_wyss,
                                  zeta_fixed_q, _rank2_initial, _rank2_matrix,
                                  _rank3_initial, _rank3_matrix)
@@ -26,7 +26,8 @@ from quivercount.quiver import (Quiver, a2_quiver, connected_quiver_corpus,
                                 cyclic_quiver, jordan_quiver, kronecker_quiver,
                                 loop_quiver)
 from quivercount.series import TruncatedSeries
-from symbolic_reference import iterate_recurrence, toric_kac_levels
+from symbolic_reference import (iterate_recurrence, rank3_matrix_checksum,
+                                toric_kac_levels)
 
 q = QPolynomial.q
 one = RationalFunction.one()

@@ -53,6 +53,21 @@ class TestGraphInvariants:
                     break
             assert crit == is_2_connected(Q), Q
 
+    def test_two_connected_matches_deletion_oracle_on_corpus(self):
+        for Q in connected_quiver_corpus(4, 6) + connected_quiver_corpus(3, 7):
+            assert is_2_connected(Q) == symbolic_reference.is_2_connected(Q), Q
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_two_connected_matches_deletion_oracle(self, data):
+        # few vertices make loops, parallel and antiparallel arrows common;
+        # arrows may leave vertices isolated or the quiver disconnected
+        n = data.draw(st.integers(0, 5))
+        pairs = [(s, t) for s in range(n) for t in range(n)]
+        arrows = data.draw(st.lists(st.sampled_from(pairs), max_size=8)) if n else []
+        Q = Quiver([str(v) for v in range(n)], arrows)
+        assert is_2_connected(Q) == symbolic_reference.is_2_connected(Q), Q
+
 
 class TestSubquivers:
     def test_contract_cycle(self):
