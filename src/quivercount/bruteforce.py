@@ -159,6 +159,11 @@ def enumerate_orbits(Q: Quiver, alpha: int, r, q: int,
     point of its orbit.  |End| comes from batched Smith forms of the end
     systems of the representatives, |Aut| = |GL| / |orbit|, and End is
     local iff |End| - |Aut| = q^(e-d) with d >= 1 (see _top_degree).
+
+    The end system of x is sum_k x_k B_k, and B_k is zero for a coordinate
+    of a 1 x 1 loop, where xi x - x xi = 0; such coordinates cannot change
+    End.  So the Smith forms run once per distinct tuple of the coordinates
+    with nonzero B_k, and representatives that differ elsewhere share it.
     """
     r = _rank_vector(Q, r)
     ring = ORing(q, alpha)
@@ -171,10 +176,18 @@ def enumerate_orbits(Q: Quiver, alpha: int, r, q: int,
     n_unknowns = sum(ri * ri for ri in r)
     basis = _integer_basis(end_system_matrix, Q.arrows, Q.num_vertices, r).reshape(
         n_coords, n_coords, n_unknowns)
+    used = basis.any(axis=(1, 2))
+    inverse = slice(None)  # each representative its own exponent
+    if not used.all():
+        basis, coords = basis[used], coords[:, used]
+        # the used coordinates as one base-q number per representative
+        key = _undigits(coords.reshape(len(reps), -1), q)
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        coords = coords[first]
     step = _chunk_size(n_coords * n_unknowns * alpha)
     ends = np.concatenate([
         _kernel_exponents(ring.field, _combine(ring.field, basis, coords[i:i + step]))
-        for i in range(0, len(reps), step)])
+        for i in range(0, len(coords), step)])[inverse]
     # one OMatrix per distinct value of each arrow, shared by the records
     # that hold it, and one top degree per (orbit size, End exponent)
     radices = [q ** (alpha * rows * cols) for rows, cols in shapes]
@@ -507,6 +520,11 @@ def _digits(points: np.ndarray, q: int, width: int) -> np.ndarray:
     its field coordinates, as in _orbit_labels, so that the index order is
     the lexicographic order of points.  Shape (len(points), width)."""
     return points[:, None] // q ** np.arange(width - 1, -1, -1, dtype=np.int64) % q
+
+
+def _undigits(digits: np.ndarray, q: int) -> np.ndarray:
+    """The point indices of rows of base-q digits, inverting _digits."""
+    return digits @ q ** np.arange(digits.shape[1] - 1, -1, -1, dtype=np.int64)
 
 
 def _combine(field, basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

@@ -195,7 +195,10 @@ def _flag_table(q: int, alpha: int, rank, sub_rank):
     (x B1)[P2] and the quotient block x[rest2, rest1] - B2[rest2] x[P2, rest1].
 
     The table drives every product in this degree, so it is built once per
-    (q, alpha, rank, sub_rank)."""
+    (q, alpha, rank, sub_rank).  Many pairs share a block, so each distinct
+    sub or quotient block is labelled once per build, keyed by its entries
+    (which fix the label: an empty block has the zero label whatever its
+    shape)."""
     key = (q, alpha, tuple(rank), tuple(sub_rank))
     if key in _FLAG_CACHE:
         return _FLAG_CACHE[key]
@@ -206,6 +209,13 @@ def _flag_table(q: int, alpha: int, rank, sub_rank):
     for basis, pivots in free_summands(ring, rank[1], k2):
         rest = [i for i in range(rank[1]) if i not in pivots]
         pairs2.append((basis, pivots, rest, _block(basis, rest, range(k2))))
+    labels = {}
+
+    def label_of(block: OMatrix):
+        if block.entries not in labels:
+            labels[block.entries] = orbit_label_of(block, alpha)
+        return labels[block.entries]
+
     table = {}
     for label in all_orbit_labels(rank, alpha):
         x = orbit_representative(ring, rank, label)
@@ -221,7 +231,7 @@ def _flag_table(q: int, alpha: int, rank, sub_rank):
                     continue
                 sub = OMatrix(ring, list(zip(*coords)), shape=(k2, k1))
                 quo = _block(x, rest2, rest1) - below2 * _block(x, pivots2, rest1)
-                pair = (orbit_label_of(sub, alpha), orbit_label_of(quo, alpha))
+                pair = (label_of(sub), label_of(quo))
                 census[pair] = census.get(pair, 0) + 1
         table[label] = census
     _FLAG_CACHE[key] = table

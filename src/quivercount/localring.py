@@ -151,8 +151,33 @@ class Fq:
         return f"Fq({self.q})"
 
 
+class _Table(dict):
+    """Values of fn by key, each computed on first use and then stored.
+
+    A hit is one dict lookup.  When fn raises, nothing is stored, so a
+    failing key fails again on every lookup."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 class ORing:
-    """O_alpha = F_q[t]/(t^alpha); elements are coefficient tuples."""
+    """O_alpha = F_q[t]/(t^alpha); elements are coefficient tuples.
+
+    add, sub and mul read per-ring tables keyed by the pair of operands,
+    and inv and val tables keyed by the element; each entry is computed
+    coefficient by coefficient on first use.  The tables belong to the
+    instance, since the same tuples have different products in rings of
+    different q, and a table holds at most (q^alpha)^2 entries.  Elements
+    stay plain tuples: the tables only replace the per-call arithmetic.
+    """
 
     _cache: dict = {}
 
@@ -170,6 +195,11 @@ class ORing:
         self.zero = (0,) * alpha
         self.one = (1,) + (0,) * (alpha - 1)
         self.t = tuple(1 if i == 1 else 0 for i in range(alpha)) if alpha > 1 else (0,)
+        self.add_table = _Table(self._sum)
+        self.sub_table = _Table(self._difference)
+        self.mul_table = _Table(self._product)
+        self.inv_table = _Table(self._inverse)
+        self.val_table = _Table(self._valuation)
         ORing._cache[q, alpha] = self  # only once valid, as in Fq
 
     def size(self) -> int:
@@ -190,18 +220,28 @@ class ORing:
         return tuple(1 if i == k else 0 for i in range(self.alpha))
 
     def add(self, a, b):
-        add = self.field.add_table
-        return tuple(add[x][y] for x, y in zip(a, b))
+        return self.add_table[a, b]
 
     def neg(self, a):
         neg = self.field.neg_table
         return tuple(neg[x] for x in a)
 
     def sub(self, a, b):
-        add, neg = self.field.add_table, self.field.neg_table
-        return tuple(add[x][neg[y]] for x, y in zip(a, b))
+        return self.sub_table[a, b]
 
     def mul(self, a, b):
+        return self.mul_table[a, b]
+
+    def _sum(self, pair):
+        add = self.field.add_table
+        return tuple(add[x][y] for x, y in zip(*pair))
+
+    def _difference(self, pair):
+        add, neg = self.field.add_table, self.field.neg_table
+        return tuple(add[x][neg[y]] for x, y in zip(*pair))
+
+    def _product(self, pair):
+        a, b = pair
         alpha = self.alpha
         add, mul = self.field.add_table, self.field.mul_table
         out = [0] * alpha
@@ -220,6 +260,9 @@ class ORing:
         return tuple(row[x] for x in a)
 
     def val(self, a) -> int:
+        return self.val_table[a]
+
+    def _valuation(self, a) -> int:
         for i, x in enumerate(a):
             if x:
                 return i
@@ -229,6 +272,10 @@ class ORing:
         return a[0] != 0
 
     def inv(self, a):
+        """Inverse of a unit; a non-unit raises ZeroDivisionError."""
+        return self.inv_table[a]
+
+    def _inverse(self, a):
         """Inverse of a unit, coefficient by coefficient."""
         if a[0] == 0:
             raise ZeroDivisionError("inverse of a non-unit in O_alpha")
@@ -328,13 +375,14 @@ class OMatrix:
         if self.rows == 0 or other.cols == 0:
             return OMatrix(r, [], shape=(self.rows, other.cols))
         ot = list(zip(*other.entries)) if other.entries else [()] * other.cols
+        add, mul = r.add_table, r.mul_table
         out = []
         for row in self.entries:
             out_row = []
             for col in ot:
                 acc = r.zero
                 for a, b in zip(row, col):
-                    acc = r.add(acc, r.mul(a, b))
+                    acc = add[acc, mul[a, b]]
                 out_row.append(acc)
             out.append(out_row)
         return OMatrix(r, out, shape=(self.rows, other.cols))
@@ -342,11 +390,12 @@ class OMatrix:
     def apply(self, vec):
         """Matrix times column vector (tuple of O-elements)."""
         r = self.ring
+        add, mul = r.add_table, r.mul_table
         out = []
         for row in self.entries:
             acc = r.zero
             for a, b in zip(row, vec):
-                acc = r.add(acc, r.mul(a, b))
+                acc = add[acc, mul[a, b]]
             out.append(acc)
         return tuple(out)
 
@@ -387,12 +436,16 @@ def _eliminate(ring: ORing, A, n: int, m: int):
 
     Pivots take the entry of smallest valuation in the remaining block,
     ties broken row-major, which makes the elimination deterministic; each
-    pivot row is scaled so the pivot becomes exactly t^gamma.  Row
-    operations act on whole rows and column operations on every row, so
-    columns right of the block and rows below it ride along.  Returns the
-    gammas, of length min(n, m), with zero invariants as alpha.
+    pivot row is scaled so the pivot becomes exactly t^gamma, and an entry
+    x of its column or row is then cleared by the multiple x / t^gamma, a
+    shift of coefficients.  Row operations act on whole rows and column
+    operations on every row, so columns right of the block and rows below
+    it ride along.  Element arithmetic reads the ring's tables, bound to
+    locals.  Returns the gammas, of length min(n, m), with zero invariants
+    as alpha.
     """
-    alpha = ring.alpha
+    alpha, zero = ring.alpha, ring.zero
+    sub, mul, inv, val = ring.sub_table, ring.mul_table, ring.inv_table, ring.val_table
     gammas = []
     limit = min(n, m)
     k = 0
@@ -402,7 +455,7 @@ def _eliminate(ring: ORing, A, n: int, m: int):
         for i in range(k, n):
             Ai = A[i]
             for j in range(k, m):
-                v = ring.val(Ai[j])
+                v = val[Ai[j]]
                 if v < best_val:
                     best, best_val = (i, j), v
                     if v == 0:
@@ -418,24 +471,23 @@ def _eliminate(ring: ORing, A, n: int, m: int):
             for row in A:
                 row[k], row[j0] = row[j0], row[k]
         g = best_val
-        pivot = A[k][k]
-        unit_inv = ring.inv(pivot[g:] + (0,) * g)
-        A[k] = [ring.mul(unit_inv, x) for x in A[k]]
+        pad = (0,) * g
+        unit_inv = inv[A[k][k][g:] + pad]
+        A[k] = Ak = [mul[unit_inv, x] for x in A[k]]
         # rows and columns before k are already clear in column and row k
-        Ak = A[k]
         for i in range(k + 1, n):
             x = A[i][k]
-            if ring.val(x) >= alpha:
+            if x == zero:
                 continue
-            c = ring.divide_exact(x, Ak[k])
-            A[i] = [ring.sub(a, ring.mul(c, b)) for a, b in zip(A[i], Ak)]
+            c = x[g:] + pad
+            A[i] = [sub[a, mul[c, b]] for a, b in zip(A[i], Ak)]
         for j in range(k + 1, m):
             x = Ak[j]
-            if ring.val(x) >= alpha:
+            if x == zero:
                 continue
-            c = ring.divide_exact(x, Ak[k])
+            c = x[g:] + pad
             for row in A:
-                row[j] = ring.sub(row[j], ring.mul(c, row[k]))
+                row[j] = sub[row[j], mul[c, row[k]]]
         gammas.append(g)
         k += 1
     while len(gammas) < limit:

@@ -320,6 +320,45 @@ class TestOrbitsMatchFullHook:
         self.check(Q, alpha, r, q)
 
 
+class TestEndExponents:
+    """end_size_exp of every record against the scalar Smith form of the
+    representative's own end system."""
+
+    @staticmethod
+    def check(Q, alpha, r, q):
+        ring = ORing(q, alpha)
+        for rec in enumerate_orbits(Q, alpha, r, q):
+            assert rec.end_size_exp == ref.end_exponent(Q, ring, r, rec.representative)
+
+    # a 1 x 1 loop at a rank-1 vertex, whose coordinate enters no equation,
+    # a loop at a rank-2 vertex, which does, and an arrow into a rank-0
+    # vertex, which has no coordinate
+    mixed = Quiver(["0", "1", "2"], [(0, 0), (0, 1), (1, 1), (0, 2), (1, 0)])
+
+    @pytest.mark.parametrize("alpha,q", [(1, 2), (1, 3), (2, 2)])
+    def test_loops_of_both_ranks_and_a_rank_zero_target(self, alpha, q):
+        self.check(self.mixed, alpha, (1, 2, 0), q)
+
+    @pytest.mark.parametrize("Q,alpha,r,q", _bench_instances("orbits-rank1", "orbits-rank2"))
+    def test_bench_menus(self, Q, alpha, r, q):
+        self.check(Q, alpha, r, q)
+
+    def test_one_smith_form_per_used_coordinate_tuple(self, monkeypatch):
+        sizes = []
+        kernel_exponents = bruteforce._kernel_exponents
+
+        def counted(field, mats):
+            sizes.append(len(mats))
+            return kernel_exponents(field, mats)
+
+        monkeypatch.setattr(bruteforce, "_kernel_exponents", counted)
+        # two 1 x 1 loops: only the arrows 0 -> 1 and 1 -> 0 enter End
+        Q = Quiver(["0", "1"], [(0, 0), (0, 1), (1, 1), (1, 0)])
+        recs = enumerate_orbits(Q, 2, (1, 1), 3)
+        used = {(rec.representative[1], rec.representative[3]) for rec in recs}
+        assert sum(sizes) == len(used) < len(recs)
+
+
 class TestBurnside:
     def test_examples(self):
         assert count_iso_classes(jordan_quiver(), 1, (1,), 3) == 3

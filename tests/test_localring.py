@@ -128,6 +128,51 @@ class TestORingProperties:
             R.mul(a, elems[7]) for a in elems[:4]]
 
 
+# every ring with at most 81 elements; the fields with k = 2 are F_4, F_9,
+# F_25 and F_49 (q = 8 is not a supported field size)
+_SMALL_RINGS = [(q, alpha) for q in (2, 3, 4, 5, 7, 9, 25, 49) for alpha in range(1, 7)
+                if q ** alpha <= 81]
+
+
+class TestRingTables:
+    """The per-ring tables behind ORing.mul and ORing.inv."""
+
+    @pytest.mark.parametrize("q,alpha", _SMALL_RINGS)
+    def test_every_product_and_inverse(self, q, alpha):
+        from quivercount.localring import _mul_batch
+        R = ORing(q, alpha)
+        elems = list(R.elements())
+        add, mul = R.field.arrays[:2]
+        stack = np.array(elems, dtype=np.int16)
+        want = _mul_batch(q, add, mul, stack[:, None], stack[None, :])
+        assert [[R.mul(a, b) for b in elems] for a in elems] == [
+            [tuple(c) for c in row] for row in want.tolist()]
+        assert len(R.mul_table) <= len(elems) ** 2
+        for a in R.units():
+            assert R.mul(a, R.inv(a)) == R.one
+
+    def test_each_ring_has_its_own_products(self):
+        # F_4 holds F_2 under the same codes 0 and 1, so (1 + t)^2 tells
+        # q = 2 and 4 from 3, and (x + t)^2 tells 3 from 4; each ring is
+        # asked after the others have stored their products
+        rings = [ORing(3, 2), ORing(2, 2), ORing(4, 2)]
+        want = {2: (1, 0), 3: (1, 2), 4: (1, 0)}
+        for R in rings + rings[::-1]:
+            assert R.mul((1, 1), (1, 1)) == want[R.q]
+        assert ORing(3, 2).mul((2, 1), (2, 1)) == (1, 1)  # (t - 1)^2 = 1 + t
+        assert ORing(4, 2).mul((2, 1), (2, 1)) == (3, 0)  # (x + t)^2 = x + 1
+
+    def test_inverse_of_a_non_unit_is_never_stored(self):
+        R = ORing(3, 3)
+        for a in R.units():
+            R.inv(a)
+        for a in (R.zero, R.t, R.t_power(2)):
+            for _ in range(2):
+                with pytest.raises(ZeroDivisionError):
+                    R.inv(a)
+            assert a not in R.inv_table
+
+
 class TestSmithNormalForm:
     def test_examples(self):
         R2 = ORing(2, 2)
