@@ -16,16 +16,25 @@ smith_invariants runs it on a copy of M, and smith_normal_form runs it on
 M with I_n appended to its right and I_m stacked below, so that the row
 operations carry U and the column operations carry V.
 
-smith_invariants_batch runs the same pivot rule on a stack of matrices at
-once.  The stack is a numpy integer array of shape (batch, n, m, alpha):
-entry [b, i, j, s] is the field code of the t^s coefficient of M_b[i, j].
+smith_invariants_batch finds the same invariants for a stack of matrices
+at once, by ranks over F_q instead of pivots over O_alpha.  The stack is a
+numpy integer array of shape (batch, n, m, alpha): entry [b, i, j, s] is
+the field code of the t^s coefficient of M_b[i, j].  M acts F_q-linearly
+on O_alpha^m; in the bases t^s e_j of O_alpha^m and t^u e_i of O_alpha^n
+its matrix T has entry A[i, j, u - s] in row (u, i) and column (s, j) when
+u >= s, and 0 otherwise.  The columns with s >= alpha - k span
+t^(alpha-k) M(O_alpha^m), which is the sum of the t^(alpha-k+gamma_i)
+O_alpha after a change of basis of O_alpha^n, so their rank is
+rank T_k = sum_i max(0, k - gamma_i).  Hence c_k = rank T_k - rank T_(k-1)
+counts the gammas below k, and the i-th smallest gamma is #{k : c_k <= i}.
+One Gaussian elimination that takes the columns by falling s finds every
+rank T_k.  M and its transpose have the same invariants, so the kernel
+works on whichever has fewer columns.  Rows (u, i) with u < s are zero in
+column (s, j) and in every column before it, so no row operation has
+touched them yet: column group s eliminates in the row blocks u >= s only.
 Field operations are gathers from the flat F_q tables (at most 49^2
-entries), so every supported (q, alpha) works without O_alpha-sized tables.
-The batched loop computes invariants only, with row operations alone: the
-pivot has minimal valuation in the remaining block, so once the rows below
-it are cleared, clearing its row by column operations would change that row
-only.  The remaining block, every later pivot and the gammas are therefore
-the same with or without the column operations.
+entries), so every supported (q, alpha) works without O_alpha-sized
+tables.
 """
 
 from __future__ import annotations
@@ -290,17 +299,6 @@ class ORing:
             out[n] = f.neg(f.mul(inv0, s))
         return tuple(out)
 
-    def divide_exact(self, a, b):
-        """a / b when val(a) >= val(b); b nonzero."""
-        v = self.val(b)
-        if v == self.alpha:
-            raise ZeroDivisionError("division by zero in O_alpha")
-        if self.val(a) < v:
-            raise ValueError("division with valuation drop is not exact")
-        shifted_a = a[v:] + (0,) * v
-        unit = b[v:] + (0,) * v
-        return self.mul(shifted_a, self.inv(unit))
-
     def elements(self):
         return product(self.field.elements(), repeat=self.alpha)
 
@@ -528,62 +526,56 @@ def _mul_batch(q, add, mul, a, b):
     return out
 
 
-def _shift_down(v, g):
-    """v / t^g for a stack of elements, with g one shift per batch item and
-    the freed top coefficients zero (the scalar divide_exact convention)."""
-    alpha = v.shape[-1]
-    padded = np.concatenate([v, np.zeros_like(v)], axis=-1)
-    idx = np.arange(alpha) + g.reshape(g.shape + (1,) * (v.ndim - 1))
-    return np.take_along_axis(padded, np.broadcast_to(idx, v.shape), axis=-1)
-
-
 def smith_invariants_batch(field: Fq, A) -> np.ndarray:
     """Smith invariants of a stack of matrices over O_alpha, alpha = A.shape[-1].
 
     A has shape (batch, n, m, alpha) and holds field-element codes; the
     result has shape (batch, min(n, m)) and equals smith_invariants on each
-    matrix.  The pivot rule is _eliminate's; column operations are skipped
-    because they only change the pivot row (see the module docstring).
+    matrix.  The gammas come from rank T_1, ..., rank T_alpha, where T_k
+    is the columns s >= alpha - k of the F_q matrix T of a matrix (see the
+    module docstring); one elimination over the columns by falling s finds
+    them all.  T is held batch last, with the column groups in the order
+    s = alpha - 1, ..., 0, so that group k ends at rank T_k.  Each pivot
+    row also clears itself, so a spent pivot row is zero and the pivot of
+    a column is simply its first nonzero row.
     """
     q = field.q
     add, mul, neg, inv = field.arrays
-    A = np.array(A, dtype=np.int16)
+    A = np.asarray(A)
     batch, n, m, alpha = A.shape
     limit = min(n, m)
-    gammas = np.full((batch, limit), alpha, dtype=np.intp)
+    if n < m:
+        A = A.transpose(0, 2, 1, 3)
+        n, m = m, n
+    A = np.moveaxis(A, 0, -1)
+    T = np.zeros((alpha, n, alpha, m, batch), dtype=np.int16)
+    for u in range(alpha):
+        for s in range(u + 1):
+            T[u, :, alpha - 1 - s] = A[:, :, u - s]
+    T = T.reshape(alpha * n, alpha * m, batch)
+    neg_inv = neg.take(inv)
     items = np.arange(batch)
-    for k in range(limit):
-        blk = A[:, k:, k:]
-        h, w = n - k, m - k
-        val = np.full((batch, h * w), alpha, dtype=np.intp)
-        for s in range(alpha - 1, -1, -1):
-            val[blk[..., s].reshape(batch, h * w) != 0] = s
-        pos = val.argmin(axis=1)  # first minimum in row-major order
-        g = val[items, pos]
-        if (g == alpha).all():
-            break
-        gammas[:, k] = g
-        i0, j0 = np.divmod(pos, w)
-        top = blk[:, 0].copy()
-        blk[:, 0] = blk[items, i0]
-        blk[items, i0] = top
-        left = blk[:, :, 0].copy()
-        blk[:, :, 0] = blk[items, :, j0]
-        blk[items, :, j0] = left
-        # pivot = t^g u; row i loses (x_i / t^g) u^-1 times the pivot row.
-        # Items whose block is zero have g = alpha, so their multipliers vanish.
-        unit = _shift_down(blk[:, 0, 0], g)
-        unit_inv = np.zeros_like(unit)
-        unit_inv[:, 0] = inv[unit[:, 0]]
-        for s in range(1, alpha):
-            acc = np.zeros(batch, dtype=np.int16)
-            for i in range(1, s + 1):
-                acc = add[acc * q + mul[unit[:, i] * q + unit_inv[:, s - i]]]
-            unit_inv[:, s] = neg[mul[unit_inv[:, 0] * q + acc]]
-        c = neg[_mul_batch(q, add, mul, _shift_down(blk[:, 1:, 0], g), unit_inv[:, None])]
-        rest = blk[:, 1:, 1:]
-        rest[...] = add[rest * q + _mul_batch(q, add, mul, c[:, :, None], blk[:, None, 0, 1:])]
-    return gammas
+    counts = np.full((alpha, batch), limit, dtype=np.intp)  # c_1, ..., c_alpha
+    for k in range(1, alpha + 1):
+        rows = T[(alpha - k) * n:]  # the row blocks u >= s = alpha - k
+        found = np.zeros(batch, dtype=np.intp)
+        for col_index in range((k - 1) * m, k * m):
+            col = rows[:, col_index]
+            p = (col != 0).argmax(axis=0)
+            pivot = col[p, items]
+            has = pivot != 0
+            if not has.any():
+                continue
+            found += has
+            # row r -= (col[r] / pivot) * pivot row; where an item has no
+            # pivot, its col is zero and its rows stay as they are
+            scaled = mul.take(rows[p, col_index + 1:, items] * q + neg_inv.take(pivot)[:, None])
+            rest = rows[:, col_index + 1:]
+            rest[...] = add.take(rest * q + mul.take(col[:, None] * q + scaled.T[None]))
+        counts[k - 1] = found
+        if (found == limit).all():
+            break  # every later c_k is limit too
+    return (counts.T[:, None, :] <= np.arange(limit)[None, :, None]).sum(axis=2)
 
 
 def kernel_size_exponent(M: OMatrix) -> int:

@@ -10,7 +10,9 @@ results.  orbit_labels is the generator-graph census as it was before it
 hooked later generators on the orbit roots only: every generator joins
 the labels of all points.  iso_classes takes the Burnside average over
 every element of the group (gl_enumerate), where the package sums over
-conjugacy classes.
+conjugacy classes.  divide_exact is the division of O_alpha elements that
+the scalar Smith elimination used before it cleared entries by shifting
+coefficients; solve_linear still uses it.
 """
 
 import functools
@@ -228,6 +230,19 @@ def is_indecomposable(Q, ring, r, x):
     return idempotents == 2
 
 
+def divide_exact(ring, a, b):
+    """a / b in O_alpha when val(a) >= val(b); b nonzero.  The quotient of
+    the shifted coefficients by the unit part of b; the top val(b)
+    coefficients, which the division leaves free, are zero."""
+    v = ring.val(b)
+    if v == ring.alpha:
+        raise ZeroDivisionError("division by zero in O_alpha")
+    if ring.val(a) < v:
+        raise ValueError("division with valuation drop is not exact")
+    pad = (0,) * v
+    return ring.mul(a[v:] + pad, ring.inv(b[v:] + pad))
+
+
 def solve_linear(A, b):
     """Solve A x = b over O_alpha.
 
@@ -250,7 +265,7 @@ def solve_linear(A, b):
         else:
             if ring.val(ci) < g:
                 return False, ke, None
-            y.append(ring.divide_exact(ci, ring.t_power(g)))
+            y.append(divide_exact(ring, ci, ring.t_power(g)))
     while len(y) < A.cols:
         y.append(ring.zero)
     return True, ke, V.apply(tuple(y[: A.cols]))

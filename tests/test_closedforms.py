@@ -17,11 +17,24 @@ def test_gloop_A2_values():
     assert gloop_A2(1, 1) == RationalFunction(q(1))
     assert gloop_A2(2, 1) == RationalFunction(q(5) + q(3))
     assert gloop_A2(2, 1).evaluate(2) == 40
-    # polynomial with nonnegative coefficients on a window
-    for g in (1, 2, 3):
-        for alpha in (1, 2, 3, 4):
-            p = gloop_A2(g, alpha).as_polynomial()
-            assert all(c > 0 for c in p.coeffs.values())
+
+
+@pytest.mark.parametrize("form,first,alphas", [
+    (gloop_A2, range(1, 13), range(1, 13)),    # g, alpha
+    (gloop_A3, range(1, 8), range(1, 8)),      # g, alpha
+    (kronecker_A, range(3, 14), range(1, 6)),  # r, alpha
+])
+def test_closed_forms_are_polynomials_with_nonnegative_coefficients(form, first, alphas):
+    for x in first:
+        for alpha in alphas:
+            p = form(x, alpha).as_polynomial()  # raises unless a polynomial
+            assert all(c >= 0 for c in p.coeffs.values()), (x, alpha)
+
+
+def test_loop_forms_need_a_loop():
+    for form in (gloop_A2, gloop_A3):
+        with pytest.raises(ValueError):
+            form(0, 1)
 
 
 def test_gloop_A3_values():

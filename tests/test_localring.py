@@ -10,7 +10,7 @@ from quivercount.errors import UnsupportedParameter
 from quivercount.localring import (Fq, OMatrix, ORing, gl_order, kernel_size_exponent,
                                    smith_invariants, smith_invariants_batch,
                                    smith_normal_form)
-from scalar_reference import gl_enumerate, kernel_elements, solve_linear
+from scalar_reference import divide_exact, gl_enumerate, kernel_elements, solve_linear
 
 
 class TestFq:
@@ -54,12 +54,15 @@ class TestORing:
             assert R.mul(u, R.inv(u)) == R.one
 
     def test_divide_exact(self):
+        # the reference division of tests/scalar_reference.py
         R = ORing(2, 3)
         a = R.from_coeffs([0, 1, 1])  # t + t^2
         b = R.from_coeffs([0, 1])     # t
-        assert R.divide_exact(a, b) == R.from_coeffs([1, 1])
+        assert divide_exact(R, a, b) == R.from_coeffs([1, 1])
         with pytest.raises(ValueError):
-            R.divide_exact(R.one, R.t)
+            divide_exact(R, R.one, R.t)
+        with pytest.raises(ZeroDivisionError):
+            divide_exact(R, R.t, R.zero)
 
 
 class TestInstanceCaches:
@@ -271,29 +274,33 @@ class TestSmithProperties:
         assert gammas == sorted(gammas) == smith_invariants(M)
 
 
-# (q, alpha) for the batched kernel, the quadratic fields F_4 and F_9 included
-BATCH_RINGS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 3), (4, 1), (4, 2), (4, 3),
-               (5, 2), (7, 1), (9, 1), (9, 2), (9, 3)]
+# (q, alpha) for the batched kernel: the quadratic fields F_4, F_9, F_25 and
+# F_49 included, and alpha up to 5, where T has up to five row blocks
+BATCH_RINGS = [(2, 1), (2, 2), (2, 3), (2, 5), (3, 1), (3, 3), (3, 4), (4, 1), (4, 2),
+               (4, 3), (5, 2), (7, 1), (9, 1), (9, 2), (9, 3), (25, 1), (49, 2)]
 
 
 @st.composite
 def matrix_stacks(draw):
     """A stack of 1..8 matrices of one shape up to 5 x 5: uniformly random,
-    all zero, or products of n x k and k x m factors with k below min(n, m)."""
+    all zero, with every entry in tO (so no gamma is 0), or products of
+    n x k and k x m factors with k below min(n, m)."""
     q, alpha = draw(st.sampled_from(BATCH_RINGS))
     R = ORing(q, alpha)
     n, m, batch = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(1, 8))
-    kind = draw(st.sampled_from(["random", "zero", "low-rank"]))
+    kind = draw(st.sampled_from(["random", "zero", "in-tO", "low-rank"]))
     rng = draw(st.randoms(use_true_random=False))
 
-    def matrix(rows, cols):
-        return OMatrix(R, [[tuple(rng.randrange(q) for _ in range(alpha))
+    def matrix(rows, cols, low=0):
+        return OMatrix(R, [[tuple(rng.randrange(q) if s >= low else 0 for s in range(alpha))
                             for _ in range(cols)] for _ in range(rows)], shape=(rows, cols))
 
     mats = []
     for _ in range(batch):
         if kind == "zero":
             mats.append(OMatrix(R, [[R.zero] * m for _ in range(n)], shape=(n, m)))
+        elif kind == "in-tO":
+            mats.append(matrix(n, m, low=1))
         elif kind == "low-rank" and min(n, m) > 1:
             k = rng.randint(1, min(n, m) - 1)
             mats.append(matrix(n, k) * matrix(k, m))
@@ -303,7 +310,7 @@ def matrix_stacks(draw):
 
 
 class TestSmithBatch:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(matrix_stacks())
     def test_batch_matches_scalar(self, stack):
         R, mats = stack
@@ -312,6 +319,18 @@ class TestSmithBatch:
         gammas = smith_invariants_batch(R.field, A)
         assert gammas.shape == (len(mats), min(n, m))
         assert [list(row) for row in gammas.tolist()] == [smith_invariants(M) for M in mats]
+
+    @pytest.mark.parametrize("batch,n,m", [(0, 3, 2), (0, 0, 0), (4, 0, 3), (4, 3, 0),
+                                           (4, 0, 0)])
+    def test_empty_stacks(self, batch, n, m):
+        # no matrices, or matrices without rows or columns: the result has
+        # one row per matrix and min(n, m) columns
+        A = np.zeros((batch, n, m, 3), dtype=np.int16)
+        gammas = smith_invariants_batch(Fq(5), A)
+        assert gammas.shape == (batch, min(n, m))
+        R = ORing(5, 3)
+        M = OMatrix(R, [[R.zero] * m for _ in range(n)], shape=(n, m))
+        assert [list(row) for row in gammas.tolist()] == [smith_invariants(M)] * batch
 
     def test_input_is_not_modified(self):
         A = np.array([[[[1, 0], [0, 1]], [[0, 1], [1, 1]]]], dtype=np.intp)
