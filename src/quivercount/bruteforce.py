@@ -48,8 +48,8 @@ class Caps:
     """Resource limits; defaults sized so the verification suite finishes
     in minutes.  max_space_log2 caps the points of every walk and census (a
     census holds int32 arrays: at 2^20 points it peaks at 23 bytes a point
-    in rank all-one without loops and 32 on a 2 x 2 loop, some 0.4 and 0.5
-    GiB at 2^24).
+    in rank all-one without loops, 16 when the orbit sizes are not asked
+    for, and 32 on a 2 x 2 loop, some 0.4 and 0.5 GiB at 2^24).
     count_iso_classes walks no x-space: the cap bounds its Jordan census
     of M_{r_i}(O_alpha) at each vertex and its grid of class tuples.
     moment_fiber_count is capped by its x-space whichever route it takes;
@@ -221,7 +221,7 @@ def count_absolutely_indecomposable(Q: Quiver, alpha: int, r, q: int,
         # indecomposable iff its support subquiver is connected
         ring = ORing(q, alpha)
         check_space_cap(Q, alpha, r, q, caps)
-        reps, _ = _orbit_labels(Q, ring, r)
+        reps, _ = _orbit_labels(Q, ring, r, with_sizes=False)
         size, n_arrows = q ** alpha, Q.num_arrows
         support_mask = np.zeros(len(reps), dtype=np.int64)  # bit a: x_a != 0
         for a in range(n_arrows):
@@ -293,7 +293,7 @@ def _hook(labels: np.ndarray, ends: np.ndarray, others: np.ndarray) -> None:
         ends, others = high[lost], low[lost]
 
 
-def _orbit_labels(Q: Quiver, ring: ORing, r):
+def _orbit_labels(Q: Quiver, ring: ORing, r, with_sizes: bool = True):
     """(representatives, orbit sizes) of the GL-orbits on R(Q, alpha; r),
     each representative the least point index of its orbit, in increasing
     order.
@@ -337,7 +337,19 @@ def _orbit_labels(Q: Quiver, ring: ORing, r):
       K_1 times the central part, a normal subgroup.
     The size of an orbit is the number of points labelled with its root
     when streaming stops, summed along the hooks: no pass over all points
-    follows them.
+    follows them.  Without with_sizes the sizes are None, and neither
+    n-sized count is made.
+
+    The gathers run in place.  Each take writes into one of two int32
+    point buffers, made once and reused, so that no take allocates (and
+    first touches) a fresh point array.  Arrows that g moves and that sit
+    next to each other in the mixed radix, such as the arrows of a parallel
+    class, share one take by a product table (see axes) while it holds at
+    most _CHUNK_ENTRIES values.  A take into a buffer wraps its indices, so
+    _take_axis checks every table's range first.  The buffers are freed
+    when streaming stops, before any count over all points; a hooked
+    generator that gathers the whole permutation (image) takes buffers of
+    its own and drops them at once.
     """
     q, alpha = ring.q, ring.alpha
     size = q ** alpha
@@ -419,13 +431,33 @@ def _orbit_labels(Q: Quiver, ring: ORing, r):
         places[a] = n_points
         n_points *= radices[a]
     index = np.arange(n_points, dtype=np.int32)
+    position = {a: i for i, a in enumerate(moved)}
 
-    def gather(values, arrows, maps):
-        """values read at g x for every point x, g mapping each x_a by its
-        table: one gather along the axis of each arrow."""
-        for a, m in zip(arrows, maps):
-            values = np.take(values.reshape(-1, radices[a], places[a]), m, axis=1)
-        return values.reshape(-1)
+    def axes(arrows, maps):
+        """(place, table) of each gather axis of g, from the tables T_a of
+        the arrows it moves.  Arrows next to each other in the mixed radix
+        share one axis while its table holds at most _CHUNK_ENTRIES values:
+        the digit pair (x_a, x_b) maps by T_a[x_a] R_b + T_b[x_b]."""
+        out = []
+        for i, (a, m) in enumerate(zip(arrows, maps)):
+            if i and position[a] == position[arrows[i - 1]] + 1 \
+                    and len(out[-1][1]) * len(m) <= _CHUNK_ENTRIES:
+                out[-1] = places[a], (out[-1][1][:, None] * len(m) + m).ravel()
+            else:
+                out.append((places[a], m))
+        return out
+
+    buffers = []  # the buffers of the streamed gathers, made on first use
+
+    def gather(values, tables, into):
+        """values read at g x for every point x: one take per (place, table)
+        of an axis, into at most two int32 point buffers in turn, made as
+        needed.  Returns the buffer written last."""
+        while len(into) < min(len(tables), 2):
+            into.append(np.empty(n_points, dtype=np.int32))
+        for k, (place, m) in enumerate(tables):
+            values = _take_axis(values, m, place, into[k % 2])
+        return values
 
     def image(gen, arrows, points):
         """gen applied to points.  Few points go through their values of
@@ -434,7 +466,7 @@ def _orbit_labels(Q: Quiver, ring: ORing, r):
         directly; from an eighth of all points on, gathering the whole
         permutation costs less."""
         if 8 * len(points) >= n_points:
-            return gather(index, arrows, [table(a, gen) for a in arrows])[points]
+            return gather(index, axes(arrows, [table(a, gen) for a in arrows]), [])[points]
         out = points.copy()
         for a in arrows:
             value = points // places[a] % radices[a]
@@ -453,13 +485,15 @@ def _orbit_labels(Q: Quiver, ring: ORing, r):
             if all(map(np.array_equal, power, maps)):  # g^(order + 1) = g
                 break
             order += 1
+        merged = axes(arrows, maps)  # T^2 on a shared axis is the pair (T_a^2, T_b^2)
         for step in range((order - 1).bit_length()):
             if step:
-                maps = [m[m] for m in maps]
-            np.minimum(labels, gather(labels, arrows, maps), out=labels)
+                merged = [(place, m[m]) for place, m in merged]
+            np.minimum(labels, gather(labels, merged, buffers), out=labels)
         return order
 
     labels = index.copy()
+    sizes = None  # unless with_sizes
     ends = None  # the points hooked from, once hooking starts
     live = n_points  # while streaming, a lower bound on the live roots, counted when short
     for i, (_, *gen) in enumerate(gens):
@@ -472,21 +506,26 @@ def _orbit_labels(Q: Quiver, ring: ORing, r):
                 # streaming g joins at most its order of orbits into one
                 live = -(-live // stream(gen, arrows))
                 continue
+            buffers.clear()  # streaming is over: free them before the count
             roots = index[labels == index]
-            sizes = np.bincount(labels)[roots].astype(np.int32)
+            if with_sizes:
+                sizes = np.bincount(labels)[roots].astype(np.int32)
             # past the cut, edges come from the roots of that moment
             ends = roots if cut else index
         _hook(labels, ends, image(gen, arrows, ends))
         if i < cut:
             ends = ends[labels[ends] == ends]
+    buffers.clear()
     if ends is None:
         reps = index[labels == index]
-        sizes = np.bincount(labels)[reps]
+        if with_sizes:
+            sizes = np.bincount(labels)[reps]
     else:
         final = _find(labels, roots)
         reps = roots[final == roots]
-        labels[reps] = np.arange(len(reps))  # the forest is done with: number the orbits
-        sizes = np.bincount(labels[final], sizes, len(reps)).astype(np.int64)
+        if with_sizes:
+            labels[reps] = np.arange(len(reps))  # the forest is done with: number the orbits
+            sizes = np.bincount(labels[final], sizes, len(reps)).astype(np.int64)
     unmoved = [a for a in range(len(radices)) if not places[a] and radices[a] > 1]
     if not unmoved:  # moved and full indices agree
         return reps, sizes
@@ -500,7 +539,7 @@ def _orbit_labels(Q: Quiver, ring: ORing, r):
         offsets = np.add.outer(offsets, np.arange(radices[a], dtype=np.int32) * full_places[a]).ravel()
     reps = np.add.outer(moved_part, offsets).ravel()
     order = np.argsort(reps, kind="stable")
-    return reps[order], np.repeat(sizes, len(offsets))[order]
+    return reps[order], sizes if sizes is None else np.repeat(sizes, len(offsets))[order]
 
 
 # -- batched point walks -------------------------------------------------------
@@ -509,6 +548,20 @@ def _orbit_labels(Q: Quiver, ring: ORing, r):
 # call: bounds each array of a chunk to 2^15 entries, at most 256 KiB; also
 # the values of x_a per chunk of a census table T_a
 _CHUNK_ENTRIES = 1 << 15
+
+
+def _take_axis(values: np.ndarray, table: np.ndarray, place: int, out: np.ndarray) -> np.ndarray:
+    """out[i, j, k] = values[i, table[j], k] over the points split as
+    (-1, len(table), place), written into out.  With out given, numpy's
+    default mode "raise" takes through a hidden copy, so the take wraps
+    instead and the table's range is checked here: O(len(table)), not
+    O(points)."""
+    radix = len(table)
+    if table.min() < 0 or table.max() >= radix:
+        raise IndexError(f"census table entries must lie in [0, {radix})")
+    np.take(values.reshape(-1, radix, place), table, axis=1,
+            out=out.reshape(-1, radix, place), mode="wrap")
+    return out
 
 
 def _chunk_size(entries_per_item: int) -> int:

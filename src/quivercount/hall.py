@@ -180,58 +180,65 @@ def _check_caps(rank, sub_rank, alpha, q):
 _FLAG_CACHE = {}
 
 
-def _block(x: OMatrix, rows, cols) -> OMatrix:
-    return OMatrix(x.ring, [[x.entries[i][j] for j in cols] for i in rows],
-                   shape=(len(rows), len(cols)))
-
-
 def _flag_table(q: int, alpha: int, rank, sub_rank):
     """For each orbit label: the (sub-label, quotient-label) census over all
     x-stable free summand pairs of the given sub-rank.
 
     A summand basis B is the identity on its pivot rows P, so in the basis
     [B | e_rest] of O^n a vector v has coordinates v[P] on B and
-    v[rest] - B[rest] v[P] on e_rest.  In these bases x has the sub block
-    (x B1)[P2] and the quotient block x[rest2, rest1] - B2[rest2] x[P2, rest1].
+    v[rest] - B[rest] v[P] on e_rest.  So x B1 lies in the second summand
+    iff B2[rest2] (x B1)[P2] = (x B1)[rest2]: only the rows outside P2 are
+    tested.  In these bases x has the sub block (x B1)[P2] and the quotient
+    block x[rest2, rest1] - B2[rest2] x[P2, rest1], both built as entry
+    tuples with the ring's tables.
 
     The table drives every product in this degree, so it is built once per
     (q, alpha, rank, sub_rank).  Many pairs share a block, so each distinct
-    sub or quotient block is labelled once per build, keyed by its entries
-    (which fix the label: an empty block has the zero label whatever its
-    shape)."""
+    sub or quotient block becomes a matrix and gets its label once per
+    build, keyed by its entries (which fix the label: an empty block has the
+    zero label whatever its shape)."""
     key = (q, alpha, tuple(rank), tuple(sub_rank))
     if key in _FLAG_CACHE:
         return _FLAG_CACHE[key]
     ring = ORing(q, alpha)
+    add, sub, mul, zero = ring.add_table, ring.sub_table, ring.mul_table, ring.zero
     k1, k2 = sub_rank
     pairs1 = free_summands(ring, rank[0], k1)
     pairs2 = []
     for basis, pivots in free_summands(ring, rank[1], k2):
         rest = [i for i in range(rank[1]) if i not in pivots]
-        pairs2.append((basis, pivots, rest, _block(basis, rest, range(k2))))
+        pairs2.append((pivots, rest, [basis.entries[i] for i in rest]))
     labels = {}
 
-    def label_of(block: OMatrix):
-        if block.entries not in labels:
-            labels[block.entries] = orbit_label_of(block, alpha)
-        return labels[block.entries]
+    def dot(u, v):
+        acc = zero
+        for a, b in zip(u, v):
+            acc = add[acc, mul[a, b]]
+        return acc
+
+    def label_of(entries, shape):
+        if entries not in labels:
+            labels[entries] = orbit_label_of(OMatrix(ring, entries, shape=shape), alpha)
+        return labels[entries]
 
     table = {}
     for label in all_orbit_labels(rank, alpha):
         x = orbit_representative(ring, rank, label)
+        columns = list(zip(*x.entries)) or [()] * rank[0]
         census = {}
         for basis1, pivots1 in pairs1:
             images = [x.apply(column) for column in zip(*basis1.entries)]
-            rest1 = [j for j in range(rank[0]) if j not in pivots1]
-            for basis2, pivots2, rest2, below2 in pairs2:
-                # v lies in the summand iff it is the combination of the
-                # basis columns with its own pivot entries as coefficients
+            cols1 = [columns[j] for j in range(rank[0]) if j not in pivots1]  # x[:, rest1]
+            for pivots2, rest2, below2 in pairs2:
                 coords = [tuple(v[p] for p in pivots2) for v in images]
-                if any(basis2.apply(c) != v for c, v in zip(coords, images)):
+                if any(dot(row, c) != v[i] for c, v in zip(coords, images)
+                       for i, row in zip(rest2, below2)):
                     continue
-                sub = OMatrix(ring, list(zip(*coords)), shape=(k2, k1))
-                quo = _block(x, rest2, rest1) - below2 * _block(x, pivots2, rest1)
-                pair = (label_of(sub), label_of(quo))
+                quo = tuple(tuple(sub[col[i], dot(row, [col[p] for p in pivots2])]
+                                  for col in cols1)
+                            for i, row in zip(rest2, below2))
+                pair = (label_of(tuple(zip(*coords)), (k2, k1)),
+                        label_of(quo, (len(rest2), len(cols1))))
                 census[pair] = census.get(pair, 0) + 1
         table[label] = census
     _FLAG_CACHE[key] = table

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 import scalar_reference as ref
 from quivercount import bruteforce, kacpoly
 from quivercount.bruteforce import (DEFAULT_CAPS, Caps, _adjoint_orbits, _check_generic,
-                                    _find, _hook, _orbit_fiber, _orbit_labels, _walk,
-                                    ask_counts, count_absolutely_indecomposable,
+                                    _find, _hook, _orbit_fiber, _orbit_labels, _take_axis,
+                                    _walk, ask_counts, count_absolutely_indecomposable,
                                     count_iso_classes, enumerate_orbits,
                                     jet_counts, moment_fiber_count,
                                     moment_matrix, moment_theta_basis,
@@ -153,6 +153,20 @@ class TestCensusMemory:
             tracemalloc.stop()
         assert int(sizes.sum()) == 2 ** 20 and reps[0] == 0
         assert peak < 48 * 2 ** 20
+
+    def test_star_census_in_four_point_arrays(self):
+        # 531,441 points and no loops: the labels, the identity and the two
+        # take buffers are four int32 arrays of 2 MiB.  A fresh array per
+        # take, or an int64 count of the orbit sizes, reaches 9.9 MiB
+        Q = Quiver(["0", "1", "2", "3"], [(0, 1), (0, 1), (0, 2), (0, 2), (0, 3), (0, 3)])
+        tracemalloc.start()
+        try:
+            count = count_absolutely_indecomposable(Q, 2, (1, 1, 1, 1), 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 4096
+        assert peak <= 9.9 * 2 ** 20
 
     def test_points_beyond_int32_refused(self):
         # raising the space cap past 2^31 points cannot overflow the index
@@ -303,6 +317,35 @@ class TestOrbitsMatchFullHook:
         (Quiver(["0", "1", "2"], [(0, 1), (1, 1), (2, 1)]), 3, (2, 1, 1), 2)])
     def test_every_ordering_branch(self, Q, alpha, r, q):
         self.check(Q, alpha, r, q)
+
+    @pytest.mark.parametrize("Q,alpha,r,q", [
+        # a parallel pair too big to share an axis: 243^2 > 2^15 values
+        (kronecker_quiver(2), 5, (1, 1), 3),
+        # vertex 0 moves a merged pair and arrow 3, which arrow 2 keeps
+        # apart from it in the mixed radix
+        (Quiver(["0", "1", "2"], [(0, 1), (0, 1), (1, 2), (0, 2)]), 2, (1, 1, 1), 3),
+        # a 1 x 1 loop between the arrows of a pair: unmoved, it leaves
+        # them adjacent among the moved arrows
+        (Quiver(["0", "1"], [(0, 1), (0, 0), (0, 1)]), 2, (1, 1), 3),
+        # a moved 2 x 2 loop between them: three axes of radices 4, 16 and 4
+        # share one take
+        (Quiver(["0", "1"], [(0, 1), (0, 0), (0, 1)]), 1, (2, 1), 2),
+        (Quiver(["0", "1"], [(1, 0), (0, 0), (0, 1)]), 1, (2, 1), 3)])
+    def test_merged_axes(self, Q, alpha, r, q):
+        self.check(Q, alpha, r, q)
+
+    @pytest.mark.parametrize("table", [[0, 2, 3], [0, -1, 2]])
+    def test_take_refuses_a_table_out_of_range(self, table):
+        # a take into a buffer wraps its indices: only the check can fail
+        values, out = np.arange(12, dtype=np.int32), np.empty(12, dtype=np.int32)
+        with pytest.raises(IndexError, match="census table"):
+            _take_axis(values, np.array(table, dtype=np.int32), 2, out)
+
+    def test_take_by_a_table(self):
+        values, out = np.arange(12, dtype=np.int32), np.empty(12, dtype=np.int32)
+        got = _take_axis(values, np.array([2, 0, 1], dtype=np.int32), 2, out)
+        assert got is out
+        assert out.tolist() == [4, 5, 0, 1, 2, 3, 10, 11, 6, 7, 8, 9]
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import quivercount
-from quivercount import verify
+from quivercount import cli, verify
 from quivercount.cli import main
 
 # the directory the tests import quivercount from, handed to the CLI
@@ -336,6 +336,26 @@ def test_package_import_leaves_libcrypto_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env={**os.environ, "PYTHONPATH": path})
     assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+def test_cli_import_leaves_verify_unloaded():
+    # only the verify command imports the verification suite
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    code = "import sys, quivercount.cli; print('quivercount.verify' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+def test_suite_choices_are_the_criteria_suites():
+    assert cli.SUITES == ("all", *dict.fromkeys(suite for _, suite, _ in verify.CRITERIA))
+
+
+def test_unknown_suite_is_a_usage_error():
+    code, out, err = run_cli(["verify", "--suite", "bogus"])
+    assert (code, out) == (2, "")
+    assert err.endswith("quivercount verify: error: argument --suite: invalid choice: 'bogus' "
+                        "(choose from 'all', 'symbolic', 'brute', 'cross', 'hall')\n")
 
 
 def test_one_parser_per_process(gloop2_file, capsys):

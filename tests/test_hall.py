@@ -89,7 +89,7 @@ class TestFreeSummands:
 
     # (3, 2) is the ring of the benchmark's cold Hall build
     @pytest.mark.parametrize("q,alpha", [(2, 1), (2, 2), (3, 1), (4, 1), (2, 3), (3, 2)])
-    @pytest.mark.parametrize("rank", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    @pytest.mark.parametrize("rank", [(1, 1), (2, 1), (1, 2), (2, 2), (2, 0), (0, 2)])
     def test_flag_tables_equal_the_oracle(self, q, alpha, rank):
         for sub in product(range(rank[0] + 1), range(rank[1] + 1)):
             assert _flag_table(q, alpha, rank, sub) == \
