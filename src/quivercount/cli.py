@@ -242,9 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kac-kronecker",
                        help="absolutely indecomposable count A(q) of the "
-                            "r-Kronecker quiver in rank (1,2)")
+                            "r-Kronecker quiver in rank (1,2), any alpha >= 1")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--alpha", type=int, required=True)
+    p.add_argument("--alpha", type=int, required=True, help="any alpha >= 1")
     p.add_argument("--via-zeta", action="store_true",
                    help="cross-check through the zeta-function pipeline")
     p.set_defaults(fn=cmd_kac_kronecker)

@@ -5,8 +5,10 @@ functions: counts of absolutely indecomposable representations in ranks 2
 and 3 for the quiver with one vertex and g loops, the rank-2 zero-fiber
 count of its moment map, local zeta functions (as rational functions in
 the auxiliary variable T = q^{-s}, with coefficients in Q(q)), the
-Kronecker-quiver counts in rank (1,2), and the alpha -> infinity limits of
-the cyclic triangle.
+Kronecker-quiver counts in rank (1,2) for every alpha ([r choose 2]_q times
+a tent sum of q-integers, checked against the alpha <= 5 table, the zeta
+pipeline and Burnside counts), and the alpha -> infinity limits of the
+cyclic triangle.
 
 Zeta functions are returned as a pair (numerator, denominator) of
 T-coefficient lists, lowest degree first, each coefficient a rational
@@ -14,6 +16,8 @@ function of q.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from .errors import UnsupportedParameter
 from .qpolynomial import QPolynomial, RationalFunction
@@ -24,7 +28,7 @@ _q = QPolynomial.q
 def gloop_A2(g: int, alpha: int) -> RationalFunction:
     """Absolutely indecomposable count in rank 2 for the g-loop quiver."""
     if g < 1 or alpha < 1:
-        raise ValueError("need g >= 1 and alpha >= 1")
+        raise UnsupportedParameter(f"need g >= 1 and alpha >= 1, got g={g}, alpha={alpha}")
     num = _q(2 * alpha * g - 1) * (_q(2 * g) - 1) * (_q(alpha * (2 * g - 3)) - 1)
     den = (_q(2) - 1) * (_q(2 * g - 3) - 1)
     return RationalFunction(num, den)
@@ -38,7 +42,7 @@ def gloop_A3(g: int, alpha: int) -> RationalFunction:
     pinned by the recurrence (the middle term is the one the tables fix).
     """
     if g < 1 or alpha < 1:
-        raise ValueError("need g >= 1 and alpha >= 1")
+        raise UnsupportedParameter(f"need g >= 1 and alpha >= 1, got g={g}, alpha={alpha}")
     pref_num = _q(3 * alpha * g - 2) * (_q(2 * g) - 1) * (_q(2 * g - 1) - 1)
     pref_den = ((_q(2) - 1) * (_q(3) - 1) * (_q(2 * g - 3) - 1)
                 * (_q(6 * g - 8) - 1) * (_q(4 * g - 5) - 1))
@@ -55,7 +59,7 @@ def gloop_A3(g: int, alpha: int) -> RationalFunction:
 def gloop_fiber(g: int, alpha: int) -> RationalFunction:
     """#mu^{-1}(0) over O_alpha for the g-loop quiver in rank 2 (g >= 2)."""
     if g < 2 or alpha < 1:
-        raise ValueError("need g >= 2 and alpha >= 1")
+        raise UnsupportedParameter(f"need g >= 2 and alpha >= 1, got g={g}, alpha={alpha}")
     den = _q(3) * (_q(2 * g - 3) - 1)
     first = RationalFunction((_q(2 * g) - 1) * _q(alpha * (8 * g - 3)), den)
     second = RationalFunction((_q(3) - 1) * _q(6 * alpha * g), den)
@@ -68,7 +72,7 @@ def gloop_Z(g: int):
     (q^3 - 1)(q^{2g} - 1) / ((q^3 - T)(q^{2g} - T)); ambient dimension 8g.
     """
     if g < 2:
-        raise ValueError("need g >= 2")
+        raise UnsupportedParameter(f"need g >= 2, got {g}")
     a, b = _q(3), _q(2 * g)
     num = [(a - 1) * (b - 1)]
     den = [a * b, -(a + b), QPolynomial.one()]
@@ -84,7 +88,7 @@ def kronecker_Z(r: int):
     e_k the elementary symmetric functions of a, b, c.
     """
     if r < 3:
-        raise ValueError("need r >= 3")
+        raise UnsupportedParameter(f"need r >= 3, got {r}")
     scale = (_q(2) - 1) * (_q(r) - 1)
     u, v = _q(r) * (_q(1) - 1), _q(2) + 1
     num = [scale * (u * _q(2) + v * _q(2 * r + 1)), scale * (u - v)]
@@ -93,31 +97,26 @@ def kronecker_Z(r: int):
     return [RationalFunction(p) for p in num], [RationalFunction(p) for p in den]
 
 
-_KRONECKER_BRACKETS = {
-    1: [(0, 0)],
-    2: [(2, -4), (1, -1), (1, -2), (0, 0)],
-    3: [(4, -8), (3, -5), (3, -6), (2, -2), (2, -3), (2, -4), (1, -1), (1, -2), (0, 0)],
-    4: [(6, -12), (5, -9), (5, -10), (4, -6), (4, -7), (4, -8), (3, -3), (3, -4),
-        (3, -5), (3, -6), (2, -2), (2, -3), (2, -4), (1, -1), (1, -2), (0, 0)],
-    5: [(8, -16), (7, -13), (7, -14), (6, -10), (6, -11), (6, -12), (5, -7), (5, -8),
-        (5, -9), (5, -10), (4, -4), (4, -5), (4, -6), (4, -7), (4, -8), (3, -3),
-        (3, -4), (3, -5), (3, -6), (2, -2), (2, -3), (2, -4), (1, -1), (1, -2), (0, 0)],
-}
-
-
 def kronecker_A(r: int, alpha: int) -> RationalFunction:
     """Absolutely indecomposable count in rank (1,2) for the r-Kronecker
-    quiver, alpha = 1..5."""
-    if alpha not in _KRONECKER_BRACKETS:
-        raise UnsupportedParameter(f"alpha must lie in 1..5, got {alpha}")
+    quiver over O_alpha, alpha >= 1, with [n]_q = 1 + q + ... + q^(n-1):
+
+        [r choose 2]_q * sum_(k=0..2alpha-2) q^(k(r-2)) [min(k+1, 2alpha-1-k)]_q,
+
+    and [r choose 2]_q = sum_(0<=a<=b<=r-2) q^(a+b), whose q^m coefficient
+    counts the a <= m/2 with m - a <= r - 2.  Read as linear forms
+    (k, j - 2k) in r, the tent exponents k(r-2) + j are the rows of the
+    bracket once transcribed for alpha <= 5 (tests/test_closedforms.py).
+    Criterion 5 checks the zeta pipeline and Burnside counts against it.
+    """
+    if alpha < 1:
+        raise UnsupportedParameter(f"alpha must be >= 1, got {alpha}")
     if r < 3:
         raise UnsupportedParameter(f"need r >= 3, got {r}")
-    factor = RationalFunction((_q(r - 1) - 1) * (_q(r) - 1),
-                              (_q(1) - 1) ** 2 * (_q(1) + 1))
-    bracket = QPolynomial.zero()
-    for c_r, c_const in _KRONECKER_BRACKETS[alpha]:
-        bracket = bracket + _q(c_r * r + c_const)
-    return factor * RationalFunction(bracket)
+    binomial = QPolynomial({m: min(m, 2 * r - 4 - m) // 2 + 1 for m in range(2 * r - 3)})
+    tent = QPolynomial(Counter(k * (r - 2) + j for k in range(2 * alpha - 1)
+                               for j in range(min(k + 1, 2 * alpha - 1 - k))))
+    return RationalFunction(binomial * tent)
 
 
 # frozen reference values of the rank-3 loop-quiver counts, keyed (g, alpha):

@@ -445,26 +445,15 @@ def kronecker_kac_via_zeta(r: int, alpha: int) -> RationalFunction:
     with no arrows); the absolutely indecomposable count then falls out of
     the plethystic logarithm.
     """
+    _check_at_least("alpha", alpha, 1)
     Q = kronecker_quiver(r)
     one = RationalFunction.one()
-    z_num, z_den = kronecker_Z(r)
-    fibers = poincare_symbolic(z_num, z_den, 4 * r, alpha)
-    n_alpha = fibers[alpha - 1]
-
-    def euler(v):
-        return euler_form(Q, v, v)
-
-    gl1, gl2 = (RationalFunction(gl_order(_q(1), alpha, k)) for k in (1, 2))
-    coeffs = {
-        (0, 0): one,
-        (1, 0): RationalFunction.q(alpha * 1) / gl1,
-        (0, 1): RationalFunction.q(alpha * 1) / gl1,
-        (0, 2): RationalFunction.q(alpha * 4) / gl2,
-        (1, 1): (rank1_fiber_count(Q, alpha) * RationalFunction.q(alpha * euler((1, 1)))
-                 / (gl1 * gl1)),
-        (1, 2): (n_alpha * RationalFunction.q(alpha * euler((1, 2)))
-                 / (gl1 * gl2)),
-    }
-    series = TruncatedSeries(("t1", "t2"), (1, 2), coeffs)
-    a_series = plethystic_log(series)
+    fibers = {v: one for v in ((0, 0), (1, 0), (0, 1), (0, 2))}
+    fibers[(1, 1)] = rank1_fiber_count(Q, alpha)
+    fibers[(1, 2)] = poincare_symbolic(*kronecker_Z(r), 4 * r, alpha)[alpha - 1]
+    # the fiber count N_v enters the series as N_v q^(alpha <v,v>) / |GL_v(O_alpha)|
+    coeffs = {v: n * RationalFunction.q(alpha * euler_form(Q, v, v))
+              / RationalFunction(gl_order(_q(1), alpha, v[0]) * gl_order(_q(1), alpha, v[1]))
+              for v, n in fibers.items()}
+    a_series = plethystic_log(TruncatedSeries(("t1", "t2"), (1, 2), coeffs))
     return a_series.coefficient((1, 2)) * (one - RationalFunction.q(-1))

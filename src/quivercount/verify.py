@@ -165,15 +165,26 @@ def check_gloop_rank3() -> str:
 
 # -- criterion 5 ---------------------------------------------------------------
 
+# (r, alpha, q) at which the Kronecker closed form meets Burnside counts
+KRONECKER_ANCHORS = [(3, 2, 3), (3, 3, 2), (3, 4, 2), (5, 4, 2), (3, 5, 2), (4, 3, 3)]
+
+
 @criterion("Kronecker rank-(1,2) counts via zeta expansion")
 def check_kronecker_pipeline() -> str:
-    """Rank-(1,2) Kronecker counts reconstructed from the zeta function
-    match the five closed forms, for r in {3,4}."""
-    for r in (3, 4):
-        for alpha in range(1, 6):
+    """The rank-(1,2) Kronecker closed form = the zeta-pipeline count for
+    r <= 8, alpha <= 10; anchored at KRONECKER_ANCHORS by Burnside counts
+    through the Exp identity M_(1,2) = A_(1,2) + A_(1,1) + 1."""
+    for r in range(3, 9):
+        for alpha in range(1, 11):
             expect(kacpoly.kronecker_kac_via_zeta(r, alpha) == closedforms.kronecker_A(r, alpha),
                    f"r={r}, alpha={alpha}")
-    return "r in {3,4}, alpha <= 5, exact rational functions"
+    for r, alpha, q in KRONECKER_ANCHORS:
+        Q = kronecker_quiver(r)
+        m = bruteforce.count_iso_classes(Q, alpha, (1, 2), q)
+        expect(m - kacpoly.toric_kac_wyss(Q, alpha).evaluate(q) - 1
+               == closedforms.kronecker_A(r, alpha).evaluate(q),
+               f"Burnside anchor r={r}, alpha={alpha}, q={q}")
+    return f"r <= 8, alpha <= 10, exact; {len(KRONECKER_ANCHORS)} Burnside anchors"
 
 
 # -- criterion 6 ---------------------------------------------------------------

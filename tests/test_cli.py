@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import quivercount
-from quivercount import cli, verify
+from quivercount import cli, closedforms, verify
 from quivercount.cli import main
 
 # the directory the tests import quivercount from, handed to the CLI
@@ -94,6 +94,13 @@ class TestCommands:
         # GL_1 x GL_2; test_kronecker_A_matches_census checks it by brute force
         assert out.strip() == "q^2 + q + 1"
 
+    def test_kronecker_for_every_alpha(self):
+        code, out, _ = run_cli(["kac-kronecker", "--r", "5", "--alpha", "7", "--via-zeta"])
+        assert code == 0
+        assert out.strip() == closedforms.kronecker_A(5, 7).to_string()
+        code, out, _ = run_cli(["kac-kronecker", "--help"])
+        assert code == 0 and "any alpha >= 1" in out
+
     def test_jet_series_json(self, c3_file, tmp_path):
         out_file = tmp_path / "jets.json"
         code, _, _ = run_cli(["--format", "json", "--out", str(out_file),
@@ -172,6 +179,11 @@ class TestDeterminism:
 
 
 class TestErrorPaths:
+    def test_kronecker_alpha_zero(self):
+        code, out, err = run_cli(["kac-kronecker", "--r", "3", "--alpha", "0"])
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "alpha" in err
+
     def test_bad_quiver_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -7,6 +7,8 @@ from quivercount.bruteforce import (count_absolutely_indecomposable,
 from quivercount.closedforms import (cyclic3_limit_A, cyclic3_limit_B,
                                      gloop_A2, gloop_A3, gloop_Z,
                                      gloop_fiber, kronecker_A, kronecker_Z)
+from quivercount.errors import UnsupportedParameter
+from quivercount.kacpoly import kronecker_kac_via_zeta
 from quivercount.qpolynomial import QPolynomial, RationalFunction
 from quivercount.quiver import kronecker_quiver, loop_quiver
 
@@ -20,9 +22,9 @@ def test_gloop_A2_values():
 
 
 @pytest.mark.parametrize("form,first,alphas", [
-    (gloop_A2, range(1, 13), range(1, 13)),    # g, alpha
-    (gloop_A3, range(1, 8), range(1, 8)),      # g, alpha
-    (kronecker_A, range(3, 14), range(1, 6)),  # r, alpha
+    (gloop_A2, range(1, 13), range(1, 13)),     # g, alpha
+    (gloop_A3, range(1, 8), range(1, 8)),       # g, alpha
+    (kronecker_A, range(3, 14), range(1, 13)),  # r, alpha
 ])
 def test_closed_forms_are_polynomials_with_nonnegative_coefficients(form, first, alphas):
     for x in first:
@@ -67,18 +69,66 @@ def test_kronecker_A_values():
     assert f == expect
     assert kronecker_A(3, 2).as_polynomial() == \
         QPolynomial({4: 2, 3: 3, 2: 4, 1: 2, 0: 1})
-    with pytest.raises(ValueError):
-        kronecker_A(3, 6)
-    with pytest.raises(ValueError):
-        kronecker_A(2, 1)
+    assert kronecker_A(3, 6) == kronecker_kac_via_zeta(3, 6)
+    for r, alpha in ((3, 0), (3, -1), (2, 1)):
+        with pytest.raises(UnsupportedParameter):
+            kronecker_A(r, alpha)
+
+
+# the bracket of kronecker_A as once transcribed for alpha <= 5: rows of
+# (c_r, c_const), one monomial q^(c_r r + c_const) each, times the prefactor
+# (q^(r-1) - 1)(q^r - 1) / ((q - 1)^2 (q + 1))
+KRONECKER_BRACKETS = {
+    1: [(0, 0)],
+    2: [(2, -4), (1, -1), (1, -2), (0, 0)],
+    3: [(4, -8), (3, -5), (3, -6), (2, -2), (2, -3), (2, -4), (1, -1), (1, -2), (0, 0)],
+    4: [(6, -12), (5, -9), (5, -10), (4, -6), (4, -7), (4, -8), (3, -3), (3, -4),
+        (3, -5), (3, -6), (2, -2), (2, -3), (2, -4), (1, -1), (1, -2), (0, 0)],
+    5: [(8, -16), (7, -13), (7, -14), (6, -10), (6, -11), (6, -12), (5, -7), (5, -8),
+        (5, -9), (5, -10), (4, -4), (4, -5), (4, -6), (4, -7), (4, -8), (3, -3),
+        (3, -4), (3, -5), (3, -6), (2, -2), (2, -3), (2, -4), (1, -1), (1, -2), (0, 0)],
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(KRONECKER_BRACKETS))
+def test_kronecker_tent_is_the_transcribed_bracket(alpha):
+    # the tent term q^(k(r-2) + j) is the linear form (k, j - 2k) in r
+    tent = [(k, j - 2 * k) for k in range(2 * alpha - 1)
+            for j in range(min(k + 1, 2 * alpha - 1 - k))]
+    assert sorted(tent) == sorted(KRONECKER_BRACKETS[alpha])
+    for r in range(3, 14):
+        bracket = QPolynomial.zero()
+        for c_r, c_const in KRONECKER_BRACKETS[alpha]:
+            bracket = bracket + q(c_r * r + c_const)
+        table = RationalFunction((q(r - 1) - 1) * (q(r) - 1) * bracket,
+                                 (q(1) - 1) ** 2 * (q(1) + 1))
+        assert kronecker_A(r, alpha) == table
+        assert kronecker_A(r, alpha).to_string() == table.to_string()
+
+
+@pytest.mark.parametrize("form,args", [
+    (gloop_A2, (0, 1)), (gloop_A2, (1, 0)), (gloop_A3, (1, 0)),
+    (gloop_fiber, (1, 1)), (gloop_fiber, (2, 0)), (gloop_Z, (1,)), (kronecker_Z, (2,)),
+], ids=lambda v: getattr(v, "__name__", None) or "-".join(map(str, v)))
+def test_bad_parameters_raise_unsupported(form, args):
+    with pytest.raises(UnsupportedParameter):
+        form(*args)
 
 
 @pytest.mark.parametrize("alpha,q_val,expected", [(1, 2, 7), (1, 3, 13),
-                                                  (2, 2, 77)])
+                                                  (2, 2, 77), (3, 2, 525)])
 def test_kronecker_A_matches_census(alpha, q_val, expected):
     census = count_absolutely_indecomposable(kronecker_quiver(3), alpha,
                                              (1, 2), q_val)
     assert census == kronecker_A(3, alpha).evaluate(q_val) == expected
+
+
+@pytest.mark.parametrize("r,alpha,q_val,expected", [
+    (4, 1, 3, 130), (5, 1, 2, 155), (6, 1, 3, 11011), (4, 2, 2, 1015), (5, 2, 2, 13795)])
+def test_kronecker_A_matches_census_beyond_three_arrows(r, alpha, q_val, expected):
+    census = count_absolutely_indecomposable(kronecker_quiver(r), alpha,
+                                             (1, 2), q_val)
+    assert census == kronecker_A(r, alpha).evaluate(q_val) == expected
 
 
 def test_kronecker_Z_degrees():

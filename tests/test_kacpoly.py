@@ -9,7 +9,8 @@ from quivercount.bruteforce import (count_absolutely_indecomposable,
 from quivercount.closedforms import (GLOOP_RANK3_TABLE, cyclic3_limit_A,
                                      cyclic3_limit_B, gloop_A2, gloop_A3,
                                      gloop_Z, kronecker_A, kronecker_Z)
-from quivercount.errors import CapExceeded, Not2Connected, NotConnected
+from quivercount.errors import (CapExceeded, Not2Connected, NotConnected,
+                               UnsupportedParameter)
 from quivercount.kacpoly import (gloop_kac_rank2, gloop_kac_rank3,
                                  gloop_rank2_recurrence,
                                  gloop_rank3_recurrence,
@@ -272,10 +273,15 @@ class TestZetaExpansion:
 
 
 class TestKroneckerPipeline:
-    @pytest.mark.parametrize("r", [3, 4])
-    @pytest.mark.parametrize("alpha", [1, 2, 3])
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    @pytest.mark.parametrize("alpha", range(1, 9))
     def test_reconstruction(self, r, alpha):
         assert kronecker_kac_via_zeta(r, alpha) == kronecker_A(r, alpha)
+
+    @pytest.mark.parametrize("alpha", [0, -1])
+    def test_alpha_below_one_is_unsupported(self, alpha):
+        with pytest.raises(UnsupportedParameter, match="alpha"):
+            kronecker_kac_via_zeta(3, alpha)
 
 
 def test_rank3_tables_frozen():

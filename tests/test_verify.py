@@ -45,9 +45,11 @@ def test_hall_criterion_passes():
 @pytest.mark.parametrize("module,attr,check,name,detail", [
     (kacpoly, "kronecker_kac_via_zeta", verify.check_kronecker_pipeline,
      "Kronecker rank-(1,2) counts via zeta expansion", "r=3, alpha=1"),
+    (bruteforce, "count_iso_classes", verify.check_kronecker_pipeline,
+     "Kronecker rank-(1,2) counts via zeta expansion", "Burnside anchor r=3, alpha=2, q=3"),
     (bruteforce, "moment_fiber_count", verify.check_deformed_fibers,
      "deformed moment fibers = generic-fiber formula", "two-vertex quiver alpha=1 q=3"),
-], ids=["kronecker", "deformed"])
+], ids=["kronecker", "kronecker-burnside", "deformed"])
 def test_failing_criterion_keeps_its_name(monkeypatch, module, attr, check, name, detail):
     # a counterexample reports under the name the criterion passes under
     monkeypatch.setattr(module, attr, lambda *args: 0)
