@@ -10,8 +10,11 @@ more values than there are orbits left, or past the normal part of the
 group, generators add edges from orbit roots only.  Arrows that no
 generator moves (1 x 1 loops, arrows of one value) stay out of the labelled
 points: every orbit is a labelled orbit times one value of each of them.
-On the Jordan quiver the census lists the adjoint orbits of GL_r(O_alpha)
-on M_r(O_alpha) (_adjoint_orbits).  count_iso_classes sums Burnside's lemma
+In rank all-one, count_absolutely_indecomposable labels the quiver without
+its loops and multiplies by their (q^alpha)^L values, so neither the labels
+nor the support tables of the census ever carry them.  On the Jordan quiver
+the census lists the adjoint orbits of GL_r(O_alpha) on M_r(O_alpha)
+(_adjoint_orbits).  count_iso_classes sums Burnside's lemma
 over tuples of its invertible orbits, the conjugacy classes, and
 moment_fiber_count sums a Fourier inversion over tuples of all of them
 whenever the censuses cost less than the x-space, sum_i q^(alpha r_i^2) <
@@ -215,19 +218,32 @@ def enumerate_orbits(Q: Quiver, alpha: int, r, q: int,
 
 def count_absolutely_indecomposable(Q: Quiver, alpha: int, r, q: int,
                                     caps: Caps = DEFAULT_CAPS) -> int:
+    """Number of absolutely indecomposable GL-orbits on R(Q, alpha; r)(F_q).
+
+    In rank all-one (with at least one arrow) an orbit is absolutely
+    indecomposable iff its support subquiver is connected, so only the
+    orbit labels are needed.  No generator moves a 1 x 1 loop and a loop
+    joins no two vertices, so the count is that of the loop-free quiver P
+    (same vertices, the other arrows) times every value of the L loops,
+    (q^alpha)^L: the labels and the support tables cover P alone.  Any
+    other rank classifies every orbit through enumerate_orbits.
+
+    The space cap bounds the x-space of Q, loops included, on both routes;
+    the census's int32 guard (see _orbit_labels) bounds the points it
+    labels, those of P in rank all-one.
+    """
     r = _rank_vector(Q, r)
     if all(ri == 1 for ri in r) and Q.num_arrows > 0:
-        # orbit labels alone: in rank all-one an orbit is absolutely
-        # indecomposable iff its support subquiver is connected
         ring = ORing(q, alpha)
         check_space_cap(Q, alpha, r, q, caps)
-        reps, _ = _orbit_labels(Q, ring, r, with_sizes=False)
-        size, n_arrows = q ** alpha, Q.num_arrows
+        P = Quiver(Q.vertices, [(s, t) for s, t in Q.arrows if s != t])
+        reps, _ = _orbit_labels(P, ring, r, with_sizes=False)
+        size, n_arrows = q ** alpha, P.num_arrows
         support_mask = np.zeros(len(reps), dtype=np.int64)  # bit a: x_a != 0
         for a in range(n_arrows):
             support_mask |= (reps // size ** (n_arrows - 1 - a) % size != 0) << a
-        connected = np.array(_betti_by_subset(Q)[1]) == 1
-        return int(connected[support_mask].sum())
+        connected = np.array(_betti_by_subset(P)[1]) == 1
+        return size ** (Q.num_arrows - n_arrows) * int(connected[support_mask].sum())
     return sum(1 for rec in enumerate_orbits(Q, alpha, r, q, caps)
                if rec.absolutely_indecomposable)
 
@@ -824,9 +840,10 @@ def moment_fiber_count(Q: Quiver, alpha: int, r, q: int, lam=None,
         # N_k(m) = #{all valuations >= m} - #{all >= m + 1}
         least = {k: [q ** (k * (alpha - m)) - q ** (k * (alpha - m - 1)) if m < alpha else 1
                      for m in range(alpha + 1)] for k in set(classes.values())}
+        powers = [OMatrix(ring, [[ring.t_power(m)]]) for m in range(alpha + 1)]
         total = 0
         for pattern in product(range(alpha + 1), repeat=simple.num_arrows):
-            x = tuple(OMatrix(ring, [[ring.t_power(m)]]) for m in pattern)
+            x = tuple(powers[m] for m in pattern)
             ke = kernel_size_exponent(moment_matrix(simple, ring, r, x))
             mult = 1
             for edge, m in zip(simple.arrows, pattern):

@@ -17,7 +17,7 @@ function of q.
 
 from __future__ import annotations
 
-from collections import Counter
+from itertools import accumulate
 
 from .errors import UnsupportedParameter
 from .qpolynomial import QPolynomial, RationalFunction
@@ -114,8 +114,14 @@ def kronecker_A(r: int, alpha: int) -> RationalFunction:
     if r < 3:
         raise UnsupportedParameter(f"need r >= 3, got {r}")
     binomial = QPolynomial({m: min(m, 2 * r - 4 - m) // 2 + 1 for m in range(2 * r - 3)})
-    tent = QPolynomial(Counter(k * (r - 2) + j for k in range(2 * alpha - 1)
-                               for j in range(min(k + 1, 2 * alpha - 1 - k))))
+    # each q-integer adds 1 on a range of exponents: mark its two ends in a
+    # difference array, then one running sum gives the coefficients
+    widths = [min(k + 1, 2 * alpha - 1 - k) for k in range(2 * alpha - 1)]
+    diff = [0] * ((len(widths) - 1) * (r - 2) + 2)
+    for k, width in enumerate(widths):
+        diff[k * (r - 2)] += 1
+        diff[k * (r - 2) + width] -= 1
+    tent = QPolynomial(dict(enumerate(accumulate(diff))))
     return RationalFunction(binomial * tent)
 
 

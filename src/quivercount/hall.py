@@ -326,7 +326,11 @@ def bracket(f1: HallFunction, f2: HallFunction, q: int) -> HallFunction:
 
 def structure_constants(rank1, rank2, alpha: int, q: int):
     """Products of all orbit-indicator pairs, as a nested dictionary
-    {(label1, label2): {label: value}}."""
+    {(label1, label2): {label: value}}.
+
+    1_{label1} * 1_{label2} at an orbit is the number of its flags with
+    sub-label label2 and quotient-label label1, so every product reads the
+    one flag table of the degree (see hall_product)."""
     if alpha < 1:
         raise UnsupportedParameter(f"alpha must be >= 1, got {alpha}")
     for rank in (rank1, rank2):
@@ -334,13 +338,13 @@ def structure_constants(rank1, rank2, alpha: int, q: int):
             raise DimensionMismatch(f"Hall degrees need 2 entries, got {len(rank)}")
         if min(rank) < 0:
             raise UnsupportedParameter(f"Hall degrees must be >= 0, got {list(rank)}")
-    out = {}
-    for lab1 in all_orbit_labels(rank1, alpha):
-        for lab2 in all_orbit_labels(rank2, alpha):
-            prod_f = hall_product(HallFunction.indicator(rank1, alpha, lab1),
-                                  HallFunction.indicator(rank2, alpha, lab2), q)
-            out[(lab1, lab2)] = dict(prod_f.values)
-    return out
+    rank = (rank1[0] + rank2[0], rank1[1] + rank2[1])
+    _check_caps(rank, rank2, alpha, q)
+    table = _flag_table(q, alpha, rank, rank2)
+    return {(lab1, lab2): {label: Fraction(census[lab2, lab1])
+                           for label, census in table.items() if (lab2, lab1) in census}
+            for lab1 in all_orbit_labels(rank1, alpha)
+            for lab2 in all_orbit_labels(rank2, alpha)}
 
 
 def _interpolate_at_one(samples) -> Fraction:

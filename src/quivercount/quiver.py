@@ -184,7 +184,8 @@ def _betti_by_subset(Q: Quiver):
 @functools.lru_cache(maxsize=64)
 def _subset_tables(n: int, arrows: tuple):
     """_betti_by_subset by vertex count and arrows: a quiver's toric count
-    and its census both read the tables, so each is built once."""
+    and the census of its loop-free part both read the tables (the same
+    ones when it has no loops), so each is built once."""
     betti_of, comps = [], []
     for mask in range(1 << len(arrows)):
         edges = [arrow for a, arrow in enumerate(arrows) if mask >> a & 1]

@@ -14,9 +14,12 @@ arithmetic, reducing every entry at every step.
 components of what is left.
 ``rank3_matrix_checksum`` guards the transcription of the rank-3
 recurrence matrix.
+``kronecker_A_monomials`` builds the rank-(1,2) Kronecker count with its
+tent listed monomial by monomial, some alpha^2 of them.
 """
 
 import hashlib
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 from math import gcd
@@ -170,3 +173,13 @@ def rank3_matrix_checksum(g=2):
     """Checksum of the frozen transition matrix (transcription guard)."""
     text = ";".join(e.to_string() for row in _rank3_matrix(g) for e in row)
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def kronecker_A_monomials(r, alpha):
+    """[r choose 2]_q * sum_(k=0..2alpha-2) q^(k(r-2)) [min(k+1, 2alpha-1-k)]_q,
+    the binomial from its pairs a <= b <= r-2 and the tent from a Counter
+    of its monomials."""
+    binomial = QPolynomial(Counter(a + b for b in range(r - 1) for a in range(b + 1)))
+    tent = QPolynomial(Counter(k * (r - 2) + j for k in range(2 * alpha - 1)
+                               for j in range(min(k + 1, 2 * alpha - 1 - k))))
+    return RationalFunction(binomial * tent)

@@ -24,8 +24,8 @@ from quivercount.errors import (CapExceeded, CharacteristicTooSmall,
                                 DimensionMismatch, NonGenericLambda,
                                 UnsupportedParameter)
 from quivercount.localring import Fq, ORing, gl_order, smith_invariants_batch
-from quivercount.quiver import (Quiver, _union_find, a2_quiver, cyclic_quiver,
-                                jordan_quiver, kronecker_quiver, loop_quiver)
+from quivercount.quiver import (Quiver, _union_find, a2_quiver, connected_quiver_corpus,
+                                cyclic_quiver, jordan_quiver, kronecker_quiver, loop_quiver)
 
 
 class TestEnumerateOrbits:
@@ -172,6 +172,20 @@ class TestCensusMemory:
         # raising the space cap past 2^31 points cannot overflow the index
         with pytest.raises(CapExceeded, match="int32"):
             enumerate_orbits(kronecker_quiver(16), 2, (1, 1), 2, Caps(max_space_log2=40))
+        with pytest.raises(CapExceeded, match="int32"):
+            count_absolutely_indecomposable(kronecker_quiver(16), 2, (1, 1), 2,
+                                            Caps(max_space_log2=40))
+
+    def test_rank_one_census_guards_only_the_loop_free_points(self):
+        # 2^40 points, all of them values of the loops: the rank-all-one
+        # census labels the one point of the quiver without them
+        assert count_absolutely_indecomposable(loop_quiver(40), 1, (1,), 2,
+                                               Caps(max_space_log2=40)) == 2 ** 40
+        with pytest.raises(CapExceeded, match="int32"):
+            enumerate_orbits(loop_quiver(40), 1, (1,), 2, Caps(max_space_log2=40))
+        # the space cap still bounds the whole x-space, loops included
+        with pytest.raises(CapExceeded, match="representation space has 2"):
+            count_absolutely_indecomposable(loop_quiver(40), 1, (1,), 2)
 
 
 @st.composite
@@ -262,6 +276,71 @@ def _bench_instances(*kinds):
                 out.append((Q, item["alpha"], tuple(item.get("rank", (1,) * Q.num_vertices)),
                             item["q"]))
     return out
+
+
+@st.composite
+def multigraph_instances(draw):
+    """(Q, alpha, q) on two to four vertices, whose arrows repeat slots
+    freely: loops, parallel and antiparallel arrows, with at most 2^14
+    points in rank all-one."""
+    n = draw(st.integers(2, 4))
+    slots = [(s, t) for s in range(n) for t in range(n)]
+    arrows = draw(st.lists(st.sampled_from(slots), min_size=1, max_size=7))
+    alpha = draw(st.integers(1, 2))
+    q = draw(st.sampled_from([2, 3, 4]))
+    assume(q ** (alpha * len(arrows)) <= 2 ** 14)
+    return Quiver([str(i) for i in range(n)], arrows), alpha, q
+
+
+def _census_of_all_orbits(Q, alpha, r, q):
+    """The absolutely indecomposable orbits among all orbits of the full
+    space, loops included."""
+    return sum(rec.absolutely_indecomposable for rec in enumerate_orbits(Q, alpha, r, q))
+
+
+class TestRankOneCensus:
+    """In rank all-one the census labels the quiver without its loops and
+    multiplies by their values; enumerate_orbits labels the whole space."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(multigraph_instances())
+    def test_equals_the_census_of_all_orbits(self, instance):
+        Q, alpha, q = instance
+        ones = (1,) * Q.num_vertices
+        assert count_absolutely_indecomposable(Q, alpha, ones, q) == \
+            _census_of_all_orbits(Q, alpha, ones, q)
+
+    @pytest.mark.parametrize("g,alpha,q", [(1, 1, 2), (2, 2, 3), (3, 1, 4), (3, 2, 2)])
+    def test_loop_quiver(self, g, alpha, q):
+        count = count_absolutely_indecomposable(loop_quiver(g), alpha, (1,), q)
+        assert count == q ** (alpha * g) == _census_of_all_orbits(loop_quiver(g), alpha, (1,), q)
+
+    @pytest.mark.parametrize("alpha,q", [(1, 2), (2, 3)])
+    def test_two_vertices_with_only_loops(self, alpha, q):
+        Q = Quiver(["0", "1"], [(0, 0), (1, 1), (1, 1)])
+        assert count_absolutely_indecomposable(Q, alpha, (1, 1), q) == 0 == \
+            _census_of_all_orbits(Q, alpha, (1, 1), q)
+
+    @pytest.mark.parametrize("n,want", [(1, 1), (2, 0)])
+    def test_quiver_without_arrows(self, n, want):
+        Q = Quiver([str(i) for i in range(n)], [])
+        ones = (1,) * n
+        assert count_absolutely_indecomposable(Q, 2, ones, 3) == want == \
+            _census_of_all_orbits(Q, 2, ones, 3)
+
+    @pytest.mark.parametrize("Q,alpha,r,q", _bench_instances("census"))
+    def test_bench_menu(self, Q, alpha, r, q):
+        assert count_absolutely_indecomposable(Q, alpha, r, q) == \
+            _census_of_all_orbits(Q, alpha, r, q)
+
+    @pytest.mark.parametrize("alpha,q", [(1, 2), (1, 3), (2, 2), (2, 3)])
+    def test_corpus(self, alpha, q):
+        # every corpus quiver whose space has at most 2^14 points
+        for Q in connected_quiver_corpus(4, 6):
+            if q ** (alpha * Q.num_arrows) <= 2 ** 14:
+                ones = (1,) * Q.num_vertices
+                assert count_absolutely_indecomposable(Q, alpha, ones, q) == \
+                    _census_of_all_orbits(Q, alpha, ones, q), Q
 
 
 class TestOrbitsMatchFullHook:

@@ -179,11 +179,6 @@ class TestDeterminism:
 
 
 class TestErrorPaths:
-    def test_kronecker_alpha_zero(self):
-        code, out, err = run_cli(["kac-kronecker", "--r", "3", "--alpha", "0"])
-        assert code == 2 and out == ""
-        assert len(err.splitlines()) == 1 and "alpha" in err
-
     def test_bad_quiver_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -279,21 +274,32 @@ class TestErrorPaths:
         assert len(err.splitlines()) == 1 and message in err
 
     @pytest.mark.parametrize("args,message", [
-        (["kac", "--quiver", "{gloop2}", "--alpha", "-1"], "alpha"),
-        (["kac", "--quiver", "{gloop2}", "--alpha", "-1", "--method", "tree"], "alpha"),
-        (["kac-gloop", "--g", "2", "--alpha", "-1", "--rank", "2"], "alpha"),
-        (["kac-gloop", "--g", "-1", "--alpha", "1", "--rank", "2"], "g must be"),
-        (["kac-gloop", "--g", "-2", "--alpha", "2", "--rank", "3"], "g must be"),
-        (["kac-kronecker", "--r", "3", "--alpha", "-1"], "alpha"),
-        (["fiber-count", "--quiver", "{a2}", "--symbolic", "--alpha", "-1"], "alpha"),
-        (["jet-series", "--quiver", "{a2}", "--q", "2", "--n-max", "-1"], "n_max"),
-        (["hall", "--alpha", "-1", "--q", "2", "--rank1", "1,0", "--rank2", "0,1"], "alpha"),
-        (["jet-series", "--quiver", "{a2}", "--q", "2", "--n-max", "1", "--rank=-1,1"],
-         "rank entries must be >= 0"),
-        (["hall", "--alpha", "1", "--q", "2", "--rank1=-1,0", "--rank2", "0,1"],
-         "degrees must be >= 0"),
-        (["hall", "--alpha", "1", "--q", "2", "--rank1", "1", "--rank2", "0,1"], "2 entries"),
-    ], ids=lambda v: v[0] if isinstance(v, list) else v)
+        pytest.param(["kac", "--quiver", "{gloop2}", "--alpha", "-1"], "alpha", id="kac-alpha"),
+        pytest.param(["kac", "--quiver", "{gloop2}", "--alpha", "-1", "--method", "tree"], "alpha",
+                     id="kac-tree-alpha"),
+        pytest.param(["kac-gloop", "--g", "2", "--alpha", "-1", "--rank", "2"], "alpha",
+                     id="kac-gloop-alpha"),
+        pytest.param(["kac-gloop", "--g", "-1", "--alpha", "1", "--rank", "2"], "g must be",
+                     id="kac-gloop-g-rank2"),
+        pytest.param(["kac-gloop", "--g", "-2", "--alpha", "2", "--rank", "3"], "g must be",
+                     id="kac-gloop-g-rank3"),
+        pytest.param(["kac-kronecker", "--r", "3", "--alpha", "-1"], "alpha",
+                     id="kac-kronecker-alpha"),
+        pytest.param(["kac-kronecker", "--r", "3", "--alpha", "0"], "alpha",
+                     id="kac-kronecker-alpha-zero"),
+        pytest.param(["fiber-count", "--quiver", "{a2}", "--symbolic", "--alpha", "-1"], "alpha",
+                     id="fiber-count-alpha"),
+        pytest.param(["jet-series", "--quiver", "{a2}", "--q", "2", "--n-max", "-1"], "n_max",
+                     id="jet-series-n_max"),
+        pytest.param(["hall", "--alpha", "-1", "--q", "2", "--rank1", "1,0", "--rank2", "0,1"],
+                     "alpha", id="hall-alpha"),
+        pytest.param(["jet-series", "--quiver", "{a2}", "--q", "2", "--n-max", "1", "--rank=-1,1"],
+                     "rank entries must be >= 0", id="jet-series-rank entries must be >= 0"),
+        pytest.param(["hall", "--alpha", "1", "--q", "2", "--rank1=-1,0", "--rank2", "0,1"],
+                     "degrees must be >= 0", id="hall-degrees must be >= 0"),
+        pytest.param(["hall", "--alpha", "1", "--q", "2", "--rank1", "1", "--rank2", "0,1"],
+                     "2 entries", id="hall-2 entries"),
+    ])
     def test_out_of_range_parameter(self, gloop2_file, a2_file, args, message):
         argv = [arg.format(gloop2=gloop2_file, a2=a2_file) for arg in args]
         code, out, err = run_cli(argv)

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+import symbolic_reference
+
 from quivercount.bruteforce import (count_absolutely_indecomposable,
                                     moment_fiber_count)
 from quivercount.closedforms import (cyclic3_limit_A, cyclic3_limit_B,
@@ -104,6 +106,16 @@ def test_kronecker_tent_is_the_transcribed_bracket(alpha):
                                  (q(1) - 1) ** 2 * (q(1) + 1))
         assert kronecker_A(r, alpha) == table
         assert kronecker_A(r, alpha).to_string() == table.to_string()
+
+
+@pytest.mark.parametrize("r", range(3, 14))
+def test_kronecker_A_equals_the_monomial_listing(r):
+    for alpha in range(1, 41):
+        assert kronecker_A(r, alpha) == symbolic_reference.kronecker_A_monomials(r, alpha), alpha
+
+
+def test_kronecker_A_equals_the_monomial_listing_at_large_alpha():
+    assert kronecker_A(3, 2000) == symbolic_reference.kronecker_A_monomials(3, 2000)
 
 
 @pytest.mark.parametrize("form,args", [

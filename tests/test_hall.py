@@ -14,6 +14,12 @@ from quivercount.hall import (HallFunction, _check_caps, _flag_table, _summand_c
 from quivercount.localring import ORing
 
 
+# the degree pairs (rank1, rank2) of total rank at most (2, 2)
+DEGREE_PAIRS = [(rank1, rank2) for rank1 in product(range(3), repeat=2)
+                for rank2 in product(range(3), repeat=2)
+                if rank1[0] + rank2[0] <= 2 and rank1[1] + rank2[1] <= 2]
+
+
 def indicator(rank, alpha, label):
     return HallFunction.indicator(rank, alpha, label)
 
@@ -216,6 +222,21 @@ class TestStructure:
                         total += term
                     return total
                 assert cubic_at(7) == ys[7], (key, lab)
+
+    @pytest.mark.parametrize("alpha,q,pairs", [
+        *(pytest.param(alpha, q, DEGREE_PAIRS, id=f"alpha{alpha}-q{q}")
+          for alpha in (1, 2) for q in (2, 3, 4)),
+        pytest.param(3, 2, [((1, 1), (1, 1))], id="alpha3-q2-rank11x11"),
+    ])
+    def test_structure_constants_equal_the_pairwise_products(self, alpha, q, pairs):
+        for rank1, rank2 in pairs:
+            table = structure_constants(rank1, rank2, alpha, q)
+            want = {(lab1, lab2): hall_product(indicator(rank1, alpha, lab1),
+                                               indicator(rank2, alpha, lab2), q).values
+                    for lab1 in all_orbit_labels(rank1, alpha)
+                    for lab2 in all_orbit_labels(rank2, alpha)}
+            assert table == want, (rank1, rank2)
+            assert all(type(v) is Fraction for values in table.values() for v in values.values())
 
     def test_extra_generators_bracket_to_zero(self):
         # the vanishing lives in the Euler-characteristic shadow: structure
