@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
@@ -43,7 +42,7 @@ from .errors import (CapExceeded, CharacteristicTooSmall, DimensionMismatch,
                      InvalidType, NonGenericLambda, UnsupportedParameter)
 from .localring import (Fq, OMatrix, ORing, _mul_batch, gl_order, kernel_size_exponent,
                         smith_invariants_batch)
-from .quiver import Quiver, _betti_by_subset, _union_find, jordan_quiver
+from .quiver import Quiver, _class_lattice, _union_find, jordan_quiver
 
 
 @dataclass(frozen=True)
@@ -239,11 +238,13 @@ def count_absolutely_indecomposable(Q: Quiver, alpha: int, r, q: int,
         P = Quiver(Q.vertices, [(s, t) for s, t in Q.arrows if s != t])
         reps, _ = _orbit_labels(P, ring, r, with_sizes=False)
         size, n_arrows = q ** alpha, P.num_arrows
-        support_mask = np.zeros(len(reps), dtype=np.int64)  # bit a: x_a != 0
-        for a in range(n_arrows):
-            support_mask |= (reps // size ** (n_arrows - 1 - a) % size != 0) << a
-        connected = np.array(_betti_by_subset(P)[1]) == 1
-        return size ** (Q.num_arrows - n_arrows) * int(connected[support_mask].sum())
+        lattice = _class_lattice(P)
+        bit = {pair: c for c, (pair, _) in enumerate(lattice.classes)}
+        support = np.zeros(len(reps), dtype=np.int64)  # bit c: x_a != 0 on some a in class c
+        for a, arrow in enumerate(P.arrows):
+            support |= (reps // size ** (n_arrows - 1 - a) % size != 0) << bit[tuple(sorted(arrow))]
+        connected = np.array(lattice.components) == 1
+        return size ** (Q.num_arrows - n_arrows) * int(connected[support].sum())
     return sum(1 for rec in enumerate_orbits(Q, alpha, r, q, caps)
                if rec.absolutely_indecomposable)
 
@@ -834,8 +835,8 @@ def moment_fiber_count(Q: Quiver, alpha: int, r, q: int, lam=None,
         # their least valuation m plus k - 1 zero columns.  So sum over the
         # valuation patterns of the simple graph, an edge standing for the
         # N_k(m) k-tuples of least valuation m; each loop adds q^(2 alpha).
-        classes = Counter(tuple(sorted(arrow)) for arrow in Q.arrows if arrow[0] != arrow[1])
-        simple = Quiver(Q.vertices, sorted(classes))
+        classes = {pair: k for pair, k in _class_lattice(Q).classes if pair[0] != pair[1]}
+        simple = Quiver(Q.vertices, list(classes))
         loops = Q.num_arrows - sum(classes.values())
         # N_k(m) = #{all valuations >= m} - #{all >= m + 1}
         least = {k: [q ** (k * (alpha - m)) - q ** (k * (alpha - m - 1)) if m < alpha else 1

@@ -7,7 +7,10 @@ for the one-vertex quiver in ranks 2 and 3, the conversion between
 all-class and absolutely-indecomposable counts through the plethystic
 exponential, zero-fiber counts of the moment map in rank all-one, the
 alpha -> infinity limits and their Hilbert-series form, and the expansion
-of local zeta functions into fiber counts.
+of local zeta functions into fiber counts.  The chain sum, the limits and
+the Hilbert series run on the class lattice (quiver.ClassLattice), of
+prod_c (k_c + 1) states for parallel classes of k_c arrows; the last two
+walk its prod_c (k_c+1)(k_c+2)/2 state pairs, at most MAX_LATTICE_PAIRS.
 """
 
 from __future__ import annotations
@@ -15,17 +18,21 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from itertools import product
+from math import comb, prod
+from operator import add
 
 from .closedforms import kronecker_Z
 from .errors import CapExceeded, Not2Connected, NotConnected, UnsupportedParameter
 from .localring import gl_order
 from .qpolynomial import QPolynomial, RationalFunction, _long_division, rf_sum
-from .quiver import (Quiver, _betti_by_subset, euler_form, is_2_connected,
+from .quiver import (Quiver, _class_lattice, euler_form, is_2_connected,
                      is_connected, kronecker_quiver, restrict_vertices,
                      set_partitions, spanning_trees, tree_path)
 from .series import TruncatedSeries, plethystic_exp, plethystic_log
 
 _q = QPolynomial.q
+
+MAX_LATTICE_PAIRS = 3 ** 10  # the subset pairs S <= S' of ten arrows
 
 
 def _check_at_least(name: str, value: int, least: int) -> None:
@@ -40,36 +47,38 @@ def toric_kac_wyss(Q: Quiver, alpha: int) -> QPolynomial:
     as a sum over chains E_1 <= ... <= E_alpha of arrow subsets whose last
     term spans a connected subgraph: (q-1)^b(E_alpha) q^(sum b(E_k), k<alpha).
 
-    The chains are summed level by level on the subset lattice.  With
-    g_0(S) = [S empty] and g_{k+1}(S) = sum over T <= S of q^b(T) g_k(T),
-    g_k(S) counts the chains E_1 <= ... <= E_{k-1} <= S by their exponent,
-    and the count is the sum over connected spanning S of
-    (q-1)^b(S) g_alpha(S).  Each level is one subset-sum (zeta) transform
-    over the 2^E arrow masks, so the cost is O(alpha E 2^E) where the chains
-    number (alpha+1)^E.
+    The chains are summed level by level on the class lattice of Q: with
+    g_0(m) = [m = 0] and g_{j+1}(m) = sum over m' <= m of
+    prod_c C(m_c, m'_c) q^b(m') g_j(m'), g_j(m) counts the chains
+    E_1 <= ... <= E_{j-1} <= S below a subset S with counts m by exponent,
+    and the count is the sum over connected spanning m of
+    prod_c C(k_c, m_c) (q-1)^b(m) g_alpha(m).  The cost is
+    O(alpha sum_c k_c prod_c (k_c + 1)) where the chains number (alpha+1)^E.
     """
     _check_at_least("alpha", alpha, 0)
     if not is_connected(Q):
         raise NotConnected("count requires a connected quiver")
-    E = Q.num_arrows
-    b_of, comps = _betti_by_subset(Q)
-    # g_k(S) is packed into one integer, the count of q^s in bits
+    lattice = _class_lattice(Q)
+    # g_j(m) is packed into one integer, the count of q^s in bits
     # [s w, (s+1) w); no coefficient of any sum below reaches the
     # (alpha+1)^E chains in all, so the fields never carry into each other
-    w = ((max(alpha, 0) + 1) ** E).bit_length()
-    g = [0] * (1 << E)
-    g[0] = 1
+    w = ((alpha + 1) ** Q.num_arrows).bit_length()
+    g = [1] + [0] * (len(lattice.betti) - 1)
     for _ in range(alpha):
-        g = [x << w * b_of[mask] for mask, x in enumerate(g)]
-        for a in range(E):
-            bit = 1 << a
-            for mask in range(1 << E):
-                if mask & bit:
-                    g[mask] += g[mask ^ bit]
+        g = [x << w * b for x, b in zip(g, lattice.betti)]
+        stride = len(g)
+        for _, k in lattice.classes:
+            span, stride = stride, stride // (k + 1)
+            # f[n] -> sum_j C(n, j) f[j] along the class axis as k passes f[n] += f[n-1]
+            # over n >= i (Pascal's matrix is their product): a subset sum when k = 1
+            for i in range(1, k + 1):
+                for lo in range(i * stride, len(g), span):
+                    hi = lo - i * stride + span
+                    g[lo:hi] = map(add, g[lo:hi], g[lo - stride:hi - stride])
     by_betti = {}
-    for mask, packed in enumerate(g):
-        if comps[mask] == 1:
-            by_betti[b_of[mask]] = by_betti.get(b_of[mask], 0) + packed
+    for packed, b, weight, connected in zip(g, lattice.betti, lattice.weight, lattice.connected):
+        if connected:
+            by_betti[b] = by_betti.get(b, 0) + weight * packed
     field = (1 << w) - 1
     poly = QPolynomial.zero()
     for b_top, packed in sorted(by_betti.items()):
@@ -306,53 +315,49 @@ def rank1_fiber_count(Q: Quiver, alpha: int) -> RationalFunction:
 
 # -- limits and Hilbert series ---------------------------------------------------
 
-def _proper_supersets(mask: int, E: int):
-    """Every subset of the E arrows that strictly contains mask."""
-    free = [a for a in range(E) if not mask >> a & 1]
-    for extra_bits in range(1, 1 << len(free)):
-        sup = mask
-        for idx, a in enumerate(free):
-            if extra_bits >> idx & 1:
-                sup |= 1 << a
-        yield sup
+@functools.lru_cache(maxsize=64)
+def _lattice_supersets(Q: Quiver):
+    """Per class-lattice state m, the pairs (m', mu) over m' > m in rising
+    order, mu = prod_c C(k_c - m_c, m'_c - m_c) the subsets with counts m'
+    above one with counts m: prod_c (k_c+1)(k_c+2)/2 <= 3^E pairs m <= m'."""
+    sizes = [k for _, k in _class_lattice(Q).classes]
+    pairs = prod((k + 1) * (k + 2) // 2 for k in sizes)
+    if pairs > MAX_LATTICE_PAIRS:
+        raise CapExceeded(f"lattice sums capped at {MAX_LATTICE_PAIRS} state pairs; "
+                          f"this quiver needs {pairs}")
+    ups = [((0, 1),)]  # class by class, state p and superset s go to p(k+1)+j, s(k+1)+j+d
+    for k in sizes:
+        ups = [tuple((s * (k + 1) + j + d, mu * comb(k - j, d))
+                     for s, mu in up for d in range(k + 1 - j))
+               for up in ups for j in range(k + 1)]
+    return tuple(up[1:] for up in ups)  # up[0] is the state itself
+
+
+def _multiset_sum(values, pairs, start=None) -> RationalFunction:
+    """start plus the sum of mu values[j] over the pairs (j, mu)."""
+    return rf_sum((values[j] if mu == 1 else mu * values[j] for j, mu in pairs), start)
 
 
 def _gap_weights(b: int):
-    """1/(q^k - 1) for each gap k = 1..b between the top Betti number b and
-    a subset's: the chain weight of _subset_chain_dp, and u/(1 - u) at
-    u = q^-k in order_complex_hilbert."""
+    """1/(q^k - 1) for each gap k = 1..b below the top Betti number b: the
+    chain weight of limit_A, and u/(1 - u) at u = q^-k in the face sum."""
     return {k: RationalFunction(1, _q(k) - 1) for k in range(1, b + 1)}
-
-
-def _subset_chain_dp(Q: Quiver):
-    """h(S) over subsets S of arrows: sum over strictly increasing chains
-    from S to the full set of prod 1/(q^(b - b_j) - 1) over proper terms."""
-    E = Q.num_arrows
-    b_of, _ = _betti_by_subset(Q)
-    b = b_of[(1 << E) - 1]
-    full = (1 << E) - 1
-    weight = _gap_weights(b)
-    h = {full: RationalFunction.one()}
-    # iterate subsets by decreasing popcount
-    by_size = {}
-    for mask in range(1 << E):
-        by_size.setdefault(bin(mask).count("1"), []).append(mask)
-    for size in range(E - 1, -1, -1):
-        for mask in by_size.get(size, []):
-            acc = rf_sum(h[sup] for sup in _proper_supersets(mask, E))
-            h[mask] = weight[b - b_of[mask]] * acc
-    return h, b
 
 
 def limit_A(Q: Quiver) -> RationalFunction:
     """Limit of q^(-alpha b) times the toric count as alpha grows:
-    (1 - q^-1)^b sum over chains of subsets ending at the full arrow set."""
+    (1 - q^-1)^b sum_m prod_c C(k_c, m_c) h(m) over the class lattice, where
+    h(k) = 1 and h(m) = 1/(q^(b - b(m)) - 1) sum over m' > m of
+    prod_c C(k_c - m_c, m'_c - m_c) h(m') sums the chains of subsets up."""
     if not is_2_connected(Q):
         raise Not2Connected("the limit exists only for 2-connected quivers")
-    if Q.num_arrows > 10:
-        raise CapExceeded(f"chain sum capped at 10 arrows; this quiver has {Q.num_arrows} arrows")
-    h, b = _subset_chain_dp(Q)
-    total = rf_sum(h.values())
+    lattice, ups = _class_lattice(Q), _lattice_supersets(Q)
+    b = lattice.betti[-1]
+    weight = _gap_weights(b)
+    h = [RationalFunction.one()] * len(ups)
+    for m in range(len(ups) - 2, -1, -1):
+        h[m] = weight[b - lattice.betti[m]] * _multiset_sum(h, ups[m])
+    total = _multiset_sum(h, enumerate(lattice.weight))
     return (RationalFunction.one() - RationalFunction.q(-1)) ** b * total
 
 
@@ -370,24 +375,19 @@ def limits(Q: Quiver):
 
 def order_complex_hilbert(Q: Quiver) -> RationalFunction:
     """Hilbert series of the face ring of the chain complex on proper
-    nonempty arrow subsets, specialized at u_E = q^-(b - b_E)."""
+    nonempty arrow subsets at u_E = q^-(b - b_E): 1 + sum over 0 < m < k of
+    prod_c C(k_c, m_c) G(m) on the class lattice, where z = u/(1 - u) and
+    G(m) = z(m)(1 + sum over m < m' < k of prod_c C(k_c - m_c, m'_c - m_c) G(m'))."""
     if not is_2_connected(Q):
         raise Not2Connected("needs a 2-connected quiver")
-    E = Q.num_arrows
-    if E > 10:
-        raise CapExceeded(f"face sum capped at 10 arrows; this quiver has {E} arrows")
-    b_of, _ = _betti_by_subset(Q)
-    full = (1 << E) - 1
-    b = b_of[full]
-    # z(S) = u_S/(1 - u_S); G(S) = z(S)(1 + sum over proper supersets G)
+    lattice, ups = _class_lattice(Q), _lattice_supersets(Q)
+    b, top, one = lattice.betti[-1], len(ups) - 1, RationalFunction.one()
     z = _gap_weights(b)
-    G = {}
-    masks = sorted(range(1, full), key=lambda m: -bin(m).count("1"))
-    for mask in masks:
-        acc = rf_sum((G[sup] for sup in _proper_supersets(mask, E) if sup != full),
-                     RationalFunction.one())
-        G[mask] = z[b - b_of[mask]] * acc
-    return rf_sum(G.values(), RationalFunction.one())
+    G = [one] * len(ups)
+    for m in range(top - 1, 0, -1):
+        # the superset list ends with the full state, which is no face
+        G[m] = z[b - lattice.betti[m]] * _multiset_sum(G, ups[m][:-1], one)
+    return _multiset_sum(G, ((m, lattice.weight[m]) for m in range(1, top)), one)
 
 
 # -- zeta-function expansion ------------------------------------------------------

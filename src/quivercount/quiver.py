@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import functools
 import json
+from collections import Counter
+from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations
+from math import comb
 
 from .errors import (ContractLoop, DimensionMismatch, InvalidType,
                      NotConnected, ReflectionAtImaginaryVertex)
@@ -175,24 +178,40 @@ def betti(Q: Quiver) -> int:
     return connected_components(Q) - Q.num_vertices + Q.num_arrows
 
 
-def _betti_by_subset(Q: Quiver):
-    """Betti numbers and component counts of Q restricted to each arrow
-    subset, both bitmask-indexed tuples."""
-    return _subset_tables(Q.num_vertices, Q.arrows)
+@dataclass(frozen=True)
+class ClassLattice:
+    """Arrow subsets by their count vectors m over the parallel classes (the
+    arrows with the same two ends either way round, or the loops at a
+    vertex): b(m) = |m| - n + c(supp m).  The states m <= k run in mixed
+    radix (k_c + 1), the last class fastest, so m' >= m comes no earlier."""
+    classes: tuple     # ((s, t), k_c) with s <= t, by endpoint pair
+    betti: tuple       # b(m), by state
+    weight: tuple      # prod_c C(k_c, m_c): the subsets with counts m, by state
+    connected: tuple   # c(supp m) == 1, by state
+    components: tuple  # c(S) for each set S of classes, by bitmask, bit c for class c
 
 
 @functools.lru_cache(maxsize=64)
+def _class_lattice(Q: Quiver) -> ClassLattice:
+    """The ClassLattice of Q, from 2^C union-finds for its C classes."""
+    n = Q.num_vertices
+    classes = tuple(sorted(Counter(tuple(sorted(arrow)) for arrow in Q.arrows).items()))
+    components = _subset_tables(n, tuple(pair for pair, _ in classes))
+    sizes, support, weight = [0], [0], [1]  # |m|, supp m and weight, class by class
+    for c, (_, k) in enumerate(classes):
+        sizes = [x + j for x in sizes for j in range(k + 1)]
+        support = [x | (j > 0) << c for x in support for j in range(k + 1)]
+        weight = [x * comb(k, j) for x in weight for j in range(k + 1)]
+    betti = tuple(size - n + components[s] for size, s in zip(sizes, support))
+    connected = tuple(components[s] == 1 for s in support)
+    return ClassLattice(classes, betti, tuple(weight), connected, components)
+
+
 def _subset_tables(n: int, arrows: tuple):
-    """_betti_by_subset by vertex count and arrows: a quiver's toric count
-    and the census of its loop-free part both read the tables (the same
-    ones when it has no loops), so each is built once."""
-    betti_of, comps = [], []
-    for mask in range(1 << len(arrows)):
-        edges = [arrow for a, arrow in enumerate(arrows) if mask >> a & 1]
-        merges = len(_union_find(n, edges)[1])
-        comps.append(n - merges)
-        betti_of.append(len(edges) - merges)
-    return tuple(betti_of), tuple(comps)
+    """Component counts of the graph on n vertices with each subset of the
+    arrows, a bitmask-indexed tuple."""
+    return tuple(n - len(_union_find(n, [e for a, e in enumerate(arrows) if mask >> a & 1])[1])
+                 for mask in range(1 << len(arrows)))
 
 
 def is_2_connected(Q: Quiver) -> bool:

@@ -172,9 +172,9 @@ KRONECKER_ANCHORS = [(3, 2, 3), (3, 3, 2), (3, 4, 2), (5, 4, 2), (3, 5, 2), (4, 
 @criterion("Kronecker rank-(1,2) counts via zeta expansion")
 def check_kronecker_pipeline() -> str:
     """The rank-(1,2) Kronecker closed form = the zeta-pipeline count for
-    r <= 8, alpha <= 10; anchored at KRONECKER_ANCHORS by Burnside counts
+    r <= 14, alpha <= 10; anchored at KRONECKER_ANCHORS by Burnside counts
     through the Exp identity M_(1,2) = A_(1,2) + A_(1,1) + 1."""
-    for r in range(3, 9):
+    for r in range(3, 15):
         for alpha in range(1, 11):
             expect(kacpoly.kronecker_kac_via_zeta(r, alpha) == closedforms.kronecker_A(r, alpha),
                    f"r={r}, alpha={alpha}")
@@ -184,7 +184,7 @@ def check_kronecker_pipeline() -> str:
         expect(m - kacpoly.toric_kac_wyss(Q, alpha).evaluate(q) - 1
                == closedforms.kronecker_A(r, alpha).evaluate(q),
                f"Burnside anchor r={r}, alpha={alpha}, q={q}")
-    return f"r <= 8, alpha <= 10, exact; {len(KRONECKER_ANCHORS)} Burnside anchors"
+    return f"r <= 14, alpha <= 10, exact; {len(KRONECKER_ANCHORS)} Burnside anchors"
 
 
 # -- criterion 6 ---------------------------------------------------------------

@@ -16,8 +16,14 @@ components of what is left.
 recurrence matrix.
 ``kronecker_A_monomials`` builds the rank-(1,2) Kronecker count with its
 tent listed monomial by monomial, some alpha^2 of them.
+``subset_tables`` gives the Betti number and component count of each arrow
+subset.  ``limit_A_subsets`` and ``hilbert_subsets`` are the chain and face sums of
+``limit_A`` and ``order_complex_hilbert`` over all 3^E pairs of arrow
+masks, one state per subset rather than per count vector of the parallel
+classes.
 """
 
+import functools
 import hashlib
 from collections import Counter
 from fractions import Fraction
@@ -25,9 +31,9 @@ from itertools import combinations_with_replacement, permutations, product
 from math import gcd
 
 from quivercount.kacpoly import _rank3_matrix
-from quivercount.qpolynomial import QPolynomial, RationalFunction
-from quivercount.quiver import (Quiver, _betti_by_subset, connected_components,
-                                delete, is_connected)
+from quivercount.qpolynomial import QPolynomial, RationalFunction, rf_sum
+from quivercount.quiver import (Quiver, betti, connected_components, delete,
+                                is_connected, restrict_arrows)
 
 
 def _clean(d):
@@ -94,11 +100,20 @@ def reduce_euclid(num, den):
             {e: c * scale for e, c in den.items()})
 
 
+@functools.cache
+def subset_tables(Q):
+    """Betti numbers and component counts of Q restricted to each arrow
+    mask, each restriction built as a quiver of its own."""
+    subs = [restrict_arrows(Q, [a for a in range(Q.num_arrows) if mask >> a & 1])
+            for mask in range(1 << Q.num_arrows)]
+    return [betti(sub) for sub in subs], [connected_components(sub) for sub in subs]
+
+
 def toric_kac_levels(Q, alpha):
     """The toric count as a sum over all level vectors: each arrow enters the
     chain E_1 <= ... <= E_alpha at a level 1..alpha, or never."""
     E = Q.num_arrows
-    b_of, comps = _betti_by_subset(Q)
+    b_of, comps = subset_tables(Q)
     weights = {}
     for levels in product(range(1, alpha + 2), repeat=E):
         top_mask = 0
@@ -183,3 +198,52 @@ def kronecker_A_monomials(r, alpha):
     tent = QPolynomial(Counter(k * (r - 2) + j for k in range(2 * alpha - 1)
                                for j in range(min(k + 1, 2 * alpha - 1 - k))))
     return RationalFunction(binomial * tent)
+
+
+def _proper_supersets(mask, E):
+    """Every subset of the E arrows that strictly contains mask."""
+    free = [a for a in range(E) if not mask >> a & 1]
+    for extra_bits in range(1, 1 << len(free)):
+        sup = mask
+        for idx, a in enumerate(free):
+            if extra_bits >> idx & 1:
+                sup |= 1 << a
+        yield sup
+
+
+def _masks_by_falling_size(Q):
+    """(E, Betti number of each mask, the Betti number b of all arrows,
+    1/(q^k - 1) for each gap k = 1..b, the masks by falling popcount)."""
+    E = Q.num_arrows
+    b_of, _ = subset_tables(Q)
+    b = b_of[-1]
+    gaps = {k: RationalFunction(1, QPolynomial.q(k) - 1) for k in range(1, b + 1)}
+    return E, b_of, b, gaps, sorted(range(1 << E), key=lambda m: -bin(m).count("1"))
+
+
+def limit_A_subsets(Q):
+    """limit_A of a 2-connected quiver as the chain sum over arrow masks:
+    h(full) = 1, h(S) = 1/(q^(b - b(S)) - 1) times the sum of h over the
+    proper supersets of S, and the limit is (1 - q^-1)^b sum_S h(S)."""
+    E, b_of, b, gaps, masks = _masks_by_falling_size(Q)
+    full = (1 << E) - 1
+    h = {full: RationalFunction.one()}
+    for mask in masks[1:]:
+        h[mask] = gaps[b - b_of[mask]] * rf_sum(h[sup] for sup in _proper_supersets(mask, E))
+    return (RationalFunction.one() - RationalFunction.q(-1)) ** b * rf_sum(h.values())
+
+
+def hilbert_subsets(Q):
+    """order_complex_hilbert of a 2-connected quiver as the face sum over
+    arrow masks: G(S) = z(S)(1 + sum of G over the proper nonempty
+    supersets of S short of all arrows), z(S) = 1/(q^(b - b(S)) - 1), and
+    the series is 1 + the sum of G over the proper nonempty subsets."""
+    E, b_of, b, gaps, masks = _masks_by_falling_size(Q)
+    full = (1 << E) - 1
+    G = {}
+    for mask in masks:
+        if mask not in (0, full):
+            G[mask] = gaps[b - b_of[mask]] * rf_sum(
+                (G[sup] for sup in _proper_supersets(mask, E) if sup != full),
+                RationalFunction.one())
+    return rf_sum(G.values(), RationalFunction.one())

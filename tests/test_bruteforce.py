@@ -333,6 +333,11 @@ class TestRankOneCensus:
         assert count_absolutely_indecomposable(Q, alpha, r, q) == \
             _census_of_all_orbits(Q, alpha, r, q)
 
+    def test_kronecker_18(self):
+        # GL_1(F_2) is trivial, so every point is an orbit, and the nonzero
+        # ones have connected support; the 18 arrows are one parallel class
+        assert count_absolutely_indecomposable(kronecker_quiver(18), 1, (1, 1), 2) == 2 ** 18 - 1
+
     @pytest.mark.parametrize("alpha,q", [(1, 2), (1, 3), (2, 2), (2, 3)])
     def test_corpus(self, alpha, q):
         # every corpus quiver whose space has at most 2^14 points

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import quivercount
-from quivercount import cli, closedforms, verify
+from quivercount import cli, closedforms, kacpoly, verify
 from quivercount.cli import main
+from quivercount.quiver import cyclic_quiver, kronecker_quiver
 
 # the directory the tests import quivercount from, handed to the CLI
 # subprocesses so that they run the same package without an install
@@ -84,6 +85,20 @@ class TestCommands:
         lines = out.strip().splitlines()
         assert lines[0] == "A: (q^2 + 4q + 1) / (q^2 - 2q + 1)"
         assert lines[1] == "B: (q^2 + 4q + 1) / (q^2)"
+
+    def test_limits_past_ten_arrows(self, tmp_path):
+        # the 12-Kronecker quiver has 91 lattice state pairs; the 11-cycle
+        # needs 3^11, past the cap
+        kronecker = tmp_path / "k12.json"
+        kronecker_quiver(12).save(kronecker)
+        code, out, _ = run_cli(["limits", "--quiver", str(kronecker)])
+        A, B = kacpoly.limits(kronecker_quiver(12))
+        assert code == 0 and out.strip().splitlines() == [f"A: {A.to_string()}",
+                                                          f"B: {B.to_string()}"]
+        cycle = tmp_path / "c11.json"
+        cyclic_quiver(11).save(cycle)
+        code, out, err = run_cli(["limits", "--quiver", str(cycle)])
+        assert code == 3 and out == "" and "needs 177147" in err
 
     def test_kronecker_with_pipeline(self):
         code, out, _ = run_cli(["kac-kronecker", "--r", "3", "--alpha", "1",

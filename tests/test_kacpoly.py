@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from quivercount.bruteforce import (count_absolutely_indecomposable,
                                     count_iso_classes, jet_counts,
@@ -24,11 +24,11 @@ from quivercount.kacpoly import (gloop_kac_rank2, gloop_kac_rank3,
                                  _rank3_initial, _rank3_matrix)
 from quivercount.qpolynomial import QPolynomial, RationalFunction
 from quivercount.quiver import (Quiver, a2_quiver, connected_quiver_corpus,
-                                cyclic_quiver, jordan_quiver, kronecker_quiver,
-                                loop_quiver)
+                                cyclic_quiver, is_2_connected, is_connected,
+                                jordan_quiver, kronecker_quiver, loop_quiver)
 from quivercount.series import TruncatedSeries
-from symbolic_reference import (iterate_recurrence, rank3_matrix_checksum,
-                                toric_kac_levels)
+from symbolic_reference import (hilbert_subsets, iterate_recurrence, limit_A_subsets,
+                                rank3_matrix_checksum, toric_kac_levels)
 
 q = QPolynomial.q
 one = RationalFunction.one()
@@ -208,12 +208,23 @@ class TestLimits:
             order_complex_hilbert(a2_quiver())
 
     def test_arrow_caps_name_the_arrows(self):
-        # the chain and face sums stop at 10 arrows and say how many there are
-        Q = kronecker_quiver(11)
-        with pytest.raises(CapExceeded, match="chain sum capped at 10 arrows; this quiver has 11"):
-            limit_A(Q)
-        with pytest.raises(CapExceeded, match="face sum capped at 10 arrows; this quiver has 11"):
-            order_complex_hilbert(Q)
+        # the chain and face sums stop past 3^10 state pairs m <= m' of the
+        # class lattice and say how many the quiver needs: 3^11 on the
+        # 11-cycle, eleven classes of one arrow
+        Q = cyclic_quiver(11)
+        for fn in (limit_A, order_complex_hilbert):
+            with pytest.raises(CapExceeded,
+                               match="capped at 59049 state pairs; this quiver needs 177147"):
+                fn(Q)
+
+    @pytest.mark.parametrize("r", range(11, 21))
+    def test_kronecker_limit_is_the_stable_count(self, r):
+        # past the old 10-arrow cap: one class of r arrows, (r+1)(r+2)/2 pairs
+        Q = kronecker_quiver(r)
+        target = limit_A(Q).qinv_series(3)
+        for alpha in (5, 6):
+            f = RationalFunction(toric_kac_wyss(Q, alpha)) * RationalFunction.q(-alpha * (r - 1))
+            assert f.qinv_series(3) == target
 
 
 class TestHilbert:
@@ -236,6 +247,53 @@ class TestHilbert:
         u = RationalFunction.q(-1)
         assert (one - u) / (one - u) * h == h
         assert (one - u) ** 1 / (one - RationalFunction.q(-1)) * h == limit_A(Q)
+
+    @pytest.mark.parametrize("r", range(11, 15))
+    def test_kronecker_identity(self, r):
+        Q, b = kronecker_quiver(r), r - 1
+        u = RationalFunction.q(-1)
+        assert (one - u) ** b / (one - RationalFunction.q(-b)) * order_complex_hilbert(Q) \
+            == limit_A(Q)
+
+
+@st.composite
+def multigraphs(draw):
+    """Connected quivers on one to four vertices with at most seven arrows,
+    which repeat slots freely: loops, parallel and antiparallel arrows."""
+    n = draw(st.integers(1, 4))
+    slots = [(s, t) for s in range(n) for t in range(n)]
+    Q = Quiver([str(i) for i in range(n)], draw(st.lists(st.sampled_from(slots), max_size=7)))
+    assume(is_connected(Q))
+    return Q
+
+
+class TestClassLattice:
+    """The lattice sums, one state per count vector of the parallel
+    classes, against sums over arrow subsets."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(multigraphs(), st.integers(0, 3))
+    def test_toric_equals_the_level_vectors(self, Q, alpha):
+        assert toric_kac_wyss(Q, alpha) == toric_kac_levels(Q, alpha)
+
+    @settings(max_examples=60, deadline=None)
+    @given(multigraphs())
+    def test_limit_and_hilbert_equal_the_mask_sums(self, Q):
+        assume(is_2_connected(Q))
+        assert limit_A(Q) == limit_A_subsets(Q)
+        assert order_complex_hilbert(Q) == hilbert_subsets(Q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(multigraphs(), st.integers(0, 3), st.data())
+    def test_arrow_order_and_direction_change_nothing(self, Q, alpha, data):
+        E = Q.num_arrows
+        flips = data.draw(st.lists(st.booleans(), min_size=E, max_size=E))
+        order = data.draw(st.permutations(range(E)))
+        R = Quiver(Q.vertices, [Q.arrows[a][::-1] if flips[a] else Q.arrows[a] for a in order])
+        assert toric_kac_wyss(R, alpha) == toric_kac_wyss(Q, alpha)
+        if is_2_connected(Q):
+            assert limit_A(R) == limit_A(Q)
+            assert order_complex_hilbert(R) == order_complex_hilbert(Q)
 
 
 class TestZetaExpansion:
@@ -277,6 +335,10 @@ class TestKroneckerPipeline:
     @pytest.mark.parametrize("alpha", range(1, 9))
     def test_reconstruction(self, r, alpha):
         assert kronecker_kac_via_zeta(r, alpha) == kronecker_A(r, alpha)
+
+    def test_reconstruction_at_r_24(self):
+        # the toric count of K_24 has 25 lattice states, not 2^24 subsets
+        assert kronecker_kac_via_zeta(24, 5) == kronecker_A(24, 5)
 
     @pytest.mark.parametrize("alpha", [0, -1])
     def test_alpha_below_one_is_unsupported(self, alpha):

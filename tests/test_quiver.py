@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ import symbolic_reference
 
 from quivercount.errors import (ContractLoop, DimensionMismatch,
                                 ReflectionAtImaginaryVertex)
-from quivercount.quiver import (Quiver, SemisimpleType, _betti_by_subset, _subset_tables,
+from quivercount.quiver import (Quiver, SemisimpleType, _class_lattice,
                                 a2_quiver, aux_quiver,
                                 betti, connected_components, connected_quiver_corpus,
                                 contract, cyclic_quiver, delete, euler_form,
@@ -277,9 +278,29 @@ def test_corpus_matches_per_combination_canonicaliser(max_vertices, max_edges):
 
 
 def test_cached_subset_tables_equal_fresh_ones():
-    # the tables are cached by vertex count and arrows; a quiver built anew
-    # with the same arrows reads the same tables
+    # the class lattice is cached by quiver; a quiver built anew with the
+    # same arrows reads the same tables
     for Q in connected_quiver_corpus(4, 6):
-        tables = _betti_by_subset(Q)
-        assert _betti_by_subset(Quiver(Q.vertices, Q.arrows)) is tables
-        assert tables == _subset_tables.__wrapped__(Q.num_vertices, Q.arrows)
+        lattice = _class_lattice(Q)
+        assert _class_lattice(Quiver(Q.vertices, Q.arrows)) is lattice
+        assert lattice == _class_lattice.__wrapped__(Q)
+
+
+def test_class_lattice_counts_the_arrow_subsets():
+    # each arrow subset sits at the state of its count vector, which holds
+    # its Betti and component numbers, and each state holds weight subsets
+    for Q in connected_quiver_corpus(4, 6):
+        lattice = _class_lattice(Q)
+        b_of, comps = symbolic_reference.subset_tables(Q)
+        hits = Counter()
+        for mask in range(1 << Q.num_arrows):
+            m = Counter(tuple(sorted(arrow)) for a, arrow in enumerate(Q.arrows) if mask >> a & 1)
+            state = support = 0
+            for c, (pair, k) in enumerate(lattice.classes):
+                state = state * (k + 1) + m[pair]
+                support |= (m[pair] > 0) << c
+            assert lattice.betti[state] == b_of[mask]
+            assert lattice.connected[state] == (comps[mask] == 1)
+            assert lattice.components[support] == comps[mask]
+            hits[state] += 1
+        assert [hits[state] for state in range(len(lattice.weight))] == list(lattice.weight)
