@@ -42,7 +42,7 @@ from .errors import (CapExceeded, CharacteristicTooSmall, DimensionMismatch,
                      InvalidType, NonGenericLambda, UnsupportedParameter)
 from .localring import (Fq, OMatrix, ORing, _mul_batch, gl_order, kernel_size_exponent,
                         smith_invariants_batch)
-from .quiver import Quiver, _class_lattice, _union_find, jordan_quiver
+from .quiver import Quiver, _parallel_classes, _subset_tables, _union_find, jordan_quiver
 
 
 @dataclass(frozen=True)
@@ -238,12 +238,11 @@ def count_absolutely_indecomposable(Q: Quiver, alpha: int, r, q: int,
         P = Quiver(Q.vertices, [(s, t) for s, t in Q.arrows if s != t])
         reps, _ = _orbit_labels(P, ring, r, with_sizes=False)
         size, n_arrows = q ** alpha, P.num_arrows
-        lattice = _class_lattice(P)
-        bit = {pair: c for c, (pair, _) in enumerate(lattice.classes)}
+        bit = {pair: c for c, (pair, _) in enumerate(_parallel_classes(P))}
         support = np.zeros(len(reps), dtype=np.int64)  # bit c: x_a != 0 on some a in class c
         for a, arrow in enumerate(P.arrows):
             support |= (reps // size ** (n_arrows - 1 - a) % size != 0) << bit[tuple(sorted(arrow))]
-        connected = np.array(lattice.components) == 1
+        connected = np.array(_subset_tables(P.num_vertices, tuple(bit))) == 1
         return size ** (Q.num_arrows - n_arrows) * int(connected[support].sum())
     return sum(1 for rec in enumerate_orbits(Q, alpha, r, q, caps)
                if rec.absolutely_indecomposable)
@@ -835,7 +834,7 @@ def moment_fiber_count(Q: Quiver, alpha: int, r, q: int, lam=None,
         # their least valuation m plus k - 1 zero columns.  So sum over the
         # valuation patterns of the simple graph, an edge standing for the
         # N_k(m) k-tuples of least valuation m; each loop adds q^(2 alpha).
-        classes = {pair: k for pair, k in _class_lattice(Q).classes if pair[0] != pair[1]}
+        classes = {pair: k for pair, k in _parallel_classes(Q) if pair[0] != pair[1]}
         simple = Quiver(Q.vertices, list(classes))
         loops = Q.num_arrows - sum(classes.values())
         # N_k(m) = #{all valuations >= m} - #{all >= m + 1}

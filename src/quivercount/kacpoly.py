@@ -8,9 +8,8 @@ all-class and absolutely-indecomposable counts through the plethystic
 exponential, zero-fiber counts of the moment map in rank all-one, the
 alpha -> infinity limits and their Hilbert-series form, and the expansion
 of local zeta functions into fiber counts.  The chain sum, the limits and
-the Hilbert series run on the class lattice (quiver.ClassLattice), of
-prod_c (k_c + 1) states for parallel classes of k_c arrows; the last two
-walk its prod_c (k_c+1)(k_c+2)/2 state pairs, at most MAX_LATTICE_PAIRS.
+the Hilbert series run on the prod_c (k_c + 1) states of the class lattice
+(quiver.ClassLattice); the last two walk at most MAX_LATTICE_PAIRS pairs.
 """
 
 from __future__ import annotations
@@ -25,9 +24,9 @@ from .closedforms import kronecker_Z
 from .errors import CapExceeded, Not2Connected, NotConnected, UnsupportedParameter
 from .localring import gl_order
 from .qpolynomial import QPolynomial, RationalFunction, _long_division, rf_sum
-from .quiver import (Quiver, _class_lattice, euler_form, is_2_connected,
-                     is_connected, kronecker_quiver, restrict_vertices,
-                     set_partitions, spanning_trees, tree_path)
+from .quiver import (Quiver, _class_lattice, _parallel_classes, euler_form,
+                     is_2_connected, is_connected, kronecker_quiver,
+                     restrict_vertices, set_partitions, spanning_trees, tree_path)
 from .series import TruncatedSeries, plethystic_exp, plethystic_log
 
 _q = QPolynomial.q
@@ -67,7 +66,7 @@ def toric_kac_wyss(Q: Quiver, alpha: int) -> QPolynomial:
     for _ in range(alpha):
         g = [x << w * b for x, b in zip(g, lattice.betti)]
         stride = len(g)
-        for _, k in lattice.classes:
+        for _, k in _parallel_classes(Q):
             span, stride = stride, stride // (k + 1)
             # f[n] -> sum_j C(n, j) f[j] along the class axis as k passes f[n] += f[n-1]
             # over n >= i (Pascal's matrix is their product): a subset sum when k = 1
@@ -320,7 +319,7 @@ def _lattice_supersets(Q: Quiver):
     """Per class-lattice state m, the pairs (m', mu) over m' > m in rising
     order, mu = prod_c C(k_c - m_c, m'_c - m_c) the subsets with counts m'
     above one with counts m: prod_c (k_c+1)(k_c+2)/2 <= 3^E pairs m <= m'."""
-    sizes = [k for _, k in _class_lattice(Q).classes]
+    sizes = [k for _, k in _parallel_classes(Q)]
     pairs = prod((k + 1) * (k + 2) // 2 for k in sizes)
     if pairs > MAX_LATTICE_PAIRS:
         raise CapExceeded(f"lattice sums capped at {MAX_LATTICE_PAIRS} state pairs; "
@@ -351,10 +350,9 @@ def limit_A(Q: Quiver) -> RationalFunction:
     prod_c C(k_c - m_c, m'_c - m_c) h(m') sums the chains of subsets up."""
     if not is_2_connected(Q):
         raise Not2Connected("the limit exists only for 2-connected quivers")
-    lattice, ups = _class_lattice(Q), _lattice_supersets(Q)
-    b = lattice.betti[-1]
+    ups, lattice = _lattice_supersets(Q), _class_lattice(Q)  # the cap before the lattice
+    b, h = lattice.betti[-1], [RationalFunction.one()] * len(ups)
     weight = _gap_weights(b)
-    h = [RationalFunction.one()] * len(ups)
     for m in range(len(ups) - 2, -1, -1):
         h[m] = weight[b - lattice.betti[m]] * _multiset_sum(h, ups[m])
     total = _multiset_sum(h, enumerate(lattice.weight))
@@ -380,7 +378,7 @@ def order_complex_hilbert(Q: Quiver) -> RationalFunction:
     G(m) = z(m)(1 + sum over m < m' < k of prod_c C(k_c - m_c, m'_c - m_c) G(m'))."""
     if not is_2_connected(Q):
         raise Not2Connected("needs a 2-connected quiver")
-    lattice, ups = _class_lattice(Q), _lattice_supersets(Q)
+    ups, lattice = _lattice_supersets(Q), _class_lattice(Q)  # the cap before the lattice
     b, top, one = lattice.betti[-1], len(ups) - 1, RationalFunction.one()
     z = _gap_weights(b)
     G = [one] * len(ups)

@@ -178,38 +178,41 @@ def betti(Q: Quiver) -> int:
     return connected_components(Q) - Q.num_vertices + Q.num_arrows
 
 
+@functools.lru_cache(maxsize=64)
+def _parallel_classes(Q: Quiver) -> tuple:
+    """((s, t), k_c) by endpoint pair s <= t: the k_c arrows with the same two
+    ends either way round, or the loops at a vertex, form a parallel class."""
+    return tuple(sorted(Counter(tuple(sorted(arrow)) for arrow in Q.arrows).items()))
+
+
 @dataclass(frozen=True)
 class ClassLattice:
-    """Arrow subsets by their count vectors m over the parallel classes (the
-    arrows with the same two ends either way round, or the loops at a
-    vertex): b(m) = |m| - n + c(supp m).  The states m <= k run in mixed
-    radix (k_c + 1), the last class fastest, so m' >= m comes no earlier."""
-    classes: tuple     # ((s, t), k_c) with s <= t, by endpoint pair
+    """Arrow subsets by their count vectors m over the parallel classes
+    (_parallel_classes): b(m) = |m| - n + c(supp m).  The states m <= k run in
+    mixed radix (k_c + 1), the last class fastest, so m' >= m comes no earlier."""
     betti: tuple       # b(m), by state
     weight: tuple      # prod_c C(k_c, m_c): the subsets with counts m, by state
     connected: tuple   # c(supp m) == 1, by state
-    components: tuple  # c(S) for each set S of classes, by bitmask, bit c for class c
 
 
 @functools.lru_cache(maxsize=64)
 def _class_lattice(Q: Quiver) -> ClassLattice:
     """The ClassLattice of Q, from 2^C union-finds for its C classes."""
-    n = Q.num_vertices
-    classes = tuple(sorted(Counter(tuple(sorted(arrow)) for arrow in Q.arrows).items()))
+    n, classes = Q.num_vertices, _parallel_classes(Q)
     components = _subset_tables(n, tuple(pair for pair, _ in classes))
     sizes, support, weight = [0], [0], [1]  # |m|, supp m and weight, class by class
     for c, (_, k) in enumerate(classes):
         sizes = [x + j for x in sizes for j in range(k + 1)]
         support = [x | (j > 0) << c for x in support for j in range(k + 1)]
         weight = [x * comb(k, j) for x in weight for j in range(k + 1)]
-    betti = tuple(size - n + components[s] for size, s in zip(sizes, support))
-    connected = tuple(components[s] == 1 for s in support)
-    return ClassLattice(classes, betti, tuple(weight), connected, components)
+    return ClassLattice(tuple(size - n + components[s] for size, s in zip(sizes, support)),
+                        tuple(weight), tuple(components[s] == 1 for s in support))
 
 
+@functools.lru_cache(maxsize=64)
 def _subset_tables(n: int, arrows: tuple):
     """Component counts of the graph on n vertices with each subset of the
-    arrows, a bitmask-indexed tuple."""
+    arrows, by bitmask; the lattice and census of a loop-free quiver share them."""
     return tuple(n - len(_union_find(n, [e for a, e in enumerate(arrows) if mask >> a & 1])[1])
                  for mask in range(1 << len(arrows)))
 

@@ -88,7 +88,7 @@ class TestCommands:
 
     def test_limits_past_ten_arrows(self, tmp_path):
         # the 12-Kronecker quiver has 91 lattice state pairs; the 11-cycle
-        # needs 3^11, past the cap
+        # needs 3^11, past the cap, and the 40-cycle 3^40
         kronecker = tmp_path / "k12.json"
         kronecker_quiver(12).save(kronecker)
         code, out, _ = run_cli(["limits", "--quiver", str(kronecker)])
@@ -99,6 +99,12 @@ class TestCommands:
         cyclic_quiver(11).save(cycle)
         code, out, err = run_cli(["limits", "--quiver", str(cycle)])
         assert code == 3 and out == "" and "needs 177147" in err
+        # the 40-cycle is refused from its class sizes, as fast as the 11-cycle
+        cycle = tmp_path / "c40.json"
+        cyclic_quiver(40).save(cycle)
+        for command in ("limits", "hilbert"):
+            code, out, err = run_cli([command, "--quiver", str(cycle)])
+            assert code == 3 and out == "" and f"needs {3 ** 40}" in err
 
     def test_kronecker_with_pipeline(self):
         code, out, _ = run_cli(["kac-kronecker", "--r", "3", "--alpha", "1",

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from quivercount import kacpoly, quiver
 from quivercount.bruteforce import (count_absolutely_indecomposable,
                                     count_iso_classes, jet_counts,
                                     moment_fiber_count)
@@ -216,6 +217,17 @@ class TestLimits:
             with pytest.raises(CapExceeded,
                                match="capped at 59049 state pairs; this quiver needs 177147"):
                 fn(Q)
+
+    def test_cap_comes_before_the_lattice(self, monkeypatch):
+        # the 40-cycle needs 3^40 pairs; the sums refuse it from the class
+        # sizes alone, before any union-find over its 2^40 class sets
+        def unreachable(*args):
+            raise AssertionError("lattice built past the cap")
+        monkeypatch.setattr(kacpoly, "_class_lattice", unreachable)
+        monkeypatch.setattr(quiver, "_subset_tables", unreachable)
+        for fn in (limit_A, order_complex_hilbert):
+            with pytest.raises(CapExceeded, match=f"this quiver needs {3 ** 40}"):
+                fn(cyclic_quiver(40))
 
     @pytest.mark.parametrize("r", range(11, 21))
     def test_kronecker_limit_is_the_stable_count(self, r):

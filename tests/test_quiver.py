@@ -9,8 +9,8 @@ import symbolic_reference
 
 from quivercount.errors import (ContractLoop, DimensionMismatch,
                                 ReflectionAtImaginaryVertex)
-from quivercount.quiver import (Quiver, SemisimpleType, _class_lattice,
-                                a2_quiver, aux_quiver,
+from quivercount.quiver import (Quiver, SemisimpleType, _class_lattice, _parallel_classes,
+                                _subset_tables, a2_quiver, aux_quiver,
                                 betti, connected_components, connected_quiver_corpus,
                                 contract, cyclic_quiver, delete, euler_form,
                                 euler_form_sym,
@@ -288,19 +288,21 @@ def test_cached_subset_tables_equal_fresh_ones():
 
 def test_class_lattice_counts_the_arrow_subsets():
     # each arrow subset sits at the state of its count vector, which holds
-    # its Betti and component numbers, and each state holds weight subsets
+    # its Betti and component numbers, and each state holds weight subsets;
+    # the component table over one arrow per class reads the support's
     for Q in connected_quiver_corpus(4, 6):
-        lattice = _class_lattice(Q)
+        lattice, classes = _class_lattice(Q), _parallel_classes(Q)
+        by_support = _subset_tables(Q.num_vertices, tuple(pair for pair, _ in classes))
         b_of, comps = symbolic_reference.subset_tables(Q)
         hits = Counter()
         for mask in range(1 << Q.num_arrows):
             m = Counter(tuple(sorted(arrow)) for a, arrow in enumerate(Q.arrows) if mask >> a & 1)
             state = support = 0
-            for c, (pair, k) in enumerate(lattice.classes):
+            for c, (pair, k) in enumerate(classes):
                 state = state * (k + 1) + m[pair]
                 support |= (m[pair] > 0) << c
             assert lattice.betti[state] == b_of[mask]
             assert lattice.connected[state] == (comps[mask] == 1)
-            assert lattice.components[support] == comps[mask]
+            assert by_support[support] == comps[mask]
             hits[state] += 1
         assert [hits[state] for state in range(len(lattice.weight))] == list(lattice.weight)
