@@ -18,19 +18,17 @@ from .hall import (HallFunction, all_orbit_labels, bracket, hall_coproduct,
                    hall_product, primitive_space_dim, structure_constants)
 from .kacpoly import (gloop_kac_rank2, gloop_kac_rank3, gloop_rank2_recurrence,
                       gloop_rank3_recurrence, kronecker_kac_via_zeta, limit_A,
-                      limit_B, limits, m_to_a, a_to_m, order_complex_hilbert,
-                      poincare_from_zeta, poincare_symbolic, rank1_fiber_count,
-                      toric_kac_trees, toric_kac_wyss)
+                      limit_B, limits, m_to_a, order_complex_hilbert,
+                      poincare_symbolic, rank1_fiber_count, toric_kac_trees,
+                      toric_kac_wyss)
 from .localring import (Fq, OMatrix, ORing, gl_order, kernel_size_exponent,
                         smith_invariants, smith_normal_form)
 from .qpolynomial import QPolynomial, RationalFunction
-from .quiver import (Quiver, SemisimpleType, a2_quiver, aux_quiver, betti,
-                     connected_components, connected_quiver_corpus, contract,
-                     cyclic_quiver, delete, euler_form, euler_form_sym,
-                     fundamental_set_member, has_property_p, is_2_connected,
-                     is_connected, jordan_quiver, kronecker_quiver,
-                     loop_quiver, restrict_arrows, restrict_vertices,
-                     set_partitions, simple_reflection, spanning_trees)
+from .quiver import (Quiver, a2_quiver, betti, connected_components,
+                     connected_quiver_corpus, cyclic_quiver, euler_form,
+                     is_2_connected, is_connected, jordan_quiver,
+                     kronecker_quiver, loop_quiver, restrict_vertices,
+                     set_partitions, spanning_trees)
 from .series import (TruncatedSeries, VolumeSequence, plethystic_exp,
                      plethystic_log)
 

@@ -128,7 +128,7 @@ def cmd_kac_kronecker(args) -> int:
 
 def cmd_fiber_count(args) -> int:
     Q = _load_quiver(args.quiver)
-    rank = _parse_ints(args.rank) if args.rank else (1,) * Q.num_vertices
+    rank = _parse_ints(args.rank) if args.rank is not None else (1,) * Q.num_vertices
     if args.symbolic:
         if len(rank) != Q.num_vertices:
             raise DimensionMismatch(
@@ -149,7 +149,7 @@ def cmd_fiber_count(args) -> int:
 
 def cmd_jet_series(args) -> int:
     Q = _load_quiver(args.quiver)
-    rank = _parse_ints(args.rank) if args.rank else (1,) * Q.num_vertices
+    rank = _parse_ints(args.rank) if args.rank is not None else (1,) * Q.num_vertices
     counts = bruteforce.jet_counts(Q, rank, args.q, args.n_max, _caps(args))
     text = " ".join(str(c) for c in counts)
     _emit(args, text, {"q": args.q, "rank": list(rank), "counts": counts})

@@ -25,10 +25,6 @@ class DimensionMismatch(QuivercountError):
     pass
 
 
-class ContractLoop(QuivercountError):
-    pass
-
-
 class NotConnected(QuivercountError):
     pass
 
@@ -38,10 +34,6 @@ class Not2Connected(QuivercountError):
 
 
 class InvalidType(QuivercountError):
-    pass
-
-
-class ReflectionAtImaginaryVertex(QuivercountError):
     pass
 
 

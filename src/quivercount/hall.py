@@ -88,10 +88,6 @@ class HallFunction:
         return HallFunction(rank, alpha, {tuple(label): Fraction(1)})
 
     @staticmethod
-    def unit(alpha) -> "HallFunction":
-        return HallFunction((0, 0), alpha, {(0,) * alpha: Fraction(1)})
-
-    @staticmethod
     def constant(rank, alpha, value=1) -> "HallFunction":
         return HallFunction(rank, alpha,
                             {lab: Fraction(value) for lab in all_orbit_labels(rank, alpha)})
@@ -293,24 +289,6 @@ def hall_coproduct(f: HallFunction):
                     out.append((HallFunction.indicator(left_rank, alpha, lab1),
                                 HallFunction(right_rank, alpha, right_vals)))
     return out
-
-
-def is_primitive(f: HallFunction) -> bool:
-    """Delta(f) = f x 1 + 1 x f, i.e. support on indecomposable orbits."""
-    alpha = f.alpha
-    unit_label = (0,) * alpha
-    for left, right in hall_coproduct(f):
-        lr, rr = left.rank, right.rank
-        if lr == (0, 0):
-            if right.values != f.values or rr != f.rank:
-                return False
-        elif rr == (0, 0):
-            lab = next(iter(left.values))
-            if right.value(unit_label) != f.value(lab):
-                return False
-        else:
-            return False
-    return True
 
 
 def primitive_space_dim(rank, alpha: int) -> int:

@@ -27,7 +27,7 @@ from .qpolynomial import QPolynomial, RationalFunction, _long_division, rf_sum
 from .quiver import (Quiver, _class_lattice, _parallel_classes, euler_form,
                      is_2_connected, is_connected, kronecker_quiver,
                      restrict_vertices, set_partitions, spanning_trees, tree_path)
-from .series import TruncatedSeries, plethystic_exp, plethystic_log
+from .series import TruncatedSeries, plethystic_log
 
 _q = QPolynomial.q
 
@@ -273,10 +273,6 @@ def m_to_a(m_series: TruncatedSeries) -> TruncatedSeries:
     return plethystic_log(m_series)
 
 
-def a_to_m(a_series: TruncatedSeries) -> TruncatedSeries:
-    return plethystic_exp(a_series)
-
-
 # -- rank-one fiber counts -----------------------------------------------------
 
 def rank1_fiber_count(Q: Quiver, alpha: int) -> RationalFunction:
@@ -411,24 +407,6 @@ def poincare_symbolic(z_num, z_den, ambient_dim: int, n_max: int):
     lists (see _fiber_counts); z_den[0] must be nonzero."""
     z = _long_division(dict(enumerate(z_num)), dict(enumerate(z_den)), n_max - 1)
     return _fiber_counts(z, RationalFunction.q(ambient_dim))
-
-
-def poincare_from_zeta(Z: RationalFunction, q0, ambient_dim: int, n_max: int):
-    """Numeric fiber counts [N_1, ..., N_n] from a zeta function already
-    evaluated at q0 (see _fiber_counts), as Fractions.
-
-    Z is a rational function in the variable T and must be regular at T = 0,
-    as every zeta function of the package is.
-    """
-    z = Z.taylor_coefficients(n_max - 1)
-    return _fiber_counts(z, Fraction(q0) ** ambient_dim)
-
-
-def zeta_fixed_q(z_num, z_den, q0) -> RationalFunction:
-    """Specialize a symbolic zeta function at q = q0, leaving T formal."""
-    num = QPolynomial({k: c.evaluate(q0) for k, c in enumerate(z_num)})
-    den = QPolynomial({k: c.evaluate(q0) for k, c in enumerate(z_den)})
-    return RationalFunction(num, den)
 
 
 # -- the Kronecker pipeline ------------------------------------------------------------

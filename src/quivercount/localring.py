@@ -277,9 +277,6 @@ class ORing:
                 return i
         return self.alpha
 
-    def is_unit(self, a) -> bool:
-        return a[0] != 0
-
     def inv(self, a):
         """Inverse of a unit; a non-unit raises ZeroDivisionError."""
         return self.inv_table[a]
@@ -328,15 +325,6 @@ class OMatrix:
     @staticmethod
     def zero(ring: ORing, rows: int, cols: int) -> "OMatrix":
         return OMatrix(ring, [[ring.zero] * cols for _ in range(rows)])
-
-    @staticmethod
-    def identity(ring: ORing, n: int) -> "OMatrix":
-        return OMatrix(ring, [[ring.one if i == j else ring.zero for j in range(n)]
-                              for i in range(n)])
-
-    @staticmethod
-    def from_ints(ring: ORing, rows) -> "OMatrix":
-        return OMatrix(ring, [[ring.from_int(x) for x in row] for row in rows])
 
     def __eq__(self, other):
         if not isinstance(other, OMatrix):

@@ -63,8 +63,6 @@ from math import gcd as int_gcd, lcm as int_lcm
 
 from .errors import PoleAtEvaluationPoint
 
-Rat = Fraction
-
 
 def _coeff(c):
     """An exact coefficient: an int when the value is integral, else a Fraction."""

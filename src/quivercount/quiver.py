@@ -1,13 +1,15 @@
 """Quivers and their combinatorics.
 
-A quiver is a finite directed multigraph: vertex labels and a totally
-ordered arrow list (list position is the order, which the
-contraction-deletion count depends on).  Loops and parallel arrows are
-allowed everywhere.  Every count takes the multiplicity alpha of O_alpha
-as an argument, the same at every vertex, so a quiver carries none.
+A quiver is a finite directed multigraph: vertex labels and an arrow
+list.  List positions are the arrow indices that spanning trees, tree paths
+and the maps of a representation refer to, so the JSON form keeps the
+order.  Loops and parallel arrows are allowed everywhere.  Every count
+takes the multiplicity alpha of O_alpha as an argument, the same at every
+vertex, so a quiver carries none.
 
-The JSON form is {"vertices": [...], "arrows": [{"src": i, "dst": j}, ...]}.
-Files written with a "multiplicities" key still load; the key is ignored.
+The JSON form is {"vertices": [...], "arrows": [{"src": i, "dst": j}, ...]},
+with integer endpoints.  Files written with a "multiplicities" key still
+load; the key is ignored.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
 
-from .errors import (ContractLoop, DimensionMismatch, InvalidType,
-                     NotConnected, ReflectionAtImaginaryVertex)
+from .errors import DimensionMismatch, NotConnected
 
 
 class Quiver:
@@ -48,13 +49,6 @@ class Quiver:
         s, t = self.arrows[a]
         return s == t
 
-    def loops_at(self, i: int) -> int:
-        return sum(1 for s, t in self.arrows if s == t == i)
-
-    def arrows_between(self, i: int, j: int) -> int:
-        """Arrows joining i and j in either direction (i != j)."""
-        return sum(1 for s, t in self.arrows if {s, t} == {i, j})
-
     def __eq__(self, other):
         if not isinstance(other, Quiver):
             return NotImplemented
@@ -76,7 +70,13 @@ class Quiver:
 
     @staticmethod
     def from_json(data: dict) -> "Quiver":
+        if not isinstance(data["vertices"], list):
+            raise ValueError(f"vertices must be a list, got {data['vertices']!r}")
         arrows = [(a["src"], a["dst"]) for a in data["arrows"]]
+        for k, ends in enumerate(arrows):
+            # bool is a subclass of int, and JSON true is no vertex index
+            if any(type(v) is not int for v in ends):
+                raise ValueError(f"arrow {k} {ends!r}: endpoints must be integers")
         return Quiver(data["vertices"], arrows)
 
     @staticmethod
@@ -124,10 +124,6 @@ def euler_form(Q: Quiver, d, e) -> int:
     for s, t in Q.arrows:
         total -= d[s] * e[t]
     return total
-
-
-def euler_form_sym(Q: Quiver, d, e) -> int:
-    return euler_form(Q, d, e) + euler_form(Q, e, d)
 
 
 # -- graph invariants -------------------------------------------------------
@@ -232,7 +228,7 @@ def is_2_connected(Q: Quiver) -> bool:
                for a in forest)
 
 
-# -- subquivers and edge operations ----------------------------------------
+# -- subquivers -------------------------------------------------------------
 
 def restrict_vertices(Q: Quiver, I) -> Quiver:
     """Full subquiver on the vertex subset I (original order kept)."""
@@ -240,41 +236,6 @@ def restrict_vertices(Q: Quiver, I) -> Quiver:
     index = {v: k for k, v in enumerate(I)}
     arrows = [(index[s], index[t]) for s, t in Q.arrows if s in index and t in index]
     return Quiver([Q.vertices[i] for i in I], arrows)
-
-
-def restrict_arrows(Q: Quiver, J) -> Quiver:
-    """Subquiver with all vertices and only the arrows in J (order kept)."""
-    J = set(int(j) for j in J)
-    arrows = [Q.arrows[a] for a in range(Q.num_arrows) if a in J]
-    return Quiver(Q.vertices, arrows)
-
-
-def contract(Q: Quiver, a: int) -> Quiver:
-    """Contract the non-loop arrow a, merging its endpoints.
-
-    The surviving arrows keep their relative order; parallel arrows to the
-    contracted one become loops at the merged vertex.
-    """
-    s, t = Q.arrows[a]
-    if s == t:
-        raise ContractLoop(f"arrow {a} is a loop")
-    lo, hi = min(s, t), max(s, t)
-
-    def new_index(v):
-        if v == hi:
-            return lo
-        return v - 1 if v > hi else v
-
-    vertices = [f"{Q.vertices[lo]}~{Q.vertices[hi]}" if v == lo else Q.vertices[v]
-                for v in range(Q.num_vertices) if v != hi]
-    arrows = [(new_index(x), new_index(y))
-              for k, (x, y) in enumerate(Q.arrows) if k != a]
-    return Quiver(vertices, arrows)
-
-
-def delete(Q: Quiver, a: int) -> Quiver:
-    arrows = [arr for k, arr in enumerate(Q.arrows) if k != a]
-    return Quiver(Q.vertices, arrows)
 
 
 # -- spanning trees ---------------------------------------------------------
@@ -343,119 +304,6 @@ def set_partitions(items):
         for k in range(len(sub)):
             yield tuple((first,) + sub[i] if i == k else sub[i]
                         for i in range(len(sub)))
-
-
-# -- property (P) and auxiliary quivers -------------------------------------
-
-def is_totally_negative(Q: Quiver) -> bool:
-    """(d,e) < 0 for all nonzero nonnegative d, e: at least two loops per
-    vertex and every vertex pair joined by an arrow."""
-    for i in range(Q.num_vertices):
-        if Q.loops_at(i) < 2:
-            return False
-    for i in range(Q.num_vertices):
-        for j in range(i + 1, Q.num_vertices):
-            if Q.arrows_between(i, j) == 0:
-                return False
-    return True
-
-
-def has_property_p(Q: Quiver, d) -> bool:
-    """Total negativity plus the support exclusion: a two-vertex support
-    joined by a single edge may not carry rank (1,1)."""
-    if len(d) != Q.num_vertices:
-        raise DimensionMismatch("rank vector length must equal vertex count")
-    if any(x < 0 for x in d) or all(x == 0 for x in d):
-        return False
-    if not is_totally_negative(Q):
-        return False
-    support = [i for i in range(Q.num_vertices) if d[i] > 0]
-    if len(support) == 2:
-        i, j = support
-        if Q.arrows_between(i, j) == 1 and d[i] == d[j] == 1:
-            return False
-    return True
-
-
-class SemisimpleType:
-    """Multiset of (rank vector, multiplicity) pairs describing a semisimple
-    module; distinct simple summands may share a rank vector, so no
-    distinctness is imposed on the parts."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        self.parts = tuple((tuple(int(x) for x in d), int(e)) for d, e in parts)
-        for d, e in self.parts:
-            if e < 1:
-                raise InvalidType("part multiplicities must be >= 1")
-            if any(x < 0 for x in d) or all(x == 0 for x in d):
-                raise InvalidType("part rank vectors must be nonzero and nonnegative")
-
-    def __repr__(self):
-        return f"SemisimpleType({list(self.parts)!r})"
-
-
-def aux_quiver(Q: Quiver, tau: SemisimpleType) -> Quiver:
-    """Quiver governing the local structure at a semisimple point of type tau.
-
-    Its double carries 2(1 - <d_i,d_i>) loops at vertex i and -(d_i,d_j)
-    arrows between distinct vertices, so the quiver itself gets half of
-    each; non-loop arrows are oriented from the lower part index to the
-    higher one.
-    """
-    r = len(tau.parts)
-    for d, _ in tau.parts:
-        if len(d) != Q.num_vertices:
-            raise InvalidType("part rank vectors must match the quiver")
-    arrows = []
-    for i, (di, _) in enumerate(tau.parts):
-        n_loops = 1 - euler_form(Q, di, di)
-        if n_loops < 0:
-            raise InvalidType(f"part {i} has positive self-pairing")
-        arrows.extend([(i, i)] * n_loops)
-    for i in range(r):
-        for j in range(i + 1, r):
-            di, dj = tau.parts[i][0], tau.parts[j][0]
-            n_arr = -euler_form_sym(Q, di, dj)
-            if n_arr < 0:
-                raise InvalidType(f"parts {i},{j} have positive pairing")
-            arrows.extend([(i, j)] * n_arr)
-    return Quiver([f"t{i + 1}" for i in range(r)], arrows)
-
-
-# -- fundamental set and reflections ----------------------------------------
-
-def fundamental_set_member(Q: Quiver, d) -> bool:
-    """d nonzero, (d, eps_i) <= 0 at every vertex, connected support."""
-    n = Q.num_vertices
-    if len(d) != n:
-        raise DimensionMismatch("rank vector length must equal vertex count")
-    if any(x < 0 for x in d) or all(x == 0 for x in d):
-        return False
-    eps = [0] * n
-    for i in range(n):
-        eps[i] = 1
-        if euler_form_sym(Q, d, eps) > 0:
-            return False
-        eps[i] = 0
-    support = [i for i in range(n) if d[i] > 0]
-    return is_connected(restrict_vertices(Q, support))
-
-
-def simple_reflection(Q: Quiver, i: int, d):
-    """r_i(d) = d - (d, eps_i) eps_i; only at loop-free vertices."""
-    n = Q.num_vertices
-    if len(d) != n:
-        raise DimensionMismatch("rank vector length must equal vertex count")
-    if Q.loops_at(i) > 0:
-        raise ReflectionAtImaginaryVertex(f"vertex {i} carries a loop")
-    eps = [0] * n
-    eps[i] = 1
-    pairing = euler_form_sym(Q, d, eps)
-    out = list(d)
-    out[i] -= pairing
-    return tuple(out)
 
 
 # -- corpus of small connected quivers --------------------------------------

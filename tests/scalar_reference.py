@@ -299,7 +299,7 @@ def ask_counts(theta_basis, q, n_max):
     out = []
     for n in range(1, n_max + 1):
         ring = ORing(q, n)
-        basis = [OMatrix.from_ints(ring, b) for b in theta_basis]
+        basis = [OMatrix(ring, [[ring.from_int(x) for x in row] for row in b]) for b in theta_basis]
         total = 0
         for coeffs in product(ring.elements(), repeat=len(basis)):
             acc = OMatrix.zero(ring, rows, cols)

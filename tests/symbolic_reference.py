@@ -16,11 +16,18 @@ components of what is left.
 recurrence matrix.
 ``kronecker_A_monomials`` builds the rank-(1,2) Kronecker count with its
 tent listed monomial by monomial, some alpha^2 of them.
+``restrict_arrows``, ``delete`` and ``contract`` are the arrow operations
+the oracles and the deletion-contraction law of spanning trees use; no count
+of the package needs them.
 ``subset_tables`` gives the Betti number and component count of each arrow
 subset.  ``limit_A_subsets`` and ``hilbert_subsets`` are the chain and face sums of
 ``limit_A`` and ``order_complex_hilbert`` over all 3^E pairs of arrow
 masks, one state per subset rather than per count vector of the parallel
 classes.
+``zeta_fixed_q`` and ``poincare_from_zeta`` are the numeric route from a
+zeta function to fiber counts: the zeta function evaluated at one q, then
+expanded in T with Fraction coefficients, against which
+``kacpoly.poincare_symbolic`` is checked.
 """
 
 import functools
@@ -30,10 +37,9 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 from math import gcd
 
-from quivercount.kacpoly import _rank3_matrix
+from quivercount.kacpoly import _fiber_counts, _rank3_matrix
 from quivercount.qpolynomial import QPolynomial, RationalFunction, rf_sum
-from quivercount.quiver import (Quiver, betti, connected_components, delete,
-                                is_connected, restrict_arrows)
+from quivercount.quiver import Quiver, betti, connected_components, is_connected
 
 
 def _clean(d):
@@ -98,6 +104,39 @@ def reduce_euclid(num, den):
         scale = -scale
     return ({e: c * scale for e, c in num.items()},
             {e: c * scale for e, c in den.items()})
+
+
+def restrict_arrows(Q, J):
+    """Subquiver with all vertices and only the arrows in J (order kept)."""
+    J = set(int(j) for j in J)
+    return Quiver(Q.vertices, [Q.arrows[a] for a in range(Q.num_arrows) if a in J])
+
+
+def delete(Q, a):
+    return Quiver(Q.vertices, [arr for k, arr in enumerate(Q.arrows) if k != a])
+
+
+def contract(Q, a):
+    """Contract the non-loop arrow a, merging its endpoints.
+
+    The surviving arrows keep their relative order; parallel arrows to the
+    contracted one become loops at the merged vertex.
+    """
+    s, t = Q.arrows[a]
+    if s == t:
+        raise ValueError(f"arrow {a} is a loop")
+    lo, hi = min(s, t), max(s, t)
+
+    def new_index(v):
+        if v == hi:
+            return lo
+        return v - 1 if v > hi else v
+
+    vertices = [f"{Q.vertices[lo]}~{Q.vertices[hi]}" if v == lo else Q.vertices[v]
+                for v in range(Q.num_vertices) if v != hi]
+    arrows = [(new_index(x), new_index(y))
+              for k, (x, y) in enumerate(Q.arrows) if k != a]
+    return Quiver(vertices, arrows)
 
 
 @functools.cache
@@ -247,3 +286,21 @@ def hilbert_subsets(Q):
                 (G[sup] for sup in _proper_supersets(mask, E) if sup != full),
                 RationalFunction.one())
     return rf_sum(G.values(), RationalFunction.one())
+
+
+def zeta_fixed_q(z_num, z_den, q0):
+    """Specialize a symbolic zeta function at q = q0, leaving T formal."""
+    num = QPolynomial({k: c.evaluate(q0) for k, c in enumerate(z_num)})
+    den = QPolynomial({k: c.evaluate(q0) for k, c in enumerate(z_den)})
+    return RationalFunction(num, den)
+
+
+def poincare_from_zeta(Z, q0, ambient_dim, n_max):
+    """Numeric fiber counts [N_1, ..., N_n] from a zeta function already
+    evaluated at q0 (see kacpoly._fiber_counts), as Fractions.
+
+    Z is a rational function in the variable T and must be regular at T = 0,
+    as every zeta function of the package is.
+    """
+    z = Z.taylor_coefficients(n_max - 1)
+    return _fiber_counts(z, Fraction(q0) ** ambient_dim)

@@ -206,6 +206,21 @@ class TestErrorPaths:
         code, _, err = run_cli(["kac", "--quiver", str(bad), "--alpha", "1"])
         assert code == 2 and "cannot read quiver" in err
 
+    @pytest.mark.parametrize("data,message", [
+        ({"vertices": ["1", "2"], "arrows": [{"src": 0.5, "dst": 1}]}, "arrow 0 (0.5, 1)"),
+        ({"vertices": ["1", "2"], "arrows": [{"src": 0, "dst": 1}, {"src": "0", "dst": 1}]},
+         "arrow 1 ('0', 1)"),
+        ({"vertices": ["1", "2"], "arrows": [{"src": 0, "dst": True}]}, "arrow 0 (0, True)"),
+        ({"vertices": "12", "arrows": [{"src": 0, "dst": 1}]}, "vertices must be a list"),
+    ], ids=["float", "string", "bool", "vertices"])
+    def test_quiver_file_types(self, tmp_path, data, message):
+        # int() would read 0.5 and "0" as vertex 0, and true as vertex 1
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(["kac", "--quiver", str(path), "--alpha", "2"])
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert "cannot read quiver file" in err and message in err
+
     def test_disconnected_kac(self, tmp_path):
         path = tmp_path / "disc.json"
         path.write_text(json.dumps({"vertices": ["1", "2"], "arrows": []}))
@@ -263,11 +278,19 @@ class TestErrorPaths:
         (["--alpha", "1", "--symbolic", "--rank", "1"], "2 entries"),
         (["--alpha", "1", "--q", "5", "--rank", "1,a"], "comma-separated list of integers"),
         (["--alpha", "1", "--q", "5", "--rank=-1,1"], "rank entries must be >= 0"),
+        (["--alpha", "1", "--q", "2", "--rank", ""], "comma-separated list of integers"),
     ])
     def test_malformed_fiber_input(self, a2_file, args, message):
         code, out, err = run_cli(["fiber-count", "--quiver", a2_file] + args)
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and message in err
+
+    def test_empty_jet_rank(self, a2_file):
+        # an empty --rank is a malformed rank vector, not a missing one
+        code, out, err = run_cli(["jet-series", "--quiver", a2_file, "--q", "2",
+                                  "--n-max", "1", "--rank", ""])
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "comma-separated list of integers" in err
 
     @pytest.mark.parametrize("basis", [
         [[[1, 0], [0]], [[1, 1], [0, 1]]],

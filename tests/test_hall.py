@@ -8,7 +8,7 @@ from quivercount.errors import CapExceeded
 from quivercount.hall import (HallFunction, _check_caps, _flag_table, _summand_count,
                               all_orbit_labels, bracket, free_summands,
                               hall_coproduct, hall_product, hall_product_euler,
-                              is_indecomposable_label, is_primitive,
+                              is_indecomposable_label,
                               orbit_label_of, orbit_representative,
                               primitive_space_dim, structure_constants)
 from quivercount.localring import ORing
@@ -26,6 +26,21 @@ def indicator(rank, alpha, label):
 
 def unit_label(alpha):
     return (0,) * alpha
+
+
+def is_primitive(f):
+    """Delta(f) = f x 1 + 1 x f, i.e. support on indecomposable orbits."""
+    unit = unit_label(f.alpha)
+    for left, right in hall_coproduct(f):
+        if left.rank == (0, 0):
+            if right.values != f.values or right.rank != f.rank:
+                return False
+        elif right.rank == (0, 0):
+            if right.value(unit) != f.value(next(iter(left.values))):
+                return False
+        else:
+            return False
+    return True
 
 
 class TestOrbitModel:
@@ -114,7 +129,7 @@ class TestProductOracles:
         assert hall_product(e2, e1, q) == indicator((1, 1), alpha, unit_label(alpha))
 
     def test_unital(self):
-        u = HallFunction.unit(2)
+        u = indicator((0, 0), 2, unit_label(2))
         f = indicator((1, 1), 2, (1, 0))
         assert hall_product(f, u, 2) == f
         assert hall_product(u, f, 2) == f
@@ -165,7 +180,7 @@ class TestProductOracles:
 
 class TestCoproduct:
     def test_unit(self):
-        u = HallFunction.unit(2)
+        u = indicator((0, 0), 2, unit_label(2))
         summands = hall_coproduct(u)
         assert len(summands) == 1
         left, right = summands[0]

@@ -49,7 +49,7 @@ class TestORing:
         R = ORing(3, 2)
         assert R.val(R.zero) == 2
         assert R.val(R.t) == 1
-        assert R.is_unit(R.one) and not R.is_unit(R.t)
+        assert R.val(R.one) == 0 and R.val(R.t) != 0
         for u in R.units():
             assert R.mul(u, R.inv(u)) == R.one
 
@@ -109,7 +109,7 @@ class TestORingProperties:
         assert R.mul(a, R.add(b, c)) == R.add(R.mul(a, b), R.mul(a, c))
         assert R.add(a, R.zero) == a and R.mul(a, R.one) == a
         assert R.add(a, R.neg(a)) == R.zero and R.sub(a, b) == R.add(a, R.neg(b))
-        if R.is_unit(a):
+        if R.val(a) == 0:
             assert R.mul(a, R.inv(a)) == R.one
         else:
             assert R.val(R.mul(a, b)) >= 1
@@ -342,7 +342,8 @@ class TestSmithBatch:
 class TestKernelSize:
     def test_examples(self):
         R2 = ORing(2, 2)
-        assert kernel_size_exponent(OMatrix.identity(R2, 3)) == 0
+        identity = OMatrix(R2, [[R2.one if i == j else R2.zero for j in range(3)] for i in range(3)])
+        assert kernel_size_exponent(identity) == 0
         assert kernel_size_exponent(OMatrix.zero(R2, 1, 1)) == 2
         M = OMatrix(R2, [[R2.t, R2.one], [R2.zero, R2.t]])
         assert kernel_size_exponent(M) == 2
@@ -396,7 +397,7 @@ class TestGL:
 class TestSolve:
     def test_examples(self):
         R = ORing(2, 2)
-        ok, ke, x = solve_linear(OMatrix.identity(R, 2), (R.zero, R.zero))
+        ok, ke, x = solve_linear(OMatrix(R, [[R.one, R.zero], [R.zero, R.one]]), (R.zero, R.zero))
         assert ok and ke == 0 and x == (R.zero, R.zero)
         A = OMatrix(R, [[R.t]])
         ok, ke, x = solve_linear(A, (R.t,))

@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 from quivercount import qpolynomial
 from quivercount.closedforms import gloop_Z
 from quivercount.errors import PoleAtEvaluationPoint
-from quivercount.kacpoly import poincare_from_zeta, zeta_fixed_q
 from quivercount.qpolynomial import QPolynomial, RationalFunction, rf_sum
-from symbolic_reference import reduce_euclid
+from symbolic_reference import poincare_from_zeta, reduce_euclid, zeta_fixed_q
 
 q = QPolynomial.q
 
