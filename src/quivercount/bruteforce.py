@@ -49,9 +49,11 @@ from .quiver import Quiver, _parallel_classes, _subset_tables, _union_find, jord
 class Caps:
     """Resource limits; defaults sized so the verification suite finishes
     in minutes.  max_space_log2 caps the points of every walk and census (a
-    census holds int32 arrays: at 2^20 points it peaks at 23 bytes a point
-    in rank all-one without loops, 16 when the orbit sizes are not asked
-    for, and 32 on a 2 x 2 loop, some 0.4 and 0.5 GiB at 2^24).
+    census holds an int32 label and at most one int32 scratch value per
+    point, and pieces of an eighth of the points: at 2^20 points it peaks
+    at 10 bytes a point in rank all-one without loops, 9 when the orbit
+    sizes are not asked for, and 28 on a 2 x 2 loop, whose tables over all
+    2^20 values of the loop dominate; some 0.16 and 0.44 GiB at 2^24).
     count_iso_classes walks no x-space: the cap bounds its Jordan census
     of M_{r_i}(O_alpha) at each vertex and its grid of class tuples.
     moment_fiber_count is capped by its x-space whichever route it takes;
@@ -356,16 +358,24 @@ def _orbit_labels(Q: Quiver, ring: ORing, r, with_sizes: bool = True):
     follows them.  Without with_sizes the sizes are None, and neither
     n-sized count is made.
 
-    The gathers run in place.  Each take writes into one of two int32
-    point buffers, made once and reused, so that no take allocates (and
-    first touches) a fresh point array.  Arrows that g moves and that sit
-    next to each other in the mixed radix, such as the arrows of a parallel
-    class, share one take by a product table (see axes) while it holds at
-    most _CHUNK_ENTRIES values.  A take into a buffer wraps its indices, so
-    _take_axis checks every table's range first.  The buffers are freed
-    when streaming stops, before any count over all points; a hooked
-    generator that gathers the whole permutation (image) takes buffers of
-    its own and drops them at once.
+    Memory: labels is one int32 array over the points, and at most one
+    more int32 point array (scratch) lives beside it.  A take along the
+    axis of one arrow never leaves its slab of the mixed radix, so the
+    gathers run in place, piece by piece (_take_axis): each piece is taken
+    whole, into a buffer of two pieces kept while streaming (pieces),
+    before it is written back or its minimum is folded into labels.  A
+    generator that moves one axis needs no point array; one that moves
+    several takes its first axis from labels into scratch, made once and
+    reused, the middle ones in place there, and folds the last.
+    Arrows that g moves and that sit next to each other in the mixed radix,
+    such as the arrows of a parallel class, share one take by a product
+    table (see axes) while it holds at most _CHUNK_ENTRIES values.  No
+    identity array is kept: the roots, and the count of live roots, are
+    read piece by piece.  The orbit sizes are counted by a bincount per
+    piece of the labels' ranks among the roots, read from scratch (or an
+    array made for them).  scratch and pieces are freed when streaming
+    stops; a hooked generator that gathers its whole permutation (image)
+    builds it in an array of its own and drops it at once.
     """
     q, alpha = ring.q, ring.alpha
     size = q ** alpha
@@ -446,7 +456,7 @@ def _orbit_labels(Q: Quiver, ring: ORing, r, with_sizes: bool = True):
     for a in reversed(moved):
         places[a] = n_points
         n_points *= radices[a]
-    index = np.arange(n_points, dtype=np.int32)
+    step = _piece_size(n_points)
     position = {a: i for i, a in enumerate(moved)}
 
     def axes(arrows, maps):
@@ -463,17 +473,10 @@ def _orbit_labels(Q: Quiver, ring: ORing, r, with_sizes: bool = True):
                 out.append((places[a], m))
         return out
 
-    buffers = []  # the buffers of the streamed gathers, made on first use
-
-    def gather(values, tables, into):
-        """values read at g x for every point x: one take per (place, table)
-        of an axis, into at most two int32 point buffers in turn, made as
-        needed.  Returns the buffer written last."""
-        while len(into) < min(len(tables), 2):
-            into.append(np.empty(n_points, dtype=np.int32))
-        for k, (place, m) in enumerate(tables):
-            values = _take_axis(values, m, place, into[k % 2])
-        return values
+    scratch = None  # the point buffer of multi-axis streamed gathers, made on first use
+    # the pieces of _take_axis, kept from take to take while streaming: a
+    # fresh array per piece is first touched, page by page, every time
+    pieces = np.empty(min(n_points, 2 * step), dtype=np.int32)
 
     def image(gen, arrows, points):
         """gen applied to points.  Few points go through their values of
@@ -482,7 +485,15 @@ def _orbit_labels(Q: Quiver, ring: ORing, r, with_sizes: bool = True):
         directly; from an eighth of all points on, gathering the whole
         permutation costs less."""
         if 8 * len(points) >= n_points:
-            return gather(index, axes(arrows, [table(a, gen) for a in arrows]), [])[points]
+            # the identity gathered along the first axis: each point with
+            # its digit there moved, written in one pass
+            (place, m), *rest = axes(arrows, [table(a, gen) for a in arrows])
+            slab = len(m) * place
+            perm = ((np.arange(n_points // slab, dtype=np.int32)[:, None] * slab
+                     + m * place)[:, :, None] + np.arange(place, dtype=np.int32)).ravel()
+            for place, m in rest:
+                _take_axis(perm, m, place, perm, pieces=pieces)
+            return perm[points]
         out = points.copy()
         for a in arrows:
             value = points // places[a] % radices[a]
@@ -494,6 +505,7 @@ def _orbit_labels(Q: Quiver, ring: ORing, r, with_sizes: bool = True):
         """labels <- min over k of labels at g^k x, in place, by doubling:
         after step i labels holds the minimum over k < 2^i.  Returns the
         order of g."""
+        nonlocal scratch
         maps = [table(a, gen) for a in arrows]
         order, power = 1, maps
         while True:
@@ -502,13 +514,45 @@ def _orbit_labels(Q: Quiver, ring: ORing, r, with_sizes: bool = True):
                 break
             order += 1
         merged = axes(arrows, maps)  # T^2 on a shared axis is the pair (T_a^2, T_b^2)
-        for step in range((order - 1).bit_length()):
-            if step:
+        if len(merged) > 1 and scratch is None:
+            scratch = np.empty(n_points, dtype=np.int32)
+        for k in range((order - 1).bit_length()):
+            if k:
                 merged = [(place, m[m]) for place, m in merged]
-            np.minimum(labels, gather(labels, merged, buffers), out=labels)
+            values = labels
+            for place, m in merged[:-1]:
+                values = _take_axis(values, m, place, scratch, pieces=pieces)
+            place, m = merged[-1]
+            _take_axis(values, m, place, labels, fold=True, pieces=pieces)
         return order
 
-    labels = index.copy()
+    def roots_by_piece():
+        """(labels over each piece of step points, which of them are
+        roots): a root labels itself, so its label is its index."""
+        for start in range(0, n_points, step):
+            piece = labels[start:start + step]
+            yield piece, piece == np.arange(start, start + len(piece), dtype=np.int32)
+
+    def find_roots():
+        return np.concatenate([piece[root] for piece, root in roots_by_piece()])
+
+    def count(roots):
+        """The number of points labelled with each root while every label
+        is a root: the labels' ranks among the roots, read from the scratch
+        array (or one made for them), counted piece by piece over the range
+        of ranks that the piece reaches."""
+        rank = np.empty(n_points, dtype=np.int32) if scratch is None else scratch
+        rank[roots] = np.arange(len(roots), dtype=np.int32)
+        sizes = np.zeros(len(roots), dtype=np.int64)
+        for start in range(0, n_points, step):
+            ranks = rank[labels[start:start + step]]
+            low = int(ranks.min())
+            ranks -= low
+            counts = np.bincount(ranks)
+            sizes[low:low + len(counts)] += counts
+        return sizes
+
+    labels = np.arange(n_points, dtype=np.int32)
     sizes = None  # unless with_sizes
     ends = None  # the points hooked from, once hooking starts
     live = n_points  # while streaming, a lower bound on the live roots, counted when short
@@ -517,25 +561,27 @@ def _orbit_labels(Q: Quiver, ring: ORing, r, with_sizes: bool = True):
         if ends is None:
             need = sum(radices[a] for a in arrows)
             if 0 < i < cut and need > live:
-                live = int(np.count_nonzero(labels == index))
+                live = sum(int(np.count_nonzero(root)) for _, root in roots_by_piece())
             if i == 0 or i < cut and need <= live:
                 # streaming g joins at most its order of orbits into one
                 live = -(-live // stream(gen, arrows))
                 continue
-            buffers.clear()  # streaming is over: free them before the count
-            roots = index[labels == index]
+            pieces = None  # streaming is over
+            roots = find_roots()
             if with_sizes:
-                sizes = np.bincount(labels)[roots].astype(np.int32)
+                sizes = count(roots).astype(np.int32)
+            scratch = None
             # past the cut, edges come from the roots of that moment
-            ends = roots if cut else index
+            ends = roots if cut else np.arange(n_points, dtype=np.int32)
         _hook(labels, ends, image(gen, arrows, ends))
         if i < cut:
             ends = ends[labels[ends] == ends]
-    buffers.clear()
     if ends is None:
-        reps = index[labels == index]
+        pieces = None
+        reps = find_roots()
         if with_sizes:
-            sizes = np.bincount(labels)[reps]
+            sizes = count(reps)
+        scratch = None
     else:
         final = _find(labels, roots)
         reps = roots[final == roots]
@@ -566,17 +612,71 @@ def _orbit_labels(Q: Quiver, ring: ORing, r, with_sizes: bool = True):
 _CHUNK_ENTRIES = 1 << 15
 
 
-def _take_axis(values: np.ndarray, table: np.ndarray, place: int, out: np.ndarray) -> np.ndarray:
+# points per piece of a census array (see _pieces): at least this many, so
+# that arrays of up to 2^17 points stay whole, and at most eight pieces
+_PIECE_ENTRIES = 1 << 17
+
+
+def _piece_size(n_points: int) -> int:
+    return max(_PIECE_ENTRIES, n_points // 8)
+
+
+def _pieces(outer: int, radix: int, place: int) -> list:
+    """Basic indices that split a view (outer, radix, place) of the points
+    into pieces closed under a take along the middle axis, each of at most
+    _piece_size entries: runs of whole slabs, or, where one slab is larger,
+    runs of columns of one slab (at least one column, larger than a piece
+    when the radix is).  A view small enough is one piece, indexed by ()."""
+    size = _piece_size(outer * radix * place)
+    if outer * radix * place <= size:
+        return [()]
+    if radix * place <= size:
+        run = size // (radix * place)
+        return [np.s_[i:i + run] for i in range(0, outer, run)]
+    width = max(1, size // radix)
+    return [np.s_[i:i + 1, :, j:j + width] for i in range(outer) for j in range(0, place, width)]
+
+
+def _take_axis(values: np.ndarray, table: np.ndarray, place: int, out: np.ndarray,
+               fold: bool = False, pieces: np.ndarray | None = None) -> np.ndarray:
     """out[i, j, k] = values[i, table[j], k] over the points split as
-    (-1, len(table), place), written into out.  With out given, numpy's
-    default mode "raise" takes through a hidden copy, so the take wraps
-    instead and the table's range is checked here: O(len(table)), not
-    O(points)."""
+    (-1, len(table), place), or with fold the minimum of that and
+    out[i, j, k]; out may be values.  A take along the middle axis never
+    leaves its piece (_pieces), so a take in place, or folded, runs piece
+    by piece, each piece taken whole into a buffer before out is written.
+    The flat buffer pieces, reused from call to call, holds the taken
+    piece and, for a piece of columns, a contiguous copy of it, which
+    np.take would otherwise make afresh; one is made here when it is not
+    given or too small.  A take into another array writes it directly.
+    With out given, numpy's default mode "raise" takes through a hidden
+    copy, so every take wraps instead and the table's range is checked
+    here: O(len(table)), not O(points)."""
     radix = len(table)
     if table.min() < 0 or table.max() >= radix:
         raise IndexError(f"census table entries must lie in [0, {radix})")
-    np.take(values.reshape(-1, radix, place), table, axis=1,
-            out=out.reshape(-1, radix, place), mode="wrap")
+    source = values.reshape(-1, radix, place)
+    target = out.reshape(source.shape)
+    if not fold and out is not values:
+        np.take(source, table, axis=1, out=target, mode="wrap")
+        return out
+    cuts = _pieces(*source.shape)
+    first = source[cuts[0]]  # the largest piece, and a piece of columns if any is
+    size = first.size
+    need = size if first.flags.c_contiguous else 2 * size
+    if pieces is None or len(pieces) < need:
+        pieces = np.empty(need, dtype=out.dtype)
+    for cut in cuts:
+        piece, into = source[cut], target[cut]
+        if not piece.flags.c_contiguous:
+            columns = pieces[size:size + piece.size].reshape(piece.shape)
+            columns[...] = piece
+            piece = columns
+        taken = np.take(piece, table, axis=1, mode="wrap",
+                        out=pieces[:piece.size].reshape(piece.shape))
+        if fold:
+            np.minimum(into, taken, out=into)
+        else:
+            into[...] = taken
     return out
 
 

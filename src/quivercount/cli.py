@@ -140,7 +140,7 @@ def cmd_fiber_count(args) -> int:
         return 0
     if args.q is None:
         raise SystemExit("brute-force fiber counts need --q")
-    lam = _parse_ints(args.lam) if args.lam else None
+    lam = _parse_ints(args.lam) if args.lam is not None else None
     count = bruteforce.moment_fiber_count(Q, args.alpha, rank, args.q, lam, _caps(args))
     _emit(args, str(count), {"alpha": args.alpha, "q": args.q,
                              "rank": list(rank), "count": count})
@@ -195,8 +195,9 @@ def cmd_hall(args) -> int:
     for (lab1, lab2), values in sorted(table.items()):
         key = f"{list(lab1)}*{list(lab2)}"
         payload[key] = {str(list(lab)): str(v) for lab, v in sorted(values.items())}
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    _emit(args, text, payload)
+    # the text form is the JSON form, so both formats print it, encoded once
+    with _output(args) as out:
+        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 

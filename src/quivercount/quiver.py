@@ -20,8 +20,17 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
+from numbers import Integral
 
 from .errors import DimensionMismatch, NotConnected
+
+
+def _endpoints(k: int, s, t) -> tuple:
+    """Arrow k's endpoints as ints; bool is an Integral, and True is no
+    vertex index."""
+    if any(isinstance(v, bool) or not isinstance(v, Integral) for v in (s, t)):
+        raise ValueError(f"arrow {k} {(s, t)!r}: endpoints must be integers")
+    return int(s), int(t)
 
 
 class Quiver:
@@ -29,11 +38,12 @@ class Quiver:
 
     def __init__(self, vertices, arrows):
         self.vertices = tuple(str(v) for v in vertices)
-        self.arrows = tuple((int(s), int(t)) for s, t in arrows)
+        self.arrows = tuple((s, t) if type(s) is type(t) is int else _endpoints(k, s, t)
+                            for k, (s, t) in enumerate(arrows))
         n = len(self.vertices)
-        for s, t in self.arrows:
+        for k, (s, t) in enumerate(self.arrows):
             if not (0 <= s < n and 0 <= t < n):
-                raise ValueError(f"arrow ({s},{t}) out of range for {n} vertices")
+                raise ValueError(f"arrow {k} ({s},{t}) out of range for {n} vertices")
 
     # -- basics ---------------------------------------------------------
 
@@ -72,12 +82,7 @@ class Quiver:
     def from_json(data: dict) -> "Quiver":
         if not isinstance(data["vertices"], list):
             raise ValueError(f"vertices must be a list, got {data['vertices']!r}")
-        arrows = [(a["src"], a["dst"]) for a in data["arrows"]]
-        for k, ends in enumerate(arrows):
-            # bool is a subclass of int, and JSON true is no vertex index
-            if any(type(v) is not int for v in ends):
-                raise ValueError(f"arrow {k} {ends!r}: endpoints must be integers")
-        return Quiver(data["vertices"], arrows)
+        return Quiver(data["vertices"], [(a["src"], a["dst"]) for a in data["arrows"]])
 
     @staticmethod
     def load(path) -> "Quiver":

@@ -105,17 +105,115 @@ class TestRepresentatives:
     orbit, and records come sorted by representative: the scalar walk
     over the whole group visits orbits in that order."""
 
-    @pytest.mark.parametrize("Q,alpha,r,q", [
+    INSTANCES = [
         (cyclic_quiver(3), 1, (1, 1, 1), 3), (kronecker_quiver(2), 1, (1, 1), 3),
         (kronecker_quiver(2), 2, (1, 1), 2), (loop_quiver(2), 1, (2,), 2),
         (a2_quiver(), 1, (2, 1), 3), (jordan_quiver(), 2, (2,), 2),
         (jordan_quiver(), 1, (2,), 4),
         # a vertex of rank zero: its arrows have one value and never move
         (a2_quiver(), 2, (2, 0), 2), (a2_quiver(), 1, (0, 1), 3),
-        (cyclic_quiver(3), 2, (1, 0, 1), 3), (loop_quiver(2), 2, (0,), 2)])
+        (cyclic_quiver(3), 2, (1, 0, 1), 3), (loop_quiver(2), 2, (0,), 2)]
+
+    @pytest.mark.parametrize("Q,alpha,r,q", INSTANCES)
     def test_lex_min(self, Q, alpha, r, q):
         recs = enumerate_orbits(Q, alpha, r, q)
         assert [(rec.representative, rec.orbit_size) for rec in recs] == ref.orbits(Q, alpha, r, q)
+
+
+def _point_index(x, q: int) -> int:
+    """The census index of a point given as a tuple of OMatrix values: its
+    coordinates (arrow by arrow, entries row-major, t^0 first) as base-q
+    digits, most significant first."""
+    index = 0
+    for m in x:
+        for row in m.entries:
+            for entry in row:
+                for c in entry:
+                    index = index * q + c
+    return index
+
+
+class TestCensusPieces:
+    """The census with pieces of 16 points (or of one column, where that is
+    longer), so that every take in place, and every fold of a minimum into
+    the labels, runs split: into runs of whole slabs, or into runs of
+    columns of one slab.  Against the scalar walk over the whole group."""
+
+    INSTANCES = TestRepresentatives.INSTANCES + [
+        # vertex 0 moves three arrows apart in the mixed radix: a take into
+        # the scratch array, one in place and a fold
+        (Quiver(["0", "1", "2", "3"], [(0, 1), (1, 2), (0, 2), (2, 3), (0, 3)]), 1,
+         (1, 1, 1, 1), 3),
+        # hooked from every point: the whole permutation of a two-axis
+        # generator, its second axis taken in place
+        (cyclic_quiver(3), 1, (2, 1, 1), 3), (cyclic_quiver(3), 2, (2, 1, 1), 2),
+        (Quiver(["0", "1"], [(0, 1), (1, 1), (1, 0)]), 1, (1, 2), 2)]
+
+    @pytest.fixture(autouse=True)
+    def small_pieces(self, monkeypatch):
+        # 16 points a piece however many points there are: _piece_size
+        # allows an eighth of them, which would keep small censuses whole
+        monkeypatch.setattr(bruteforce, "_piece_size", lambda n_points: 16)
+
+    @staticmethod
+    def check(Q, alpha, r, q):
+        want = ref.orbits(Q, alpha, r, q)
+        reps, sizes = _orbit_labels(Q, ORing(q, alpha), r)
+        assert reps.tolist() == [_point_index(x, q) for x, _ in want]
+        assert sizes.tolist() == [size for _, size in want]
+        bare, none = _orbit_labels(Q, ORing(q, alpha), r, with_sizes=False)
+        assert none is None and bare.tolist() == reps.tolist()
+        recs = enumerate_orbits(Q, alpha, r, q)
+        assert [(rec.representative, rec.orbit_size) for rec in recs] == want
+        assert count_absolutely_indecomposable(Q, alpha, r, q) == sum(
+            rec.absolutely_indecomposable for rec in recs)
+
+    @pytest.mark.parametrize("Q,alpha,r,q", INSTANCES)
+    def test_matches_group_walk(self, Q, alpha, r, q):
+        self.check(Q, alpha, r, q)
+
+    def test_every_path_runs_split(self, monkeypatch):
+        # the instances above take every path of _take_axis, split both ways
+        seen = set()
+        take, pieces, hook = bruteforce._take_axis, bruteforce._pieces, bruteforce._hook
+        mode = None
+
+        def spy_take(values, table, place, out, fold=False, **kwargs):
+            nonlocal mode
+            mode = "fold" if fold else "in place" if out is values else "into scratch"
+            seen.add(mode)
+            return take(values, table, place, out, fold, **kwargs)
+
+        def spy_pieces(outer, radix, place):
+            cuts = pieces(outer, radix, place)
+            seen.add((mode, "one piece" if cuts == [()] else
+                      "slab runs" if isinstance(cuts[0], slice) else "column runs"))
+            return cuts
+
+        def spy_hook(labels, ends, others):
+            seen.add("whole permutation" if 8 * len(ends) >= len(labels) else "hook")
+            return hook(labels, ends, others)
+
+        monkeypatch.setattr(bruteforce, "_take_axis", spy_take)
+        monkeypatch.setattr(bruteforce, "_pieces", spy_pieces)
+        monkeypatch.setattr(bruteforce, "_hook", spy_hook)
+        for Q, alpha, r, q in self.INSTANCES:
+            _orbit_labels(Q, ORing(q, alpha), r)
+        assert seen >= {"into scratch", "whole permutation"} | {
+            (mode, runs) for mode in ("fold", "in place") for runs in ("slab runs", "column runs")}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_quivers(self, data):
+        n = data.draw(st.integers(1, 3))
+        vertex = st.integers(0, n - 1)
+        arrows = data.draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=3))
+        r = tuple(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+        alpha, q = data.draw(st.integers(1, 2)), data.draw(st.sampled_from([2, 3]))
+        Q = Quiver([str(i) for i in range(n)], arrows)
+        # the scalar walk costs the points times the group
+        assume(q ** (alpha * rep_space_dim(Q, r)) * group_order(alpha, r, q) <= 30000)
+        self.check(Q, alpha, r, q)
 
 
 class TestCensusMemory:
@@ -154,11 +252,23 @@ class TestCensusMemory:
         assert int(sizes.sum()) == 2 ** 20 and reps[0] == 0
         assert peak < 48 * 2 ** 20
 
+    STAR = Quiver(["0", "1", "2", "3"], [(0, 1), (0, 1), (0, 2), (0, 2), (0, 3), (0, 3)])
+
+    @staticmethod
+    def traced_peak(count, *args, **kwargs):
+        """(count(*args, **kwargs), the peak of memory traced meanwhile)."""
+        tracemalloc.start()
+        try:
+            return count(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_star_census_in_four_point_arrays(self):
-        # 531,441 points and no loops: the labels, the identity and the two
-        # take buffers are four int32 arrays of 2 MiB.  A fresh array per
-        # take, or an int64 count of the orbit sizes, reaches 9.9 MiB
-        Q = Quiver(["0", "1", "2", "3"], [(0, 1), (0, 1), (0, 2), (0, 2), (0, 3), (0, 3)])
+        # 531,441 points and no loops: four int32 point arrays of 2 MiB (the
+        # labels, an identity and two take buffers) fit; a fresh array per
+        # take, or an int64 count of the orbit sizes, reaches 9.9 MiB.  The
+        # census now holds two (test_star_census_in_two_point_arrays)
+        Q = self.STAR
         tracemalloc.start()
         try:
             count = count_absolutely_indecomposable(Q, 2, (1, 1, 1, 1), 3)
@@ -167,6 +277,33 @@ class TestCensusMemory:
             tracemalloc.stop()
         assert count == 4096
         assert peak <= 9.9 * 2 ** 20
+
+    @pytest.mark.parametrize("with_sizes", [False, True])
+    def test_star_census_in_two_point_arrays(self, with_sizes):
+        # the labels and one scratch array, 2 MiB each, plus two pieces of
+        # 2^17 points: the gathers run in place, no identity array is kept,
+        # and the sizes are counted piece by piece through the root ranks
+        (reps, sizes), peak = self.traced_peak(_orbit_labels, self.STAR, ORing(3, 2), (1,) * 4,
+                                               with_sizes=with_sizes)
+        assert (sizes is None) != with_sizes
+        assert reps[0] == 0 and (not with_sizes or int(sizes.sum()) == 3 ** 12)
+        assert peak <= 6 * 2 ** 20
+        count, peak = self.traced_peak(count_absolutely_indecomposable, self.STAR, 2,
+                                       (1,) * 4, 3)
+        assert count == 4096 and peak <= 6 * 2 ** 20
+
+    @pytest.mark.parametrize("with_sizes", [False, True])
+    def test_rank_one_census_in_two_point_arrays(self, with_sizes):
+        # the simple graph K_5 at q = 4, alpha = 1: 2^20 points, 4 MiB per
+        # int32 point array; an identity array and two take buffers took it
+        # to 16 MiB, and an int64 size count to 18.8 MiB
+        K5 = Quiver([str(i) for i in range(5)], [(s, t) for s in range(5) for t in range(s + 1, 5)])
+        (reps, sizes), peak = self.traced_peak(_orbit_labels, K5, ORing(4, 1), (1,) * 5,
+                                               with_sizes=with_sizes)
+        assert reps[0] == 0 and (not with_sizes or int(sizes.sum()) == 2 ** 20)
+        assert peak <= 10.5 * 2 ** 20
+        _, peak = self.traced_peak(count_absolutely_indecomposable, K5, 1, (1,) * 5, 4)
+        assert peak <= 10.5 * 2 ** 20
 
     def test_points_beyond_int32_refused(self):
         # raising the space cap past 2^31 points cannot overflow the index

@@ -161,6 +161,13 @@ class TestCommands:
         data = json.loads(out)
         assert data == {"[0]*[0]": {"[0]": "1", "[1]": "1"}}
 
+    def test_hall_text_is_its_json(self):
+        # the text form is the JSON form: both formats print the same bytes
+        argv = ["hall", "--alpha", "1", "--q", "2", "--rank1", "1,1", "--rank2", "1,0"]
+        text, as_json = run_cli(argv), run_cli(["--format", "json"] + argv)
+        assert text == as_json and text[0] == 0
+        assert text[1] == json.dumps(json.loads(text[1]), indent=2, sort_keys=True) + "\n"
+
 
 class TestDeterminism:
     def test_jobs_do_not_change_output(self, c3_file):
@@ -279,6 +286,8 @@ class TestErrorPaths:
         (["--alpha", "1", "--q", "5", "--rank", "1,a"], "comma-separated list of integers"),
         (["--alpha", "1", "--q", "5", "--rank=-1,1"], "rank entries must be >= 0"),
         (["--alpha", "1", "--q", "2", "--rank", ""], "comma-separated list of integers"),
+        # an empty --lam is a malformed deformation, not the zero fiber
+        (["--alpha", "1", "--q", "2", "--lam="], "comma-separated list of integers"),
     ])
     def test_malformed_fiber_input(self, a2_file, args, message):
         code, out, err = run_cli(["fiber-count", "--quiver", a2_file] + args)

@@ -2,6 +2,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -193,6 +194,20 @@ class TestSerialization:
             Quiver.from_json(data)
         with pytest.raises(ValueError, match="arrow 0 "):
             Quiver.from_json({"vertices": ["a", "b"], "arrows": [{"src": 1, "dst": src}]})
+
+    @pytest.mark.parametrize("end", [0.5, "0", True, None])
+    def test_constructor_checks_endpoints(self, end):
+        # the constructor holds the one check that from_json relies on
+        with pytest.raises(ValueError, match=r"arrow 1 .*endpoints must be integers"):
+            Quiver(["a", "b"], [(0, 1), (end, 1)])
+        with pytest.raises(ValueError, match=r"arrow 0 .*endpoints must be integers"):
+            Quiver(["a", "b"], [(1, end)])
+
+    def test_constructor_takes_integral_endpoints(self):
+        arrows = Quiver(["a", "b"], [(np.int64(0), np.int32(1))]).arrows
+        assert arrows == ((0, 1),) and all(type(v) is int for v in arrows[0])
+        with pytest.raises(ValueError, match=r"arrow 0 \(0,2\) out of range for 2 vertices"):
+            Quiver(["a", "b"], [(0, 2)])
 
     @pytest.mark.parametrize("vertices", ["ab", 2, {"a": 0}, None])
     def test_vertices_must_be_a_list(self, vertices):
